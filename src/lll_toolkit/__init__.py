@@ -10,8 +10,9 @@ from .errors import (BudgetRefused, ContractViolation, EngineError,
 from .model import (ConditionEntry, ConditionReport, ConstraintSystem, Event,
                     LLLParams, StreamParams, VariableSpec,
                     avoiding_assignments, avoiding_probability,
-                    check_computable_lll, check_finite_lll, clause_event,
-                    event_probability, neighbors, uniform_bit)
+                    check_computable_lll, check_finite_lll, check_lll,
+                    clause_event, event_probability, expected_steps_bound,
+                    neighbors, uniform_bit)
 from .tape import Tape, enumerate_tapes, fresh_value
 from .engine import (ResampleLog, RunResult, Step, first_k_stable_time,
                      log_from_event_sequence, replay, run_finite, run_stream,
@@ -20,8 +21,8 @@ from .witness import (WitnessTree, build_witness_tree,
                       crosscheck_tape_positions, reconstruct_tape_positions,
                       tree_probability_bound, trees_for_run, validate_tree)
 from .exhaustive import census_runs, check_tree_lemma, enumerate_runs
-from .galton_watson import (GWParams, check_mt_vs_gw, expected_steps_bound,
-                            gw_sample, gw_tree_probability)
+from .galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
+                            gw_tree_probability)
 from .layerwise import (PrefixResult, StabilityCertificate, SystemQOracle,
                         TableQOracle, approx_output_distribution,
                         compute_assignment_prefix,

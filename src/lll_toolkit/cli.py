@@ -16,7 +16,7 @@ from . import __version__
 from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
                      ModelError, TapeExhausted, UnresolvedBranches,
                      VerificationError)
-from .model import LLLParams, check_computable_lll, check_finite_lll
+from .model import LLLParams, check_lll
 from .tape import Tape
 from .engine import (SATISFIED, first_k_stable_time, run_finite, run_stream,
                      suggested_max_steps)
@@ -90,10 +90,7 @@ def _cmd_check(args) -> int:
     system, params = _load_system(args.input, args.z_all, args.alpha)
     if params is None:
         raise ModelError("no z values given (z lines or --z-all)")
-    if params.alpha < 1:
-        report = check_computable_lll(system, params)
-    else:
-        report = check_finite_lll(system, params)
+    report = check_lll(system, params)
     _emit_manifest(args)
     for entry in report.entries:
         print(f"event={entry.index} lhs={q(entry.lhs)} rhs={q(entry.rhs)} "
@@ -318,10 +315,7 @@ def _cmd_selftest(args) -> int:
     all_ok = True
     for entry in toy_corpus():
         params = entry.params
-        if params.alpha < 1:
-            cond = check_computable_lll(entry.system, params)
-        else:
-            cond = check_finite_lll(entry.system, params)
+        cond = check_lll(entry.system, params)
         lemma = check_tree_lemma(entry.system, entry.bit_budget)
         gw = check_mt_vs_gw(entry.system, params, entry.bit_budget)
         ok = (cond.holds and lemma.certified and gw.certified

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
 from .errors import EngineError, ModelError, TapeExhausted
-from .model import ConstraintSystem, LLLParams, ONE
+from .model import ConstraintSystem, LLLParams, expected_steps_bound
 from .tape import Tape
 
 SATISFIED = "satisfied"
@@ -57,8 +56,7 @@ class RunResult:
 
 def suggested_max_steps(params: LLLParams) -> int:
     """Ten times the expected-steps bound, rounded up (and at least 1)."""
-    bound = sum((z / (ONE - z) for z in params.z), Fraction(0))
-    return max(1, ceil(10 * bound))
+    return max(1, ceil(10 * expected_steps_bound(params.z)))
 
 
 def run_finite(system: ConstraintSystem, tape: Tape,
@@ -73,51 +71,52 @@ def run_finite(system: ConstraintSystem, tape: Tape,
         raise ModelError("max_steps must be >= 0")
     n_events = len(system.events)
     assignment: list[int] = []
+    steps: list[Step] = []
+    initial = None
     try:
         for var in system.variables:
             assignment.append(tape.draw(var.index, var.distribution))
-    except TapeExhausted:
-        raise TapeExhausted(partial_log=None,
-                            partial_assignment=tuple(assignment)) from None
-    initial = tuple(assignment)
+        initial = tuple(assignment)
 
-    is_true = [system.is_true(i, assignment) for i in range(n_events)]
-    heap = [i for i in range(n_events) if is_true[i]]
-    heapq.heapify(heap)
-    steps: list[Step] = []
+        is_true = [system.is_true(i, assignment) for i in range(n_events)]
+        heap = [i for i in range(n_events) if is_true[i]]
+        heapq.heapify(heap)
 
-    while heap:
-        i = heapq.heappop(heap)
-        if not is_true[i]:
-            continue
-        if len(steps) >= max_steps:
-            log = ResampleLog(initial, tuple(steps))
-            return RunResult(BUDGET_EXCEEDED, tuple(assignment), log)
-        ev = system.events[i]
-        draws = []
-        try:
+        while heap:
+            i = heapq.heappop(heap)
+            if not is_true[i]:
+                continue
+            if len(steps) >= max_steps:
+                log = ResampleLog(initial, tuple(steps))
+                return RunResult(BUDGET_EXCEEDED, tuple(assignment), log)
+            ev = system.events[i]
+            draws = []
             for v in ev.vbl:
                 var = system.variables[v]
                 position = tape.consumed_count(v)
                 value = tape.draw(v, var.distribution)
                 assignment[v] = value
                 draws.append((v, position, value))
-        except TapeExhausted:
-            log = ResampleLog(initial, tuple(steps))
-            raise TapeExhausted(partial_log=log,
-                                partial_assignment=tuple(assignment),
-                                in_flight_event=i) from None
-        steps.append(Step(len(steps) + 1, i, tuple(draws)))
-        dirty: set[int] = set()
-        for v in ev.vbl:
-            dirty.update(system.var_to_events[v])
-        for j in sorted(dirty):
-            now = system.is_true(j, assignment)
-            # j's heap entry survives unless j was the event just popped;
-            # events turning true get a fresh entry, stale entries are skipped.
-            if now and (j == i or not is_true[j]):
-                heapq.heappush(heap, j)
-            is_true[j] = now
+            steps.append(Step(len(steps) + 1, i, tuple(draws)))
+            dirty: set[int] = set()
+            for v in ev.vbl:
+                dirty.update(system.var_to_events[v])
+            for j in sorted(dirty):
+                now = system.is_true(j, assignment)
+                # j's heap entry survives unless j was the event just popped;
+                # events turning true get a fresh entry, stale entries are
+                # skipped.
+                if now and (j == i or not is_true[j]):
+                    heapq.heappush(heap, j)
+                is_true[j] = now
+    except TapeExhausted:
+        # only draws exhaust the tape: before `initial` is set the cut came
+        # during initialization, afterwards during event i's resampling
+        started = initial is not None
+        raise TapeExhausted(
+            partial_log=ResampleLog(initial, tuple(steps)) if started else None,
+            partial_assignment=tuple(assignment),
+            in_flight_event=i if started else None) from None
 
     log = ResampleLog(initial, tuple(steps))
     return RunResult(SATISFIED, tuple(assignment), log)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BudgetRefused, TapeExhausted
+from .errors import BudgetRefused, EngineError, TapeExhausted
 from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, Step, run_finite
 from .tape import Tape
@@ -74,7 +74,10 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
                              exc.partial_log, exc.in_flight_event)
             continue
         # the run ended; every coin of the prefix was demanded by construction
-        assert tape.bit_cursor == len(prefix)
+        if tape.bit_cursor != len(prefix):
+            raise EngineError(
+                f"run on prefix {prefix!r} ended after {tape.bit_cursor} "
+                f"of its {len(prefix)} coins")
         resolved = result.status == SATISFIED
         yield Branch(prefix, Fraction(1, 2 ** len(prefix)), resolved,
                      result.status, result.assignment, result.log)
@@ -95,10 +98,6 @@ class TreeAppearance:
     p_low: Fraction
     pending: Fraction
 
-    @property
-    def certified_upper(self) -> Fraction:
-        return self.p_low + self.pending
-
 
 @dataclass
 class RunCensus:
@@ -107,6 +106,15 @@ class RunCensus:
     unresolved_mass: Fraction
     branch_count: int
     output_mass: dict  # assignment tuple -> Fraction, resolved branches only
+
+    def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
+        """Resolved mass of outputs whose first cells equal `prefix`."""
+        n = len(prefix)
+        total = Fraction(0)
+        for assignment, weight in self.output_mass.items():
+            if assignment[:n] == prefix:
+                total += weight
+        return total
 
     def appearance_list(self) -> list[TreeAppearance]:
         return sorted(self.appearances.values(),

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ModelError, UnresolvedBranches
 from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
-                    as_fraction, check_computable_lll, check_finite_lll)
+                    as_fraction, check_lll)
+from .model import expected_steps_bound  # noqa: F401  (kept importable here)
 from .tape import Tape
 from .witness import WitnessTree, validate_tree
 from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
@@ -44,16 +45,6 @@ class GWParams:
     @classmethod
     def from_lll(cls, params: LLLParams, root: int) -> "GWParams":
         return cls(root, params.z, params.alpha)
-
-
-def expected_steps_bound(z: Sequence[Fraction], k: int | None = None) -> Fraction:
-    """Sum of z_i/(1-z_i) over the first k events (all of them by default)."""
-    values = list(z)[:k if k is not None else len(list(z))]
-    total = ZERO
-    for zi in values:
-        zi = as_fraction(zi)
-        total += zi / (ONE - zi)
-    return total
 
 
 def gw_tree_probability(tree: WitnessTree, params: GWParams,
@@ -158,10 +149,7 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     gives the plain bound. The per-event condition at the same alpha is
     checked first and reported alongside.
     """
-    if params.alpha < ONE:
-        condition = check_computable_lll(system, params)
-    else:
-        condition = check_finite_lll(system, params)
+    condition = check_lll(system, params)
     census = census_runs(system, bit_budget, branch_guard=branch_guard)
     entries = []
     gw_totals: dict[int, Fraction] = {}

@@ -19,14 +19,18 @@ from typing import Iterator, Optional, Protocol, Sequence
 from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
                      FamilyError, ModelError, VerificationError)
 from .model import (ConstraintSystem, ONE, StreamParams, ZERO,
-                    as_fraction)
+                    as_fraction, expected_steps_bound)
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
 from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
 from .families import InfiniteFamily
-from .galton_watson import expected_steps_bound
 
 DEFAULT_BIT_GUARD = 40
+
+
+def _start_bits(system: ConstraintSystem) -> int:
+    """Default first coin budget of a census: two coins per variable, >= 8."""
+    return max(8, 2 * len(system.variables))
 
 
 @dataclass(frozen=True)
@@ -154,15 +158,11 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     for pos, value in enumerate(prefix):
         if not 0 <= value < system.variables[pos].range_size:
             raise ModelError(f"prefix value {value} out of range at cell {pos}")
-    budget = start_bits if start_bits is not None else max(
-        8, 2 * len(system.variables))
+    budget = start_bits if start_bits is not None else _start_bits(system)
     while True:
         census = census_runs(system, budget, branch_guard=branch_guard,
                              want_trees=False)
-        lo = ZERO
-        for assignment, weight in census.output_mass.items():
-            if assignment[:len(prefix)] == prefix:
-                lo += weight
+        lo = census.prefix_mass(prefix)
         hi = lo + census.unresolved_mass
         if hi - lo <= delta:
             return lo, hi
@@ -225,7 +225,7 @@ class SystemQOracle:
                  branch_guard: int = DEFAULT_BRANCH_GUARD):
         self.system = system
         self.base_bits = (base_bits if base_bits is not None
-                          else max(8, 2 * len(system.variables)))
+                          else _start_bits(system))
         self.step_bits = step_bits
         self.bit_guard = bit_guard
         self.branch_guard = branch_guard
@@ -244,13 +244,10 @@ class SystemQOracle:
 
     def lower_bound(self, prefix: tuple[int, ...], n: int) -> Fraction:
         budget = min(self.bit_guard, self.base_bits + self.step_bits * n)
-        census = self._census(budget)
-        lo = ZERO
-        for assignment, weight in census.output_mass.items():
-            if assignment[:len(prefix)] == tuple(prefix):
-                lo += weight
-        best = max(self._best.get(tuple(prefix), ZERO), lo)
-        self._best[tuple(prefix)] = best
+        prefix = tuple(prefix)
+        lo = self._census(budget).prefix_mass(prefix)
+        best = max(self._best.get(prefix, ZERO), lo)
+        self._best[prefix] = best
         return best
 
     def unresolved(self, n: int) -> Fraction:

@@ -306,7 +306,36 @@ def check_computable_lll(system: ConstraintSystem,
     return _condition_entries(system, params, params.alpha)
 
 
+def check_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:
+    """The condition at the params' own alpha: the plain check when alpha is
+    1, the strengthened one when alpha < 1."""
+    return _condition_entries(system, params, params.alpha)
+
+
+def expected_steps_bound(z: Sequence[Fraction], k: int | None = None) -> Fraction:
+    """Sum of z_i/(1-z_i) over the first k events (all of them by default)."""
+    total = ZERO
+    for zi in list(z)[:k]:
+        zi = as_fraction(zi)
+        total += zi / (ONE - zi)
+    return total
+
+
 _ENUM_GUARD = 1 << 22
+
+
+def _avoiders(system: ConstraintSystem, guard: int) -> Iterator[tuple[int, ...]]:
+    """Brute-force scan: every assignment under which no event is true."""
+    space = 1
+    for var in system.variables:
+        space *= var.range_size
+    if space > guard:
+        raise BudgetRefused(
+            f"assignment space of size {space} exceeds guard {guard}")
+    n_events = len(system.events)
+    for assignment in system.assignments():
+        if not any(system.is_true(i, assignment) for i in range(n_events)):
+            yield assignment
 
 
 def avoiding_probability(system: ConstraintSystem,
@@ -315,28 +344,11 @@ def avoiding_probability(system: ConstraintSystem,
 
     Brute-force enumeration over the full assignment space; desk scale only.
     """
-    space = 1
-    for var in system.variables:
-        space *= var.range_size
-    if space > guard:
-        raise BudgetRefused(
-            f"assignment space of size {space} exceeds guard {guard}")
-    total = ZERO
-    for assignment in system.assignments():
-        if not any(system.is_true(i, assignment)
-                   for i in range(len(system.events))):
-            total += system.assignment_probability(assignment)
-    return total
+    return sum((system.assignment_probability(a)
+                for a in _avoiders(system, guard)), ZERO)
 
 
 def avoiding_assignments(system: ConstraintSystem,
                          guard: int = _ENUM_GUARD) -> list[tuple[int, ...]]:
     """All assignments avoiding every event, by brute force (desk scale)."""
-    space = 1
-    for var in system.variables:
-        space *= var.range_size
-    if space > guard:
-        raise BudgetRefused(
-            f"assignment space of size {space} exceeds guard {guard}")
-    return [a for a in system.assignments()
-            if not any(system.is_true(i, a) for i in range(len(system.events)))]
+    return list(_avoiders(system, guard))

@@ -14,6 +14,7 @@ order in which other streams are consumed.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -77,10 +78,6 @@ class Tape:
         self.bits_consumed = 0       # total bits in either mode
         self._consumed: dict[int, int] = {}
 
-    @property
-    def explicit(self) -> bool:
-        return self.bits is not None
-
     def consumed_count(self, stream: int) -> int:
         """How many values stream has drawn so far (x^0 .. x^{count-1})."""
         return self._consumed.get(stream, 0)
@@ -132,12 +129,25 @@ class Tape:
 
     @classmethod
     def from_hex(cls, text: str) -> "Tape":
+        """Parse `<bit length>:<hex digits>`, the form `to_hex` writes.
+
+        The digits may be left out only for the empty tape, and their value
+        must fit in the declared number of bits.
+        """
         length_str, _, digits = text.partition(":")
+        if not re.fullmatch(r"[0-9]+", length_str):
+            raise ModelError(
+                f"tape {text!r}: bit length is not a non-negative integer")
         length = int(length_str)
-        if length == 0:
+        if length == 0 and not digits:
             return cls(bits="")
+        if not re.fullmatch(r"[0-9a-fA-F]+", digits):
+            raise ModelError(f"tape {text!r}: {digits!r} is not hex digits")
         value = int(digits, 16)
-        return cls(bits=format(value, f"0{length}b"))
+        if value >> length:
+            raise ModelError(
+                f"tape {text!r}: value does not fit in {length} bits")
+        return cls(bits=format(value, f"0{length}b") if length else "")
 
 
 def fresh_value(tape: Tape, var: VariableSpec) -> int:

@@ -49,13 +49,6 @@ class WitnessTree:
     def root_label(self) -> int:
         return self.labels[0]
 
-    def depth(self, v: int) -> int:
-        d = 0
-        while self.parents[v] != -1:
-            v = self.parents[v]
-            d += 1
-        return d
-
     def depths(self) -> tuple[int, ...]:
         out = [0] * self.size
         for v in range(1, self.size):
@@ -212,34 +205,25 @@ def reconstruct_tape_positions(tree: WitnessTree,
                                system: ConstraintSystem) -> dict[int, list[int]]:
     """Table positions each variable consumed, derived from the tree alone.
 
-    A variable occurs at most once per depth level and deeper levels happen
-    earlier, so the vertices touching a variable, deepest first, consumed
-    its values x^1, x^2, ... in order.
+    The per-vertex numbering of `tape_positions_by_vertex`, gathered per
+    variable: x^1, x^2, ... in deepest-first vertex order.
     """
-    check = validate_tree(tree, system)
-    if not check.valid:
-        raise ModelError("; ".join(check.violations))
-    depths = tree.depths()
-    per_var: dict[int, list[int]] = {}
-    order = sorted(range(tree.size), key=lambda v: -depths[v])
-    for v in order:
-        for var in system.events[tree.labels[v]].vbl:
-            per_var.setdefault(var, []).append(v)
     out: dict[int, list[int]] = {}
-    for var, vertices in per_var.items():
-        level_seen = set()
-        for v in vertices:
-            if depths[v] in level_seen:
-                raise ModelError(
-                    f"variable {var} occurs twice at depth {depths[v]}")
-            level_seen.add(depths[v])
-        out[var] = list(range(1, len(vertices) + 1))
+    for row in tape_positions_by_vertex(tree, system).values():
+        for var, position in row.items():
+            out.setdefault(var, []).append(position)
     return out
 
 
 def tape_positions_by_vertex(tree: WitnessTree,
                              system: ConstraintSystem) -> dict[int, dict[int, int]]:
-    """Per vertex: {variable: consumed position}, deepest-first numbering."""
+    """Per vertex: {variable: consumed position}, deepest-first numbering.
+
+    A variable occurs at most once per depth level (events sharing it are
+    neighbors, which a legal tree keeps at different depths) and deeper
+    levels happen earlier, so the vertices touching a variable, deepest
+    first, consumed its values x^1, x^2, ... in order.
+    """
     check = validate_tree(tree, system)
     if not check.valid:
         raise ModelError("; ".join(check.violations))

@@ -48,17 +48,3 @@ def chain2_system():
               clause_event(1, (2, 3, 4), (0, 0, 0))]
     return ConstraintSystem.build(variables, events)
 
-
-def make_chain_cnf(m: int, n_clauses: int, seed: int = 0, overlap: int = 1):
-    """A chain CNF with pseudo-random polarities; <= 2 proper neighbors each."""
-    from lll_toolkit.tape import _word
-    stride = m - overlap
-    n_vars = stride * (n_clauses - 1) + m if n_clauses else 0
-    variables = [uniform_bit(i) for i in range(n_vars)]
-    events = []
-    for t in range(n_clauses):
-        vbl = tuple(range(t * stride, t * stride + m))
-        word = _word(seed, 1, t, 0)
-        events.append(clause_event(t, vbl,
-                                   tuple((word >> j) & 1 for j in range(m))))
-    return ConstraintSystem.build(variables, events)

@@ -31,7 +31,6 @@ from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.errors import ContractViolation
 from lll_toolkit.corpus import toy_corpus
 
-from conftest import make_chain_cnf
 
 F = Fraction
 
@@ -124,7 +123,7 @@ def test_05_expected_steps_bound():
     plan = [(100, 10_000, 101), (1_000, 300, 202), (10_000, 12, 303)]
     total_trials = 0
     for n_clauses, trials, gen_seed in plan:
-        system = make_chain_cnf(3, n_clauses, seed=gen_seed)
+        system = ChainCnfFamily(3, 1, gen_seed).materialize(n_clauses)
         params = LLLParams.constant(F(1, 2), n_clauses)
         assert check_finite_lll(system, params).holds
         bound = expected_steps_bound(params.z)

@@ -129,6 +129,15 @@ def test_solve_with_explicit_tape(one_bit_file, capsys):
     assert "assignment=0" in out
 
 
+@pytest.mark.parametrize("text", ["zz", "8:zz", "-3:0", "2:", "1:f"])
+def test_solve_rejects_malformed_tape_hex(one_bit_file, capsys, text):
+    code, out, err = run_cli(capsys, "solve", "--input", one_bit_file,
+                             f"--tape-hex={text}", "--max-steps", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tape ")
+
+
 def test_solve_log_out_and_witness(m3_file, tmp_path, capsys):
     log_path = str(tmp_path / "run.log")
     code, _, _ = run_cli(capsys, "solve", "--input", m3_file,

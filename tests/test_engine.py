@@ -14,7 +14,6 @@ from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED,
 from lll_toolkit.families import ChainCnfFamily, FiniteFamily
 from lll_toolkit.galton_watson import expected_steps_bound
 
-from conftest import make_chain_cnf
 
 F = Fraction
 
@@ -110,7 +109,7 @@ def test_replay_rejects_corrupted_log(chain3_system):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_differential_against_naive_engine(seed):
-    system = make_chain_cnf(3, 5, seed=seed)
+    system = ChainCnfFamily(3, 1, seed).materialize(5)
     fast = run_finite(system, Tape(seed=seed), 50)
     status, assignment, events = naive_run(system, Tape(seed=seed), 50)
     assert fast.status == status

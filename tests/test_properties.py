@@ -1,0 +1,135 @@
+"""Property tests over generated small systems: each single owner of an
+exact quantity against a naive reference written out here.
+
+Generation is derandomized, so every run checks the same examples.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lll_toolkit.engine import run_finite
+from lll_toolkit.errors import ModelError
+from lll_toolkit.exhaustive import census_runs
+from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
+                               VariableSpec, avoiding_assignments,
+                               avoiding_probability, check_computable_lll,
+                               check_finite_lll, check_lll)
+from lll_toolkit.tape import Tape
+from lll_toolkit.witness import (WitnessTree, reconstruct_tape_positions,
+                                 trees_for_run, validate_tree)
+
+F = Fraction
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40,
+                    deadline=None)
+
+
+@st.composite
+def distributions(draw):
+    # integer weights over totals such as 2, 4 (dyadic) and 3, 5, 7 (not)
+    weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+@st.composite
+def systems(draw, max_vars=5, max_events=4):
+    """At most 5 variables; some events forbid nothing."""
+    dists = draw(st.lists(distributions(), min_size=1, max_size=max_vars))
+    variables = [VariableSpec(v, d) for v, d in enumerate(dists)]
+    events = []
+    for i in range(draw(st.integers(1, max_events))):
+        vbl = tuple(sorted(draw(st.sets(st.integers(0, len(dists) - 1),
+                                        min_size=1, max_size=3))))
+        space = list(product(*(range(len(dists[v])) for v in vbl)))
+        forbidden = draw(st.sets(st.sampled_from(space),
+                                 max_size=min(2, len(space))))
+        events.append(Event(i, vbl, frozenset(forbidden)))
+    return ConstraintSystem.build(variables, events)
+
+
+@given(systems(), st.data())
+@PROPERTY
+def test_prefix_mass_is_the_direct_sum(system, data):
+    census = census_runs(system, 6, want_trees=False)
+    assert census.resolved_mass + census.unresolved_mass == 1
+    length = data.draw(st.integers(0, len(system.variables)))
+    prefix = tuple(data.draw(st.integers(0, var.range_size - 1))
+                   for var in system.variables[:length])
+    direct = sum((census.output_mass.get(a, F(0))
+                  for a in system.assignments() if a[:length] == prefix),
+                 F(0))
+    assert census.prefix_mass(prefix) == direct
+    assert census.prefix_mass(()) == census.resolved_mass
+
+
+@given(systems())
+@PROPERTY
+def test_avoiding_probability_sums_the_avoiding_assignments(system):
+    avoiders = avoiding_assignments(system)
+    naive = [a for a in system.assignments() if not system.true_events(a)]
+    assert avoiders == naive
+    assert avoiding_probability(system) == sum(
+        (system.assignment_probability(a) for a in naive), F(0))
+
+
+def per_variable_numbering(tree, system):
+    """Reference: count each variable's vertices level by level, deepest
+    level first, rejecting a variable seen twice on one level."""
+    check = validate_tree(tree, system)
+    if not check.valid:
+        raise ModelError("; ".join(check.violations))
+    depths = tree.depths()
+    per_var = {}
+    for v in sorted(range(tree.size), key=lambda v: -depths[v]):
+        for var in system.events[tree.labels[v]].vbl:
+            per_var.setdefault(var, []).append(depths[v])
+    out = {}
+    for var, levels in per_var.items():
+        if len(set(levels)) != len(levels):
+            raise ModelError(f"variable {var} occurs twice on one level")
+        out[var] = list(range(1, len(levels) + 1))
+    return out
+
+
+@given(systems(), st.integers(0, 1 << 16))
+@PROPERTY
+def test_tape_positions_from_logged_trees(system, seed):
+    result = run_finite(system, Tape(seed=seed), 12)
+    for tree in trees_for_run(result.log, system):
+        assert (reconstruct_tape_positions(tree, system)
+                == per_variable_numbering(tree, system))
+
+
+@given(systems(), st.data())
+@PROPERTY
+def test_tape_positions_from_arbitrary_trees(system, data):
+    n_events = len(system.events)
+    size = data.draw(st.integers(1, 5))
+    labels = tuple(data.draw(st.integers(0, n_events - 1))
+                   for _ in range(size))
+    parents = (-1,) + tuple(data.draw(st.integers(0, v - 1))
+                            for v in range(1, size))
+    tree = WitnessTree(labels, parents)
+    try:
+        expected = per_variable_numbering(tree, system)
+    except ModelError:
+        with pytest.raises(ModelError):
+            reconstruct_tape_positions(tree, system)
+    else:
+        assert reconstruct_tape_positions(tree, system) == expected
+
+
+@given(systems(), st.data())
+@PROPERTY
+def test_condition_at_alpha_matches_the_explicit_checks(system, data):
+    fractions = st.fractions(F(1, 16), F(15, 16), max_denominator=16)
+    z = tuple(data.draw(fractions) for _ in system.events)
+    alpha = data.draw(st.sampled_from([F(1), F(99, 100), F(1, 2)]))
+    params = LLLParams(z, alpha)
+    explicit = (check_computable_lll if alpha < 1 else check_finite_lll)
+    assert check_lll(system, params) == explicit(system, params)

@@ -153,5 +153,13 @@ def test_hex_round_trip():
         tape = Tape(bits=bits)
         again = Tape.from_hex(tape.to_hex())
         assert again.bits == bits
+    assert Tape.from_hex("8:0F").bits == "00001111"
     with pytest.raises(ModelError):
         Tape(seed=1).to_hex()
+
+
+@pytest.mark.parametrize("text", ["1:f", "3:8", "0:1", "zz", "8:zz", "-3:0",
+                                  "2:", "2:x", "2:_1", " 2:1", ":1"])
+def test_from_hex_rejects_malformed_text(text):
+    with pytest.raises(ModelError):
+        Tape.from_hex(text)

@@ -9,6 +9,7 @@ from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import (SATISFIED, log_from_event_sequence,
                                 run_finite)
+from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  crosscheck_tape_positions,
                                  reconstruct_tape_positions,
@@ -16,7 +17,6 @@ from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  tree_probability_bound, trees_for_run,
                                  validate_tree)
 
-from conftest import make_chain_cnf
 
 F = Fraction
 
@@ -186,7 +186,7 @@ def test_logged_runs_crosscheck_everywhere(chain3_system):
 
 
 def test_crosscheck_on_bigger_chain():
-    system = make_chain_cnf(3, 8, seed=13)
+    system = ChainCnfFamily(3, 1, 13).materialize(8)
     checked = 0
     for seed in range(40):
         result = run_finite(system, Tape(seed=seed), 400)
@@ -226,7 +226,7 @@ def test_bound_zero_probability_label(paper_example_system):
 def test_appearance_frequency_within_three_sigma():
     """Appearance frequency of the 20 most frequent trees stays within a
     3-sigma band of the label-product bound over 10^4 seeded runs."""
-    system = make_chain_cnf(3, 4, seed=21)
+    system = ChainCnfFamily(3, 1, 21).materialize(4)
     trials = 10_000
     counts: dict = {}
     trees: dict = {}
