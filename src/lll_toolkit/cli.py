@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
-                     ModelError, TapeExhausted, UnresolvedBranches,
-                     VerificationError)
+                     FamilyError, ModelError, TapeExhausted,
+                     UnresolvedBranches, VerificationError)
 from .model import LLLParams, check_lll
 from .tape import Tape
 from .engine import (SATISFIED, first_k_stable_time, run_finite, run_stream,
@@ -150,17 +151,24 @@ def _family_from_args(args):
     spec = args.family
     kind, _, rest = spec.partition(":")
     if kind == "chain":
-        fields = dict(item.split("=") for item in rest.split(",") if item)
-        return ChainCnfFamily(int(fields.get("m", "3")),
-                              int(fields.get("overlap", "1")),
-                              int(fields.get("polarity", "0")))
+        fields = {"m": "3", "overlap": "1", "polarity": "0"}
+        for item in filter(None, rest.split(",")):
+            key, _, value = item.partition("=")
+            if key not in fields or not re.fullmatch(r"-?[0-9]+", value):
+                raise ModelError(f"family spec {spec!r}: expected "
+                                 "chain:m=<int>,overlap=<int>,polarity=<int>")
+            fields[key] = value
+        return ChainCnfFamily(*(int(value) for value in fields.values()))
     if kind == "substrings":
         path, _, tail = rest.partition(":")
         gamma = parse_rational(tail.partition(":")[0] or "1/2")
-        min_len = int(tail.partition(":")[2] or "1")
+        min_len = tail.partition(":")[2] or "1"
+        if not re.fullmatch(r"[0-9]+", min_len):
+            raise ModelError(
+                f"family spec {spec!r}: min length {min_len!r} is not an integer")
         with open(path) as handle:
             patterns = [line.strip() for line in handle if line.strip()]
-        return ForbiddenSubstringFamily(patterns, gamma, min_len)
+        return ForbiddenSubstringFamily(patterns, gamma, int(min_len))
     raise ModelError(f"unknown family spec {spec!r}")
 
 
@@ -209,20 +217,32 @@ def _cmd_gw(args) -> int:
     return OK if good else FAIL
 
 
+def _bits(what: str, word: str) -> str:
+    if not re.fullmatch(r"[01]+", word):
+        raise ModelError(f"{what}: {word!r} is not a string of 0s and 1s")
+    return word
+
+
 def _oracle_from_spec(spec: str):
     kind, _, rest = spec.partition(":")
+    what = f"oracle spec {spec!r}"
     if kind == "point":
-        return TableQOracle({rest: Fraction(1)})
+        return TableQOracle({_bits(what, rest): Fraction(1)})
     if kind == "pair":
-        w1, p1, w2, p2 = rest.split(":")
-        return TableQOracle({w1: parse_rational(p1), w2: parse_rational(p2)})
+        fields = rest.split(":")
+        if len(fields) != 4:
+            raise ModelError(
+                f"{what}: expected pair:<bits>:<mass>:<bits>:<mass>")
+        w1, p1, w2, p2 = fields
+        return TableQOracle({_bits(what, w1): parse_rational(p1),
+                             _bits(what, w2): parse_rational(p2)})
     raise ModelError(f"unknown oracle spec {spec!r}")
 
 
 def _cmd_extract(args) -> int:
     oracle = _oracle_from_spec(args.oracle)
+    w = tuple(int(c) for c in _bits("--w", args.w)) if args.w else ()
     _emit_manifest(args)
-    w = tuple(int(c) for c in args.w) if args.w else ()
     if args.r is not None:
         stream = extract_from_positive_probability(
             oracle, parse_rational(args.r), w)
@@ -468,10 +488,14 @@ def dispatch(argv) -> int:
             TapeExhausted) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return FAIL
-    except (ModelError, OSError) as exc:
+    except (ModelError, FamilyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

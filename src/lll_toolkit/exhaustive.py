@@ -1,10 +1,18 @@
-"""Exhaustive run enumeration over explicit coin strings.
+"""Exhaustive run exploration over explicit coin strings.
 
 Instead of materializing all 2^budget tapes, the driver explores the
-computation prefix tree: a run is re-executed on a bit prefix and branches
-only where it actually demands another coin. Each leaf therefore carries an
-exact dyadic weight, and weights of leaves sum to one. Runs that would need
-more than `bit_budget` coins are reported as unresolved mass.
+computation prefix tree: a draw inverts its interval of coins read so far
+and forks the run only where it actually demands another coin. Each leaf
+therefore carries an exact dyadic weight, and weights of leaves sum to one.
+Runs that would need more than `bit_budget` coins are reported as
+unresolved mass.
+
+Two explorations share that draw. `enumerate_runs` walks the tree depth
+first and carries each run's state (assignment, log, draw in flight) into
+both children of a coin, so every leaf comes with its log. The census
+without trees needs outputs only: a run's future depends on its assignment
+and coins used alone, so it sweeps resample levels forward, merging equal
+states and counting the coin paths that reach each one.
 """
 from __future__ import annotations
 
@@ -13,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BudgetRefused, EngineError, TapeExhausted
+from .errors import BudgetRefused, EngineError, ModelError
 from .model import ConstraintSystem, event_probability
-from .engine import EXHAUSTED, SATISFIED, ResampleLog, Step, run_finite
-from .tape import Tape
+from .engine import (BUDGET_EXCEEDED, EXHAUSTED, SATISFIED, ResampleLog,
+                     Step)
+from .tape import _cumulative
 from .witness import (WitnessTree, build_witness_tree,
                       tape_positions_by_vertex, trees_for_run)
 
@@ -41,46 +50,176 @@ class Branch:
     in_flight_event: Optional[int] = None
 
 
-def enumerate_runs(system: ConstraintSystem, bit_budget: int,
-                   step_guard: int | None = None,
-                   branch_guard: int = DEFAULT_BRANCH_GUARD) -> Iterator[Branch]:
-    """Depth-first enumeration of all run branches up to `bit_budget` coins.
+def _settle(slots, a: int, d: int) -> Optional[int]:
+    """The value whose cumulative slot holds the coin interval
+    [a/2^d, (a+1)/2^d), or None while it straddles a slot boundary and the
+    draw demands another coin (forking into a = 2a and a = 2a + 1)."""
+    pow2 = 1 << d
+    for value, slot in enumerate(slots):
+        if slot is not None:
+            lo_n, lo_d, hi_n, hi_d = slot
+            if a * lo_d >= lo_n * pow2 and (a + 1) * hi_d <= hi_n * pow2:
+                return value
+    return None
 
-    A leaf is resolved when the run finished having consumed exactly its
-    prefix; unresolved leaves carry the partial log available at cutoff.
-    """
+
+def _draw_paths(slots, coins_left: int) -> tuple[dict, int]:
+    """Every coin path of one draw within `coins_left` coins: the number of
+    paths per (value, coins read), and the number cut off by the budget."""
+    settled: dict = {}
+    cut = 0
+    stack = [(0, 0)]
+    while stack:
+        a, d = stack.pop()
+        value = _settle(slots, a, d)
+        if value is not None:
+            settled[value, d] = settled.get((value, d), 0) + 1
+        elif d < coins_left:
+            stack.append((2 * a, d + 1))
+            stack.append((2 * a + 1, d + 1))
+        else:
+            cut += 1
+    return settled, cut
+
+
+def _first_true(system: ConstraintSystem):
+    """The minimal-index true event of an assignment tuple (None if none),
+    as `run_finite` picks it; memoized per assignment."""
+    cache: dict = {}
+    events = range(len(system.events))
+
+    def first(assignment: tuple[int, ...]) -> Optional[int]:
+        if assignment not in cache:
+            cache[assignment] = next(
+                (e for e in events if system.is_true(e, assignment)), None)
+        return cache[assignment]
+    return first
+
+
+def _step_guard(system: ConstraintSystem, bit_budget: int,
+                step_guard: int | None) -> int:
+    if bit_budget < 0:
+        raise ModelError("bit_budget must be >= 0")
     if step_guard is None:
         # each resample consumes at least one coin unless a variable is
         # deterministic; the extra headroom covers those
-        step_guard = bit_budget + len(system.variables) + 8
+        return bit_budget + len(system.variables) + 8
+    if step_guard < 0:
+        raise ModelError("step_guard must be >= 0")
+    return step_guard
+
+
+def _refuse(branch_guard: int) -> None:
+    raise BudgetRefused(
+        f"branch guard {branch_guard} exceeded during enumeration")
+
+
+class _Run:
+    """A resampling run paused where its draw in flight demands a coin.
+
+    `seq` lists the variables of the current phase (all of them while
+    initializing, else the vbl of `event`), `todo` indexes the one in
+    flight, whose coins so far give the interval [a/2^d, (a+1)/2^d).
+    """
+
+    __slots__ = ("assignment", "initial", "steps", "consumed", "event",
+                 "seq", "todo", "draws", "a", "d")
+
+    def __init__(self, system: ConstraintSystem):
+        self.assignment: list[int] = []
+        self.initial: Optional[tuple[int, ...]] = None
+        self.steps: tuple[Step, ...] = ()
+        self.consumed = [0] * len(system.variables)
+        self.event: Optional[int] = None
+        self.seq = range(len(system.variables))
+        self.todo = 0
+        self.draws: list = []
+        self.a = self.d = 0
+
+    def fork(self, bit: int) -> "_Run":
+        """A copy that has read `bit` as its next coin."""
+        run = object.__new__(_Run)
+        run.assignment = self.assignment.copy()
+        run.initial = self.initial
+        run.steps = self.steps
+        run.consumed = self.consumed.copy()
+        run.event = self.event
+        run.seq = self.seq
+        run.todo = self.todo
+        run.draws = self.draws.copy()
+        run.a = 2 * self.a + bit
+        run.d = self.d + 1
+        return run
+
+    def advance(self, system, slots, step_guard, first_true) -> Optional[str]:
+        """Run on until the next coin demand (None) or the end (status)."""
+        while True:
+            if self.todo < len(self.seq):
+                v = self.seq[self.todo]
+                value = _settle(slots[v], self.a, self.d)
+                if value is None:
+                    return None
+                self.a = self.d = 0
+                self.todo += 1
+                if self.event is None:
+                    self.assignment.append(value)
+                else:
+                    self.assignment[v] = value
+                    self.draws.append((v, self.consumed[v], value))
+                self.consumed[v] += 1
+                continue
+            if self.event is None:
+                self.initial = tuple(self.assignment)
+            else:
+                self.steps += (Step(len(self.steps) + 1, self.event,
+                                    tuple(self.draws)),)
+            event = first_true(tuple(self.assignment))
+            if event is None:
+                return SATISFIED
+            if len(self.steps) >= step_guard:
+                return BUDGET_EXCEEDED
+            self.event = event
+            self.seq = system.events[event].vbl
+            self.todo = 0
+            self.draws = []
+
+    def log(self) -> Optional[ResampleLog]:
+        if self.initial is None:
+            return None
+        return ResampleLog(self.initial, self.steps)
+
+
+def enumerate_runs(system: ConstraintSystem, bit_budget: int,
+                   step_guard: int | None = None,
+                   branch_guard: int = DEFAULT_BRANCH_GUARD) -> Iterator[Branch]:
+    """Depth-first enumeration of all run branches up to `bit_budget` coins,
+    in lexicographic order of their coin strings.
+
+    A leaf is resolved when its run is satisfied; unresolved leaves carry
+    the partial assignment and log available at cutoff. Refuses once more
+    than `branch_guard` prefix-tree nodes are visited.
+    """
+    step_guard = _step_guard(system, bit_budget, step_guard)
+    slots = [_cumulative(tuple(var.distribution)) for var in system.variables]
+    first_true = _first_true(system)
     visited = 0
-    stack = [""]
+    stack = [("", _Run(system))]
     while stack:
-        prefix = stack.pop()
+        prefix, run = stack.pop()
         visited += 1
         if visited > branch_guard:
-            raise BudgetRefused(
-                f"branch guard {branch_guard} exceeded during enumeration")
-        tape = Tape(bits=prefix)
-        try:
-            result = run_finite(system, tape, step_guard)
-        except TapeExhausted as exc:
-            if len(prefix) < bit_budget:
-                stack.append(prefix + "1")
-                stack.append(prefix + "0")
-            else:
-                yield Branch(prefix, Fraction(1, 2 ** len(prefix)), False,
-                             EXHAUSTED, exc.partial_assignment,
-                             exc.partial_log, exc.in_flight_event)
-            continue
-        # the run ended; every coin of the prefix was demanded by construction
-        if tape.bit_cursor != len(prefix):
-            raise EngineError(
-                f"run on prefix {prefix!r} ended after {tape.bit_cursor} "
-                f"of its {len(prefix)} coins")
-        resolved = result.status == SATISFIED
-        yield Branch(prefix, Fraction(1, 2 ** len(prefix)), resolved,
-                     result.status, result.assignment, result.log)
+            _refuse(branch_guard)
+        status = run.advance(system, slots, step_guard, first_true)
+        weight = Fraction(1, 1 << len(prefix))
+        if status is not None:
+            yield Branch(prefix, weight, status == SATISFIED, status,
+                         tuple(run.assignment), run.log())
+        elif len(prefix) < bit_budget:
+            stack.append((prefix + "1", run.fork(1)))
+            stack.append((prefix + "0", run.fork(0)))
+        else:
+            yield Branch(prefix, weight, False, EXHAUSTED,
+                         tuple(run.assignment), run.log(), run.event)
 
 
 @dataclass(frozen=True)
@@ -106,6 +245,12 @@ class RunCensus:
     unresolved_mass: Fraction
     branch_count: int
     output_mass: dict  # assignment tuple -> Fraction, resolved branches only
+
+    def __post_init__(self):
+        if self.resolved_mass + self.unresolved_mass != 1:
+            raise EngineError(
+                f"census masses sum to "
+                f"{self.resolved_mass + self.unresolved_mass}, not 1")
 
     def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
         """Resolved mass of outputs whose first cells equal `prefix`."""
@@ -147,8 +292,85 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                 want_trees: bool = True) -> RunCensus:
     """Tally witness-tree appearances and outputs over all run branches.
 
-    With want_trees=False only output masses are collected (cheaper; used
-    by the output-distribution oracle).
+    With want_trees=False only output masses are collected, by a forward
+    sweep over resample levels (used by the output-distribution oracle).
+    A run's future depends only on its assignment, the coins it has read
+    and, through the step guard, its resample count; all runs of a level
+    share the count, so runs there with equal assignment and coins merge
+    into one state carrying the number of coin paths that reach it. Masses
+    stay integers in units of 2^-budget until the end. The branch count and
+    the guard are those of the prefix tree, whose visited nodes number
+    2 * leaves - 1.
+
+    With want_trees=True the census walks `enumerate_runs`, since witness
+    trees need each branch's log.
+    """
+    step_guard = _step_guard(system, bit_budget, step_guard)
+    if want_trees:
+        return _tree_census(system, enumerate_runs(system, bit_budget,
+                                                   step_guard, branch_guard))
+    slots = [_cumulative(tuple(var.distribution)) for var in system.variables]
+    first_true = _first_true(system)
+    paths: dict = {}
+    leaves = unresolved = 0
+    resolved: dict = {}  # assignment -> units
+
+    def guard(pending: int) -> None:
+        # every pending path ends in at least one leaf
+        if 2 * (leaves + pending) - 1 > branch_guard:
+            _refuse(branch_guard)
+
+    def draw(states: dict, variables) -> dict:
+        """Run every state through draws of `variables`, in order."""
+        nonlocal leaves, unresolved
+        for v in variables:
+            out: dict = {}
+            for (assignment, coins), n in states.items():
+                key = (v, bit_budget - coins)
+                if key not in paths:
+                    paths[key] = _draw_paths(slots[v], bit_budget - coins)
+                settled, cut = paths[key]
+                leaves += n * cut
+                unresolved += n * cut
+                for (value, used), k in settled.items():
+                    state = (assignment[:v] + (value,) + assignment[v + 1:],
+                             coins + used)
+                    out[state] = out.get(state, 0) + n * k
+            states = out
+            guard(sum(states.values()))
+        return states
+
+    # initialization draws every variable, in order, over placeholder zeros
+    n_vars = len(system.variables)
+    frontier = draw({((0,) * n_vars, 0): 1}, range(n_vars))
+    level = 0
+    while frontier:
+        by_event: dict = {}
+        for (assignment, coins), n in frontier.items():
+            event = first_true(assignment)
+            units = n << (bit_budget - coins)
+            if event is None:
+                leaves += n
+                resolved[assignment] = resolved.get(assignment, 0) + units
+            elif level >= step_guard:
+                leaves += n
+                unresolved += units
+            else:
+                by_event.setdefault(event, {})[assignment, coins] = n
+        frontier = {}
+        for event, states in by_event.items():
+            for state, n in draw(states, system.events[event].vbl).items():
+                frontier[state] = frontier.get(state, 0) + n
+        level += 1
+    guard(0)
+    total = 1 << bit_budget
+    output_mass = {a: Fraction(u, total) for a, u in resolved.items()}
+    return RunCensus({}, Fraction(sum(resolved.values()), total),
+                     Fraction(unresolved, total), leaves, output_mass)
+
+
+def _tree_census(system: ConstraintSystem, branches) -> RunCensus:
+    """The census with trees over the branches of a prefix-tree walk.
 
     For each unresolved branch the census works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -180,10 +402,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     # (weight, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
     pending_info: list[tuple[Fraction, dict, set, Optional[dict]]] = []
 
-    for branch in enumerate_runs(system, bit_budget, step_guard, branch_guard):
+    for branch in branches:
         branch_count += 1
         appeared: set = set()
-        if want_trees and branch.log is not None and branch.log.steps:
+        if branch.log is not None and branch.log.steps:
             for tree in trees_for_run(branch.log, system):
                 canon = tree.canon()
                 appeared.add(canon)
@@ -195,8 +417,6 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             output_mass[key] = output_mass.get(key, Fraction(0)) + branch.weight
         else:
             unresolved_mass += branch.weight
-            if not want_trees:
-                continue
             bases: dict = {}
             consumed_ub: Optional[dict] = None
             if branch.assignment is not None and branch.log is not None:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lll_toolkit
 from lll_toolkit.cli import dispatch
 
 F = Fraction
@@ -107,6 +111,44 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--input", "/nonexistent")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["stream", "--family", "chain:m3", "--k", "3", "--max-steps", "5"],
+     "family spec 'chain:m3'"),
+    (["stream", "--family", "chain:m=abc", "--k", "3", "--max-steps", "5"],
+     "family spec 'chain:m=abc'"),
+    (["stream", "--family", "substrings:/nonexistent:1/2:x", "--k", "3",
+      "--max-steps", "5"], "family spec 'substrings:/nonexistent:1/2:x'"),
+    (["extract", "--oracle", "pair:01:1/2:10"],
+     "oracle spec 'pair:01:1/2:10'"),
+    (["extract", "--oracle", "point:"], "oracle spec 'point:'"),
+    (["extract", "--oracle", "point:01", "--w", "x"], "--w"),
+])
+def test_malformed_spec_is_usage_error(capsys, argv, spec):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {spec}")
+
+
+def test_family_error_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "stream", "--family", "chain:m=3",
+                           "--k", "-1", "--max-steps", "5")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(lll_toolkit.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lll_toolkit.cli", "check", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: lll check")
 
 
 def test_solve_deterministic_replay(m3_file, capsys):

@@ -1,22 +1,122 @@
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_census
 from lll_toolkit import exhaustive
+from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
-from lll_toolkit.errors import EngineError
+from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.tape import Tape
+from test_properties import systems
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
+                        deadline=None)
 
 
 def test_run_ending_before_its_prefix_is_a_typed_error(chain2_system,
                                                        monkeypatch):
     # a run that ends without demanding every coin of its prefix would make
-    # the branch weights wrong; it must raise, also under `python -O`
+    # the reference's branch weights wrong; it must raise, also under
+    # `python -O`
     def run_ignoring_prefix(system, tape, max_steps):
         if tape.bits:
             tape = Tape(seed=0)
         return run_finite(system, tape, max_steps)
 
-    monkeypatch.setattr(exhaustive, "run_finite", run_ignoring_prefix)
+    monkeypatch.setattr(reference_census, "run_finite", run_ignoring_prefix)
     with pytest.raises(EngineError, match="ended after 0 of its 1 coins"):
-        list(exhaustive.enumerate_runs(chain2_system, 4))
+        list(reference_census.enumerate_runs(chain2_system, 4))
+
+
+def test_census_losing_mass_is_a_typed_error(chain2_system, monkeypatch):
+    # a draw that forgets its cut-off coin paths leaves resolved plus
+    # unresolved mass short of one
+    draw_paths = exhaustive._draw_paths
+
+    def dropping_cut_paths(slots, coins_left):
+        settled, _ = draw_paths(slots, coins_left)
+        return settled, 0
+
+    monkeypatch.setattr(exhaustive, "_draw_paths", dropping_cut_paths)
+    with pytest.raises(EngineError, match="census masses sum to"):
+        exhaustive.census_runs(chain2_system, 4, want_trees=False)
+
+
+@pytest.mark.parametrize("want_trees", [False, True])
+def test_branch_guard_refuses_past_the_visited_prefix_tree(
+        chain2_system, want_trees):
+    entry = next(e for e in toy_corpus() if e.name == "shared_pair")
+    for system, budget in ((entry.system, entry.bit_budget),
+                           (chain2_system, 10)):
+        leaves = exhaustive.census_runs(system, budget,
+                                        want_trees=want_trees).branch_count
+        with pytest.raises(BudgetRefused, match="branch guard"):
+            exhaustive.census_runs(system, budget,
+                                   branch_guard=2 * leaves - 2,
+                                   want_trees=want_trees)
+        census = exhaustive.census_runs(system, budget,
+                                        branch_guard=2 * leaves - 1,
+                                        want_trees=want_trees)
+        assert census.branch_count == leaves
+
+
+@pytest.mark.parametrize("want_trees", [False, True])
+def test_negative_budget_or_step_guard_is_a_model_error(chain2_system,
+                                                        want_trees):
+    with pytest.raises(ModelError, match="bit_budget"):
+        exhaustive.census_runs(chain2_system, -1, want_trees=want_trees)
+    with pytest.raises(ModelError, match="step_guard"):
+        exhaustive.census_runs(chain2_system, 4, -1, want_trees=want_trees)
+
+
+def output_view(census):
+    return (census.output_mass, census.resolved_mass, census.unresolved_mass,
+            census.branch_count)
+
+
+@pytest.mark.parametrize("step_guard", [0, 1, 2, 3])
+def test_step_guard_cuts_as_in_the_reference(step_guard):
+    for entry in toy_corpus():
+        args = (entry.system, entry.bit_budget, step_guard)
+        assert (output_view(exhaustive.census_runs(*args, want_trees=False))
+                == output_view(reference_census.census_runs(
+                    *args, want_trees=False)))
+        assert (list(exhaustive.enumerate_runs(*args))
+                == list(reference_census.enumerate_runs(*args)))
+
+
+# small step guards cut runs whose coins would last longer
+STEP_GUARDS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@given(systems(point_masses=True), st.integers(0, 10), STEP_GUARDS)
+@DIFFERENTIAL
+def test_output_census_matches_the_reference(system, budget, step_guard):
+    census = exhaustive.census_runs(system, budget, step_guard,
+                                    want_trees=False)
+    reference = reference_census.census_runs(system, budget, step_guard,
+                                             want_trees=False)
+    assert output_view(census) == output_view(reference)
+    assert all(isinstance(m, Fraction) for m in census.output_mass.values())
+
+
+@given(systems(point_masses=True), st.integers(0, 10), STEP_GUARDS)
+@DIFFERENTIAL
+def test_forked_branches_match_the_reference(system, budget, step_guard):
+    assert (list(exhaustive.enumerate_runs(system, budget, step_guard))
+            == list(reference_census.enumerate_runs(system, budget,
+                                                    step_guard)))
+
+
+@given(systems(point_masses=True), st.integers(0, 10), STEP_GUARDS)
+@DIFFERENTIAL
+def test_tree_census_matches_the_reference(system, budget, step_guard):
+    census = exhaustive.census_runs(system, budget, step_guard)
+    reference = reference_census.census_runs(system, budget, step_guard)
+    assert census.appearance_list() == reference.appearance_list()
+    assert output_view(census) == output_view(reference)

@@ -30,16 +30,20 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=40,
 
 
 @st.composite
-def distributions(draw):
+def distributions(draw, point_masses=False):
     # integer weights over totals such as 2, 4 (dyadic) and 3, 5, 7 (not)
+    if point_masses and draw(st.booleans()):
+        return (F(0), F(1))
     weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     return tuple(F(w, sum(weights)) for w in weights)
 
 
 @st.composite
-def systems(draw, max_vars=5, max_events=4):
-    """At most 5 variables; some events forbid nothing."""
-    dists = draw(st.lists(distributions(), min_size=1, max_size=max_vars))
+def systems(draw, max_vars=5, max_events=4, point_masses=False):
+    """At most 5 variables; some events forbid nothing. With point_masses,
+    some variables are deterministic, so their draws read no coin."""
+    dists = draw(st.lists(distributions(point_masses), min_size=1,
+                          max_size=max_vars))
     variables = [VariableSpec(v, d) for v, d in enumerate(dists)]
     events = []
     for i in range(draw(st.integers(1, max_events))):
