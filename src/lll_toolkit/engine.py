@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import ceil
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, LLLParams, expected_steps_bound
@@ -70,12 +70,14 @@ def run_finite(system: ConstraintSystem, tape: Tape,
     if max_steps < 0:
         raise ModelError("max_steps must be >= 0")
     n_events = len(system.events)
+    samplers = system.samplers
+    draw = tape.draw
     assignment: list[int] = []
     steps: list[Step] = []
     initial = None
     try:
-        for var in system.variables:
-            assignment.append(tape.draw(var.index, var.distribution))
+        for v, sampler in enumerate(samplers):
+            assignment.append(draw(v, sampler))
         initial = tuple(assignment)
 
         is_true = [system.is_true(i, assignment) for i in range(n_events)]
@@ -92,9 +94,8 @@ def run_finite(system: ConstraintSystem, tape: Tape,
             ev = system.events[i]
             draws = []
             for v in ev.vbl:
-                var = system.variables[v]
                 position = tape.consumed_count(v)
-                value = tape.draw(v, var.distribution)
+                value = draw(v, samplers[v])
                 assignment[v] = value
                 draws.append((v, position, value))
             steps.append(Step(len(steps) + 1, i, tuple(draws)))
@@ -129,9 +130,11 @@ def run_stream(family, active_k: int, tape: Tape, max_steps: int) -> RunResult:
     return run_finite(system, tape, max_steps)
 
 
-def replay(system: ConstraintSystem, log: ResampleLog,
-           validate: bool = True) -> list[tuple[int, ...]]:
-    """Assignments after 0, 1, ..., len(steps) resamples, recomputed from the log.
+def _walk(system: ConstraintSystem, log: ResampleLog, validate: bool = True
+          ) -> Iterator[tuple[Optional[Step], list[int]]]:
+    """The log's steps in order, each with the assignment right after it,
+    led by (None, initial assignment). The assignment is one list, updated
+    in place from step to step.
 
     With validate=True, checks that each step's event was true right before
     its resampling and that tape positions follow the consumption law.
@@ -139,7 +142,7 @@ def replay(system: ConstraintSystem, log: ResampleLog,
     if len(log.initial) != len(system.variables):
         raise EngineError("log initial draws do not match the variable count")
     assignment = list(log.initial)
-    out = [tuple(assignment)]
+    yield None, assignment
     positions = {v: 1 for v in range(len(system.variables))}
     for step in log.steps:
         if validate:
@@ -157,8 +160,17 @@ def replay(system: ConstraintSystem, log: ResampleLog,
                     f"expected {positions[v]}")
             positions[v] = position + 1
             assignment[v] = value
-        out.append(tuple(assignment))
-    return out
+        yield step, assignment
+
+
+def replay(system: ConstraintSystem, log: ResampleLog,
+           validate: bool = True) -> list[tuple[int, ...]]:
+    """Assignments after 0, 1, ..., len(steps) resamples, recomputed from the log.
+
+    With validate=True, checks that each step's event was true right before
+    its resampling and that tape positions follow the consumption law.
+    """
+    return [tuple(assignment) for _, assignment in _walk(system, log, validate)]
 
 
 def first_k_stable_time(log: ResampleLog, system: ConstraintSystem,
@@ -166,13 +178,30 @@ def first_k_stable_time(log: ResampleLog, system: ConstraintSystem,
     """First step count after which events 0..k-1 are simultaneously false.
 
     Returns None when the logged run never reaches that state ("not reached").
+    The whole log is validated as `replay` does. Events below k are tested
+    once on the initial assignment, then only those touching a variable a
+    step redrew.
     """
     if not 0 <= k <= len(system.events):
         raise ModelError(f"k must be in 0..{len(system.events)}")
-    for t, assignment in enumerate(replay(system, log)):
-        if all(not system.is_true(i, assignment) for i in range(k)):
-            return t
-    return None
+    stable = None
+    true_below: set[int] = set()
+    for t, (step, assignment) in enumerate(_walk(system, log)):
+        if stable is not None:
+            continue
+        if step is None:
+            rechecks = range(k)
+        else:
+            rechecks = {j for v, _, _ in step.draws
+                        for j in system.var_to_events[v] if j < k}
+        for j in rechecks:
+            if system.is_true(j, assignment):
+                true_below.add(j)
+            else:
+                true_below.discard(j)
+        if not true_below:
+            stable = t
+    return stable
 
 
 def log_from_event_sequence(system: ConstraintSystem,

@@ -25,7 +25,7 @@ from .errors import BudgetRefused, EngineError, ModelError
 from .model import ConstraintSystem, event_probability
 from .engine import (BUDGET_EXCEEDED, EXHAUSTED, SATISFIED, ResampleLog,
                      Step)
-from .tape import _cumulative
+from .tape import Sampler
 from .witness import (WitnessTree, build_witness_tree,
                       tape_positions_by_vertex, trees_for_run)
 
@@ -50,20 +50,7 @@ class Branch:
     in_flight_event: Optional[int] = None
 
 
-def _settle(slots, a: int, d: int) -> Optional[int]:
-    """The value whose cumulative slot holds the coin interval
-    [a/2^d, (a+1)/2^d), or None while it straddles a slot boundary and the
-    draw demands another coin (forking into a = 2a and a = 2a + 1)."""
-    pow2 = 1 << d
-    for value, slot in enumerate(slots):
-        if slot is not None:
-            lo_n, lo_d, hi_n, hi_d = slot
-            if a * lo_d >= lo_n * pow2 and (a + 1) * hi_d <= hi_n * pow2:
-                return value
-    return None
-
-
-def _draw_paths(slots, coins_left: int) -> tuple[dict, int]:
+def _draw_paths(sampler: Sampler, coins_left: int) -> tuple[dict, int]:
     """Every coin path of one draw within `coins_left` coins: the number of
     paths per (value, coins read), and the number cut off by the budget."""
     settled: dict = {}
@@ -71,7 +58,7 @@ def _draw_paths(slots, coins_left: int) -> tuple[dict, int]:
     stack = [(0, 0)]
     while stack:
         a, d = stack.pop()
-        value = _settle(slots, a, d)
+        value = sampler.settle(a, d)
         if value is not None:
             settled[value, d] = settled.get((value, d), 0) + 1
         elif d < coins_left:
@@ -151,12 +138,12 @@ class _Run:
         run.d = self.d + 1
         return run
 
-    def advance(self, system, slots, step_guard, first_true) -> Optional[str]:
+    def advance(self, system, step_guard, first_true) -> Optional[str]:
         """Run on until the next coin demand (None) or the end (status)."""
         while True:
             if self.todo < len(self.seq):
                 v = self.seq[self.todo]
-                value = _settle(slots[v], self.a, self.d)
+                value = system.samplers[v].settle(self.a, self.d)
                 if value is None:
                     return None
                 self.a = self.d = 0
@@ -200,7 +187,6 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
     than `branch_guard` prefix-tree nodes are visited.
     """
     step_guard = _step_guard(system, bit_budget, step_guard)
-    slots = [_cumulative(tuple(var.distribution)) for var in system.variables]
     first_true = _first_true(system)
     visited = 0
     stack = [("", _Run(system))]
@@ -209,7 +195,7 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
         visited += 1
         if visited > branch_guard:
             _refuse(branch_guard)
-        status = run.advance(system, slots, step_guard, first_true)
+        status = run.advance(system, step_guard, first_true)
         weight = Fraction(1, 1 << len(prefix))
         if status is not None:
             yield Branch(prefix, weight, status == SATISFIED, status,
@@ -309,7 +295,6 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     if want_trees:
         return _tree_census(system, enumerate_runs(system, bit_budget,
                                                    step_guard, branch_guard))
-    slots = [_cumulative(tuple(var.distribution)) for var in system.variables]
     first_true = _first_true(system)
     paths: dict = {}
     leaves = unresolved = 0
@@ -328,7 +313,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             for (assignment, coins), n in states.items():
                 key = (v, bit_budget - coins)
                 if key not in paths:
-                    paths[key] = _draw_paths(slots[v], bit_budget - coins)
+                    paths[key] = _draw_paths(system.samplers[v],
+                                             bit_budget - coins)
                 settled, cut = paths[key]
                 leaves += n * cut
                 unresolved += n * cut

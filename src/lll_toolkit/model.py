@@ -7,10 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetRefused, ModelError
+from .tape import Sampler, check_law, sampler_for
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,13 +42,7 @@ class VariableSpec:
         object.__setattr__(self, "distribution", dist)
         if self.index < 0:
             raise ModelError(f"variable index must be >= 0, got {self.index}")
-        if not dist:
-            raise ModelError(f"variable {self.index}: empty distribution")
-        if any(p < 0 for p in dist):
-            raise ModelError(f"variable {self.index}: negative probability")
-        if sum(dist) != ONE:
-            raise ModelError(
-                f"variable {self.index}: distribution sums to {sum(dist)}, not 1")
+        check_law(dist, f"variable {self.index}: ")
 
     @property
     def range_size(self) -> int:
@@ -61,6 +58,8 @@ class Event:
     """An undesirable event: a set of forbidden value tuples over some variables.
 
     `vbl` is strictly increasing; each forbidden tuple is aligned with it.
+    `values(assignment)` reads the tuple of `vbl`'s values, the form the
+    forbidden tuples have.
     """
 
     index: int
@@ -82,6 +81,14 @@ class Event:
             if len(t) != len(vbl):
                 raise ModelError(
                     f"event {self.index}: tuple {t} has wrong arity")
+        if len(vbl) > 1:
+            values = itemgetter(*vbl)
+        else:
+            v, = vbl
+
+            def values(assignment):
+                return (assignment[v],)
+        object.__setattr__(self, "values", values)
 
 
 def clause_event(index: int, vbl: Sequence[int], falsifying: Sequence[int]) -> Event:
@@ -130,9 +137,15 @@ class ConstraintSystem:
             neighbor_sets.append(frozenset(seen))
         return cls(variables, events, var_to_events, tuple(neighbor_sets))
 
+    @cached_property
+    def samplers(self) -> tuple[Sampler, ...]:
+        """Each variable's compiled distribution, by index (compiled at
+        first use)."""
+        return tuple(sampler_for(var.distribution) for var in self.variables)
+
     def is_true(self, event_index: int, assignment: Sequence[int]) -> bool:
         ev = self.events[event_index]
-        return tuple(assignment[v] for v in ev.vbl) in ev.forbidden
+        return ev.values(assignment) in ev.forbidden
 
     def true_events(self, assignment: Sequence[int]) -> list[int]:
         return [i for i in range(len(self.events)) if self.is_true(i, assignment)]

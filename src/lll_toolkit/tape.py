@@ -8,9 +8,18 @@ value v as soon as the interval fits inside v's cumulative slot. That
 makes every draw's probability an exact dyadic weight, so exhaustive
 enumeration of bit strings reproduces distributions exactly.
 
+Each distribution is compiled once into a `Sampler`, which holds the slot
+bounds as integers over the distribution's common denominator, so a draw
+inverts its coins by integer comparisons and touches no `Fraction`. The
+fair bit (1/2, 1/2) takes its one coin as its value. `Tape.draw` compiles a
+plain sequence through a cache; solvers pass the samplers their system
+compiled at first use.
+
 Seeded mode derives the bit for (stream, draw, position) from a counter-based
 mix of the seed, so a stream's personal value sequence is independent of the
-order in which other streams are consumed.
+order in which other streams are consumed. The mix rounds that depend only
+on the seed run once per tape, those of the stream once per stream, so a
+draw costs one round for its key plus one per 64-coin block.
 """
 from __future__ import annotations
 
@@ -18,13 +27,18 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from math import lcm
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetRefused, ModelError, TapeExhausted
-from .model import VariableSpec
+
+if TYPE_CHECKING:
+    from .model import VariableSpec
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_STREAM = 0xC2B2AE3D27D4EB4F
+_DRAW = 0x165667B19E3779F9
 
 
 def _mix64(x: int) -> int:
@@ -37,25 +51,72 @@ def _mix64(x: int) -> int:
 
 def _word(seed: int, stream: int, draw: int, block: int) -> int:
     h = _mix64(seed ^ _GAMMA)
-    h = _mix64(h + stream * 0xC2B2AE3D27D4EB4F)
-    h = _mix64(h + draw * 0x165667B19E3779F9)
+    h = _mix64(h + stream * _STREAM)
+    h = _mix64(h + draw * _DRAW)
     return _mix64(h + block * _GAMMA)
 
 
-@lru_cache(maxsize=None)
-def _cumulative(distribution: tuple[Fraction, ...]):
-    """Per value: (lo_num, lo_den, hi_num, hi_den) of its cumulative slot."""
-    slots = []
-    acc = Fraction(0)
+def check_law(distribution: Sequence[Fraction], where: str = "") -> None:
+    """Raise `ModelError` (its message led by `where`) unless `distribution`
+    is a law the tape can draw from: exact (Fraction or int) masses, none
+    negative, summing to 1."""
+    if not distribution:
+        raise ModelError(f"{where}empty distribution")
     for p in distribution:
-        lo, hi = acc, acc + p
-        acc = hi
-        if p > 0:
-            slots.append((lo.numerator, lo.denominator,
-                          hi.numerator, hi.denominator))
-        else:
-            slots.append(None)
-    return tuple(slots)
+        if not isinstance(p, (Fraction, int)):
+            raise ModelError(f"{where}expected an exact rational mass, got {p!r}")
+        if p < 0:
+            raise ModelError(f"{where}negative mass {p}")
+    if sum(distribution) != 1:
+        raise ModelError(
+            f"{where}distribution sums to {sum(distribution)}, not 1")
+
+
+class Sampler:
+    """An exact distribution compiled for interval inversion.
+
+    Over the common denominator `total`, value v's cumulative slot is
+    [bounds[v-1], bounds[v]) (the first starts at 0). `fair` marks the fair
+    bit, whose value is its first coin. Compiling raises `ModelError` for a
+    law `check_law` refuses.
+    """
+
+    __slots__ = ("bounds", "total", "fair")
+
+    def __init__(self, distribution: Sequence[Fraction]):
+        check_law(distribution)
+        self.total = lcm(*(p.denominator for p in distribution))
+        acc = 0
+        bounds = []
+        for p in distribution:
+            acc += p.numerator * (self.total // p.denominator)
+            bounds.append(acc)
+        self.bounds = tuple(bounds)
+        self.fair = self.bounds == (1, 2)
+
+    def settle(self, a: int, d: int) -> Optional[int]:
+        """The value whose slot holds the coin interval [a/2^d, (a+1)/2^d),
+        or None while it straddles a slot boundary and the draw demands
+        another coin."""
+        lo = a * self.total
+        for value, bound in enumerate(self.bounds):
+            bound <<= d
+            if lo < bound:
+                return value if lo + self.total <= bound else None
+        return None
+
+
+def sampler_for(distribution: Sequence[Fraction]) -> Sampler:
+    """The compiled `Sampler` of an exact distribution, cached per law."""
+    masses = tuple(distribution)
+    # a float hashes and compares like an equal Fraction: key on the types
+    # too, so it reaches the compiler and is refused there
+    return _compiled(masses, tuple(map(type, masses)))
+
+
+@lru_cache(maxsize=None)
+def _compiled(masses: tuple, _types: tuple) -> Sampler:
+    return Sampler(masses)
 
 
 class Tape:
@@ -65,7 +126,8 @@ class Tape:
     finite coin string, for exhaustive enumeration) must be given.
     """
 
-    __slots__ = ("seed", "bits", "bit_cursor", "bits_consumed", "_consumed")
+    __slots__ = ("seed", "bits", "bit_cursor", "bits_consumed", "_consumed",
+                 "_seed_key", "_stream_keys")
 
     def __init__(self, seed: int | None = None, bits: str | None = None):
         if (seed is None) == (bits is None):
@@ -77,6 +139,8 @@ class Tape:
         self.bit_cursor = 0          # position in the explicit bit string
         self.bits_consumed = 0       # total bits in either mode
         self._consumed: dict[int, int] = {}
+        self._seed_key = None if seed is None else _mix64(seed ^ _GAMMA)
+        self._stream_keys: dict[int, int] = {}
 
     def consumed_count(self, stream: int) -> int:
         """How many values stream has drawn so far (x^0 .. x^{count-1})."""
@@ -86,36 +150,50 @@ class Tape:
     def consumed(self) -> dict[int, int]:
         return dict(self._consumed)
 
-    def _next_bit(self, stream: int, draw: int, position: int) -> int:
+    def draw(self, stream: int,
+             distribution: Union[Sequence[Fraction], Sampler]) -> int:
+        """The next unused value of `stream`, distributed per `distribution`
+        (exact masses, or their `Sampler`)."""
+        sampler = (distribution if type(distribution) is Sampler
+                   else sampler_for(distribution))
+        index = self._consumed.get(stream, 0)
         if self.bits is not None:
-            if self.bit_cursor >= len(self.bits):
-                raise TapeExhausted()
-            b = 1 if self.bits[self.bit_cursor] == "1" else 0
-            self.bit_cursor += 1
+            value = self._invert_bits(sampler)
         else:
-            word = _word(self.seed, stream, draw, position >> 6)
-            b = (word >> (63 - (position & 63))) & 1
-        self.bits_consumed += 1
-        return b
+            key = self._stream_keys.get(stream)
+            if key is None:
+                key = _mix64(self._seed_key + stream * _STREAM)
+                self._stream_keys[stream] = key
+            key = _mix64(key + index * _DRAW)
+            if sampler.fair:
+                value = _mix64(key) >> 63
+                self.bits_consumed += 1
+            else:
+                a = d = 0
+                while (value := sampler.settle(a, d)) is None:
+                    if not d & 63:
+                        word = _mix64(key + (d >> 6) * _GAMMA)
+                    a = (a << 1) | ((word >> (63 - (d & 63))) & 1)
+                    d += 1
+                self.bits_consumed += d
+        self._consumed[stream] = index + 1
+        return value
 
-    def draw(self, stream: int, distribution: Sequence[Fraction]) -> int:
-        """The next unused value of `stream`, distributed per `distribution`."""
-        slots = _cumulative(tuple(distribution))
-        draw_index = self._consumed.get(stream, 0)
-        a = 0
-        d = 0  # current dyadic interval is [a/2^d, (a+1)/2^d)
-        while True:
-            pow2 = 1 << d
-            for value, slot in enumerate(slots):
-                if slot is None:
-                    continue
-                lo_n, lo_d, hi_n, hi_d = slot
-                if a * lo_d >= lo_n * pow2 and (a + 1) * hi_d <= hi_n * pow2:
-                    self._consumed[stream] = draw_index + 1
-                    return value
-            b = self._next_bit(stream, draw_index, d)
-            a = (a << 1) | b
+    def _invert_bits(self, sampler: Sampler) -> int:
+        """Invert the next coins of the explicit string; running out of them
+        consumes the rest and raises `TapeExhausted`."""
+        bits, start = self.bits, self.bit_cursor
+        a = d = 0
+        while (value := sampler.settle(a, d)) is None:
+            if start + d == len(bits):
+                self.bit_cursor = start + d
+                self.bits_consumed += d
+                raise TapeExhausted()
+            a = (a << 1) | (bits[start + d] == "1")
             d += 1
+        self.bit_cursor = start + d
+        self.bits_consumed += d
+        return value
 
     def to_hex(self) -> str:
         """Serialize an explicit tape as `<bit length>:<hex digits>`."""

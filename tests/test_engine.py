@@ -7,10 +7,10 @@ import pytest
 from lll_toolkit.errors import EngineError, ModelError, TapeExhausted
 from lll_toolkit.model import ConstraintSystem, LLLParams, uniform_bit
 from lll_toolkit.tape import Tape
-from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED,
-                                first_k_stable_time, log_from_event_sequence,
-                                replay, run_finite, run_stream,
-                                suggested_max_steps)
+from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED, ResampleLog,
+                                Step, first_k_stable_time,
+                                log_from_event_sequence, replay, run_finite,
+                                run_stream, suggested_max_steps)
 from lll_toolkit.families import ChainCnfFamily, FiniteFamily
 from lll_toolkit.galton_watson import expected_steps_bound
 
@@ -155,6 +155,18 @@ def test_stable_time_bounded_by_total_steps(chain3_system):
 def test_stable_time_not_reached(one_bit_system):
     result = run_finite(one_bit_system, Tape(bits="1"), 0)
     assert first_k_stable_time(result.log, one_bit_system, 1) is None
+
+
+def test_stable_time_validates_the_whole_log(chain3_system):
+    # stable times are found before the bad step, which still fails
+    result = run_finite(chain3_system, Tape(seed=6), 100)
+    assert len(result.log.steps) == 2
+    bad = Step(len(result.log.steps) + 1, 0, ((0, 99, 1), (1, 99, 1),
+                                              (2, 99, 1)))
+    log = ResampleLog(result.log.initial, result.log.steps + (bad,))
+    for k in range(len(chain3_system.events) + 1):
+        with pytest.raises(EngineError):
+            first_k_stable_time(log, chain3_system, k)
 
 
 def test_stable_time_rejects_bad_k(one_bit_system):

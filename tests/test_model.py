@@ -19,8 +19,10 @@ F = Fraction
 def test_variable_distribution_must_sum_to_one():
     with pytest.raises(ModelError):
         VariableSpec(0, (F(1, 2), F(1, 3)))
-    with pytest.raises(ModelError):
-        VariableSpec(0, (F(3, 2), F(-1, 2)))
+    with pytest.raises(ModelError, match="variable 3: negative mass -1/2"):
+        VariableSpec(3, (F(3, 2), F(-1, 2)))
+    with pytest.raises(ModelError, match="variable 3: empty distribution"):
+        VariableSpec(3, ())
 
 
 def test_event_requires_sorted_distinct_variables():

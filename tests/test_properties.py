@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lll_toolkit.engine import run_finite
+from lll_toolkit.engine import first_k_stable_time, run_finite
 from lll_toolkit.errors import ModelError
 from lll_toolkit.exhaustive import census_runs
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
@@ -137,3 +137,20 @@ def test_condition_at_alpha_matches_the_explicit_checks(system, data):
     params = LLLParams(z, alpha)
     explicit = (check_computable_lll if alpha < 1 else check_finite_lll)
     assert check_lll(system, params) == explicit(system, params)
+
+
+@given(systems(max_events=6), st.integers(0, 1 << 16), st.integers(0, 30))
+@settings(PROPERTY, max_examples=80)
+def test_stable_time_is_the_first_stable_replayed_state(system, seed,
+                                                        max_steps):
+    log = run_finite(system, Tape(seed=seed), max_steps).log
+    states = [list(log.initial)]
+    for step in log.steps:
+        states.append(states[-1].copy())
+        for v, _, value in step.draws:
+            states[-1][v] = value
+    for k in range(len(system.events) + 1):
+        naive = next((t for t, a in enumerate(states)
+                      if not any(system.is_true(i, a) for i in range(k))),
+                     None)
+        assert first_k_stable_time(log, system, k) == naive

@@ -5,9 +5,12 @@ from itertools import product
 
 import pytest
 
+from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.errors import BudgetRefused, ModelError, TapeExhausted
-from lll_toolkit.model import VariableSpec
-from lll_toolkit.tape import Tape, enumerate_tapes, fresh_value
+from lll_toolkit.engine import run_finite
+from lll_toolkit.model import ConstraintSystem, Event, VariableSpec
+from lll_toolkit.tape import Tape, enumerate_tapes, fresh_value, sampler_for
+from reference_tape import ReferenceTape, word
 
 F = Fraction
 
@@ -163,3 +166,118 @@ def test_hex_round_trip():
 def test_from_hex_rejects_malformed_text(text):
     with pytest.raises(ModelError):
         Tape.from_hex(text)
+
+
+@pytest.mark.parametrize("distribution", [
+    [F(1, 4)],                      # the tail mass fits no slot
+    [0.5, 0.5],                     # floats are not exact
+    [F(3, 2), F(-1, 2)],            # sums to 1 through a negative mass
+    [F(1, 2), "1/2"],               # a string is not a mass
+    [],
+])
+def test_invalid_law_is_refused(distribution):
+    for tape in (Tape(seed=1), Tape(bits="0101")):
+        with pytest.raises(ModelError):
+            tape.draw(0, distribution)
+        assert tape.consumed_count(0) == 0
+        assert tape.bits_consumed == 0
+
+
+def test_float_law_is_refused_after_its_equal_fraction_law():
+    tape = Tape(seed=1)
+    tape.draw(0, (F(1, 2), F(1, 2)))
+    with pytest.raises(ModelError):
+        tape.draw(0, (0.5, 0.5))
+    assert sampler_for((F(1, 2), F(1, 2))).fair
+    assert not sampler_for((F(1, 2), F(1, 4), F(1, 4))).fair
+
+
+# --- differential tests against the reference tape ----------------------
+
+LAWS = sorted(
+    {var.distribution for entry in toy_corpus()
+     for var in entry.system.variables}
+    | {(F(1, 3), F(2, 3)), (F(1, 5),) * 5, (F(1, 3), F(0), F(2, 3)),
+       (F(1),), (F(0), F(1)), (F(1), F(0)), (F(1, 2), F(1, 2))})
+DEPTH = 16
+
+
+def _state(tape, stream):
+    return (tape.bit_cursor, tape.bits_consumed, tape.consumed_count(stream))
+
+
+def _outcome(tape, stream, law):
+    try:
+        value = tape.draw(stream, law)
+    except TapeExhausted:
+        value = "exhausted"
+    return value, _state(tape, stream)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: ",".join(map(str, law)))
+def test_draw_matches_reference_on_every_coin_string(law):
+    sampler = sampler_for(law)
+    for length in range(DEPTH + 1):
+        for number in range(1 << length):
+            bits = format(number, f"0{length}b") if length else ""
+            expected = _outcome(ReferenceTape(bits=bits), 0, law)
+            assert _outcome(Tape(bits=bits), 0, sampler) == expected, bits
+    # plain sequences compile to the same draw; after exhaustion the next
+    # draw of the stream still takes x^0
+    tape, ref = Tape(bits="1"), ReferenceTape(bits="1")
+    for _ in range(3):
+        assert _outcome(tape, 5, law) == _outcome(ref, 5, law)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -3, 2 ** 70 + 5])
+def test_seeded_draws_match_reference(seed):
+    tape, ref = Tape(seed=seed), ReferenceTape(seed=seed)
+    for round_ in range(12):
+        for stream in (0, 3, 1000, 2 ** 40):
+            law = LAWS[(round_ + stream) % len(LAWS)]
+            assert tape.draw(stream, law) == ref.draw(stream, law)
+            assert tape.bits_consumed == ref.bits_consumed
+
+
+@pytest.mark.parametrize("seed,stream,depth", [
+    (1, 0, 64), (1, 0, 70), (5, 9, 128), (123, 2, 140)])
+def test_seeded_draw_across_coin_blocks_matches_reference(seed, stream,
+                                                          depth):
+    # a law whose slot boundary splits the interval of the draw's first
+    # `depth` coins makes that draw read depth + 1 coins, through every
+    # 64-coin block on the way
+    draw_index = 2
+    a = 0
+    for position in range(depth):
+        a = (a << 1) | ((word(seed, stream, draw_index, position >> 6)
+                         >> (63 - (position & 63))) & 1)
+    cut = F(2 * a + 1, 2 ** (depth + 1))
+    law = (cut, 1 - cut)
+    tape, ref = Tape(seed=seed), ReferenceTape(seed=seed)
+    coins = []
+    for _ in range(draw_index + 2):
+        before = ref.bits_consumed
+        assert tape.draw(stream, law) == ref.draw(stream, law)
+        assert tape.bits_consumed == ref.bits_consumed
+        coins.append(ref.bits_consumed - before)
+    assert coins[draw_index] == depth + 1
+
+
+def test_seeded_solve_hashes_no_fraction(monkeypatch):
+    variables = [VariableSpec(0, (F(1, 3), F(2, 3))),
+                 VariableSpec(1, (F(1, 5),) * 5),
+                 VariableSpec(2, (F(1, 2),) * 2)]
+    system = ConstraintSystem.build(
+        variables, [Event(0, (0, 1), frozenset({(1, 0), (1, 4)})),
+                    Event(1, (1, 2), frozenset({(2, 1), (3, 0)}))])
+    run_finite(system, Tape(seed=0), 100)    # compiles the samplers
+    hashed = []
+    original = Fraction.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return original(self)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for seed in range(20):
+        run_finite(system, Tape(seed=seed), 100)
+    assert hashed == []
