@@ -13,7 +13,7 @@ from .model import (ConditionEntry, ConditionReport, ConstraintSystem, Event,
                     check_computable_lll, check_finite_lll, check_lll,
                     clause_event, event_probability, expected_steps_bound,
                     neighbors, uniform_bit)
-from .tape import Tape, enumerate_tapes, fresh_value
+from .tape import Tape
 from .engine import (ResampleLog, RunResult, Step, first_k_stable_time,
                      log_from_event_sequence, replay, run_finite, run_stream,
                      suggested_max_steps)

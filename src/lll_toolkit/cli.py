@@ -12,15 +12,16 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
-from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
-                     FamilyError, ModelError, TapeExhausted,
+from .errors import (BudgetRefused, ContractViolation, EngineError,
+                     ExtractionTimeout, FamilyError, ModelError, TapeExhausted,
                      UnresolvedBranches, VerificationError)
 from .model import LLLParams, check_lll
 from .tape import Tape
-from .engine import (SATISFIED, first_k_stable_time, run_finite, run_stream,
-                     suggested_max_steps)
+from .engine import (SATISFIED, first_k_stable_time, replay, run_finite,
+                     run_stream, suggested_max_steps)
 from .witness import build_witness_tree
 from .galton_watson import GWParams, check_mt_vs_gw, gw_sample
 from .layerwise import (TableQOracle, compute_assignment_prefix,
@@ -176,6 +177,10 @@ def _cmd_witness(args) -> int:
     system, _ = _load_system(args.input, None, None)
     with open(args.log) as handle:
         log = log_from_text(handle.read())
+    try:
+        replay(system, log)
+    except EngineError as exc:
+        raise ModelError(f"log {args.log}: {exc}") from None
     _emit_manifest(args)
     if args.step is not None:
         steps = [args.step]
@@ -242,17 +247,15 @@ def _oracle_from_spec(spec: str):
 def _cmd_extract(args) -> int:
     oracle = _oracle_from_spec(args.oracle)
     w = tuple(int(c) for c in _bits("--w", args.w)) if args.w else ()
+    if args.count < 1:
+        raise ModelError(f"--count {args.count}: must be >= 1")
     _emit_manifest(args)
     if args.r is not None:
         stream = extract_from_positive_probability(
             oracle, parse_rational(args.r), w)
     else:
         stream = extract_positive_branch(oracle)
-    values = []
-    for value in stream:
-        values.append(value)
-        if len(values) >= args.count:
-            break
+    values = islice(stream, args.count)
     print("cells=" + "".join(str(v) for v in values))
     return OK
 
@@ -301,9 +304,9 @@ def _cmd_avoid(args) -> int:
 
 
 def _cmd_fireworks(args) -> int:
+    oracle = _fn_oracle_from_spec(args.oracle) if args.beat else None
     _emit_manifest(args)
     if args.beat:
-        oracle = _fn_oracle_from_spec(args.oracle)
         tape = _tape_from_args(args)
         result = beat_function(oracle, parse_rational(args.epsilon), tape)
         table = " ".join(f"{u}:{v}" for u, v in sorted(result.table.items()))
@@ -318,14 +321,21 @@ def _cmd_fireworks(args) -> int:
     return OK
 
 
+def _integer(what: str, token: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ModelError(f"{what}: {token!r} is not an integer")
+    return int(token)
+
+
 def _fn_oracle_from_spec(spec: str):
     kind, _, rest = spec.partition(":")
+    what = f"oracle spec {spec!r}"
     if kind == "const":
-        return ConstantOracle(int(rest))
+        return ConstantOracle(_integer(what, rest))
     if kind == "identity":
         return IdentityOracle()
     if kind == "diverge":
-        where = frozenset(int(tok) for tok in rest.split(",") if tok)
+        where = frozenset(_integer(what, tok) for tok in rest.split(",") if tok)
         return DivergeAtOracle(where)
     raise ModelError(f"unknown oracle spec {spec!r}")
 

@@ -66,6 +66,9 @@ def fixed_cnf_params(m: int, alpha: Fraction = ONE,
     return FixedCnfReport(m, z, alpha, lhs, rhs, lhs <= rhs, audit)
 
 
+_MAX_M = 100_000
+
+
 @dataclass(frozen=True)
 class BetaM:
     beta: Fraction
@@ -75,29 +78,30 @@ class BetaM:
 
 
 def _master_rhs_interval(gamma: Fraction, alpha: Fraction, beta: Fraction,
-                         M: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of alpha * 2^-beta * (1 - sum_{m>=M} 2^((gamma-beta)m))."""
+                         M: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of alpha * 2^-beta * (1 - sum_{m>=M} 2^((gamma-beta)m)),
+    from 64-bit enclosures of the powers."""
     # geometric tail: 2^((gamma-beta)M) / (1 - 2^(gamma-beta)), gamma < beta
-    r_lo, r_hi = pow2_interval(gamma - beta, precision)
-    t_lo, t_hi = pow2_interval((gamma - beta) * M, precision)
+    r_lo, r_hi = pow2_interval(gamma - beta, 64)
+    t_lo, t_hi = pow2_interval((gamma - beta) * M, 64)
     if r_hi >= ONE:
-        raise ModelError("tail ratio enclosure not below 1; raise precision")
+        raise ModelError("tail ratio enclosure not below 1 at 64 bits")
     tail_lo = t_lo / (ONE - r_lo)
     tail_hi = t_hi / (ONE - r_hi)
-    p_lo, p_hi = pow2_interval(-beta, precision)
+    p_lo, p_hi = pow2_interval(-beta, 64)
     products = [p_lo * (ONE - tail_hi), p_lo * (ONE - tail_lo),
                 p_hi * (ONE - tail_hi), p_hi * (ONE - tail_lo)]
     return alpha * min(products), alpha * max(products)
 
 
-def compute_beta_M(gamma, alpha, precision: int = 64,
-                   max_m: int = 100_000) -> BetaM:
+def compute_beta_M(gamma, alpha) -> BetaM:
     """beta = (1+gamma)/2 and the least M certifying the master inequality
 
         1/2 <= alpha * 2^-beta * (1 - sum_{m>=M} 2^(gamma*m) * 2^(-beta*m)).
 
-    The returned M is re-verified: the inequality certifiably holds at M and
-    certifiably fails at M-1 (monotone tail), both via interval evaluation.
+    The returned M (at most 100000) is re-verified: the inequality
+    certifiably holds at M and certifiably fails at M-1 (monotone tail), both
+    via 64-bit interval evaluation.
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
@@ -108,24 +112,24 @@ def compute_beta_M(gamma, alpha, precision: int = 64,
     beta = (ONE + gamma) / 2
     half = Fraction(1, 2)
     # even with zero tail the inequality needs alpha * 2^-beta >= 1/2
-    p_lo, p_hi = pow2_interval(-beta, precision)
+    p_lo, p_hi = pow2_interval(-beta, 64)
     if alpha * p_hi < half:
         raise ModelError(
             "alpha/gamma incompatible: alpha * 2^-beta < 1/2 even with no tail")
     M = 1
-    while M <= max_m:
-        lo, _hi = _master_rhs_interval(gamma, alpha, beta, M, precision)
+    while M <= _MAX_M:
+        lo, _hi = _master_rhs_interval(gamma, alpha, beta, M)
         if lo >= half:
             break
         M += 1
     else:
-        raise ModelError(f"no certifiable M found up to {max_m}")
-    lo_at_m, _ = _master_rhs_interval(gamma, alpha, beta, M, precision)
+        raise ModelError(f"no certifiable M found up to {_MAX_M}")
+    lo_at_m, _ = _master_rhs_interval(gamma, alpha, beta, M)
     if lo_at_m < half:
         raise ModelError("internal: M does not re-verify")  # pragma: no cover
     previous_fails = False
     if M > 1:
-        _, hi_prev = _master_rhs_interval(gamma, alpha, beta, M - 1, precision)
+        _, hi_prev = _master_rhs_interval(gamma, alpha, beta, M - 1)
         previous_fails = hi_prev < half
     return BetaM(beta, M, lo_at_m - half, previous_fails)
 
@@ -141,8 +145,7 @@ def clause_weight(beta: Fraction, size: int) -> Fraction:
 
 
 def verify_dyadic_weights(gamma, alpha, beta: Fraction, M: int,
-                          sizes: Sequence[int],
-                          precision: int = 48) -> dict[int, bool]:
+                          sizes: Sequence[int]) -> dict[int, bool]:
     """Per-size condition check with the substituted dyadic weights.
 
     For a clause of size k, a variable lies in at most 2^(gamma*m) clauses of
@@ -151,14 +154,15 @@ def verify_dyadic_weights(gamma, alpha, beta: Fraction, M: int,
         2^-k <= alpha * z_k * (1 - sum_{m>=M} 2^(gamma*m) * z_m)^k
 
     is sufficient. The tail is bounded above by the geometric enclosure
-    (z_m <= 2^(-beta*m)); everything else is exact rational arithmetic.
+    (z_m <= 2^(-beta*m)), from 48-bit enclosures of the powers; everything
+    else is exact rational arithmetic.
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
-    t_lo, t_hi = pow2_interval((gamma - beta) * M, precision)
-    r_lo, r_hi = pow2_interval(gamma - beta, precision)
+    t_lo, t_hi = pow2_interval((gamma - beta) * M, 48)
+    r_lo, r_hi = pow2_interval(gamma - beta, 48)
     if r_hi >= ONE:
-        raise ModelError("tail ratio enclosure not below 1; raise precision")
+        raise ModelError("tail ratio enclosure not below 1 at 48 bits")
     tail_hi = t_hi / (ONE - r_hi)
     out = {}
     for k in sizes:
@@ -204,24 +208,25 @@ def forbidden_substrings_to_family(patterns: Sequence[str], gamma,
     return family
 
 
-def audit_pattern_counts(family: ForbiddenSubstringFamily,
-                         precision: int = 64) -> dict[int, tuple[int, Fraction]]:
-    """Certify |patterns of length l| <= 2^(gamma*l) for every length present."""
+def audit_pattern_counts(family: ForbiddenSubstringFamily
+                         ) -> dict[int, tuple[int, Fraction]]:
+    """Certify |patterns of length l| <= 2^(gamma*l) for every length present,
+    against 64-bit enclosures."""
     out = {}
     for l, fs in sorted(family._by_length.items()):
-        lo, hi = pow2_interval(family.gamma * l, precision)
+        lo, hi = pow2_interval(family.gamma * l, 64)
         if Fraction(len(fs)) > lo:
             if Fraction(len(fs)) > hi:
                 raise ModelError(
                     f"{len(fs)} patterns of length {l} exceed 2^(gamma*{l})")
             raise ModelError(
-                f"pattern count at length {l} not certifiable; raise precision")
+                f"pattern count at length {l} not certifiable at 64 bits")
         out[l] = (len(fs), lo)
     return out
 
 
-def degree_audit(family: InfiniteFamily, var_limit: int, min_size: int = 0,
-                 precision: int = 64) -> dict[tuple[int, int], int]:
+def degree_audit(family: InfiniteFamily, var_limit: int,
+                 min_size: int = 0) -> dict[tuple[int, int], int]:
     """Count events per (variable, size) on a prefix and certify them
     against the family's declared incidence bound.
 
@@ -236,7 +241,7 @@ def degree_audit(family: InfiniteFamily, var_limit: int, min_size: int = 0,
     for (var, size), n in counts.items():
         if size < min_size:
             continue
-        bound = family.degree_bound(size, precision)
+        bound = family.degree_bound(size)
         if Fraction(n) > bound:
             raise ModelError(
                 f"variable {var}: {n} events of size {size} exceed the "

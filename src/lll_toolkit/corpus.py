@@ -61,7 +61,7 @@ def _overlap_triples() -> CorpusEntry:
 
 
 def _lopsided_bit() -> CorpusEntry:
-    # a non-dyadic marginal exercises multi-coin draws
+    # an unfair dyadic marginal: a draw takes one coin or two
     system = ConstraintSystem.build(
         [VariableSpec(0, (F(3, 4), F(1, 4))), uniform_bit(1)],
         [Event(0, (0, 1), frozenset({(1, 1)}))])

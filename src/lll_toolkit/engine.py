@@ -136,16 +136,22 @@ def _walk(system: ConstraintSystem, log: ResampleLog, validate: bool = True
     led by (None, initial assignment). The assignment is one list, updated
     in place from step to step.
 
-    With validate=True, checks that each step's event was true right before
-    its resampling and that tape positions follow the consumption law.
+    With validate=True, checks that each step names an event of the system
+    that was true right before its resampling and that tape positions follow
+    the consumption law.
     """
     if len(log.initial) != len(system.variables):
         raise EngineError("log initial draws do not match the variable count")
     assignment = list(log.initial)
     yield None, assignment
     positions = {v: 1 for v in range(len(system.variables))}
+    n_events = len(system.events)
     for step in log.steps:
         if validate:
+            if not 0 <= step.event < n_events:
+                raise EngineError(
+                    f"step {step.number}: no event {step.event} in a system "
+                    f"of {n_events} events")
             if not system.is_true(step.event, assignment):
                 raise EngineError(
                     f"step {step.number}: event {step.event} was not true")
@@ -167,8 +173,9 @@ def replay(system: ConstraintSystem, log: ResampleLog,
            validate: bool = True) -> list[tuple[int, ...]]:
     """Assignments after 0, 1, ..., len(steps) resamples, recomputed from the log.
 
-    With validate=True, checks that each step's event was true right before
-    its resampling and that tape positions follow the consumption law.
+    With validate=True, checks that each step names an event of the system
+    that was true right before its resampling and that tape positions follow
+    the consumption law.
     """
     return [tuple(assignment) for _, assignment in _walk(system, log, validate)]
 
@@ -205,29 +212,20 @@ def first_k_stable_time(log: ResampleLog, system: ConstraintSystem,
 
 
 def log_from_event_sequence(system: ConstraintSystem,
-                            events: Sequence[int],
-                            initial: Sequence[int] | None = None,
-                            values: Sequence[Sequence[int]] | None = None,
-                            validate: bool = False) -> ResampleLog:
+                            events: Sequence[int]) -> ResampleLog:
     """Synthesize a log from a resample-order event sequence.
 
-    Tape positions follow the consumption law (x^0 at initialization, then
-    one fresh value per resampling touching the variable). Values default to
-    zeros; pass `values` per step to make the log replay-valid.
+    Every value drawn, initial ones included, is 0, and tape positions follow
+    the consumption law (x^0 at initialization, then one fresh value per
+    resampling touching the variable). The log fixes the sequence's witness
+    trees; it need not replay, since zeros need not make each event true.
     """
-    if initial is None:
-        initial = tuple(0 for _ in system.variables)
-    positions = {v: 1 for v in range(len(system.variables))}
+    positions = [1] * len(system.variables)
     steps = []
     for number, e in enumerate(events, start=1):
-        ev = system.events[e]
-        step_values = values[number - 1] if values is not None else [0] * len(ev.vbl)
         draws = []
-        for v, value in zip(ev.vbl, step_values):
-            draws.append((v, positions[v], value))
+        for v in system.events[e].vbl:
+            draws.append((v, positions[v], 0))
             positions[v] += 1
         steps.append(Step(number, e, tuple(draws)))
-    log = ResampleLog(tuple(initial), tuple(steps))
-    if validate:
-        replay(system, log)
-    return log
+    return ResampleLog((0,) * len(system.variables), tuple(steps))

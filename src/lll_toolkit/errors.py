@@ -28,8 +28,8 @@ class TapeExhausted(RuntimeError):
 class BudgetRefused(RuntimeError):
     """A requested computation exceeds its configured guard.
 
-    Refusal is preferred over silent approximation; callers may retry
-    with a larger guard or force the computation explicitly.
+    Refusal is preferred over silent approximation; where a call takes a
+    guard, callers may retry with a larger one.
     """
 
 

@@ -6,6 +6,7 @@ ConstraintSystem (cached, so repeated materializations are identical).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
@@ -40,15 +41,16 @@ class InfiniteFamily:
     def variable_spec(self, var: int) -> VariableSpec:
         return uniform_bit(var)
 
-    def degree_bound(self, size: int, precision: int = 64) -> Fraction:
+    def degree_bound(self, size: int) -> Fraction:
         """Certified lower bound of the declared per-(variable, size) count
         formula: a count not exceeding this value provably respects the
-        declared bound. Default formula: 2^(gamma*size)."""
+        declared bound. Default formula: 2^(gamma*size), enclosed at 64
+        bits."""
         from .intervals import pow2_interval
         gamma = getattr(self, "gamma", None)
         if gamma is None:
             raise FamilyError("family declares no incidence exponent gamma")
-        lo, _hi = pow2_interval(Fraction(gamma) * size, precision)
+        lo, _hi = pow2_interval(Fraction(gamma) * size, 64)
         return lo
 
     def event(self, index: int) -> Event:
@@ -187,52 +189,33 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         for f in self.patterns:
             self._by_length.setdefault(len(f), ())
             self._by_length[len(f)] += (f,)
-        self._diag_cache: dict[int, int] = {}
-        self._cumdiag_cache: dict[int, int] = {}
 
     def size(self) -> Optional[int]:
         return 0 if not self.patterns else None
 
-    def _diag_count(self, d: int) -> int:
-        # patterns of length l <= d contribute one event each (p = d - l)
-        if d not in self._diag_cache:
-            self._diag_cache[d] = sum(
-                len(fs) for l, fs in self._by_length.items() if l <= d)
-        return self._diag_cache[d]
+    def _diagonals_before(self, d: int) -> int:
+        """Number of events with p + |f| < d: a pattern of length l has one
+        event on each diagonal l, l+1, ..."""
+        return sum(len(fs) * max(0, d - l) for l, fs in self._by_length.items())
 
     def _enumeration(self, index: int) -> tuple[int, str]:
         """(position, pattern) of the event with this enumeration index."""
         if not self.patterns:
             raise FamilyError("family has no patterns of admissible length")
-        d = min(self._by_length)  # smallest possible p + |f|
-        total = 0
-        while True:
-            count = self._diag_count(d)
-            if total + count > index:
-                break
-            total += count
-            d += 1
+        start = min(self._by_length)  # smallest possible p + |f|
+        # every diagonal from `start` on holds an event, so the one holding
+        # `index` is the last d <= start + index with at most index before it
+        diagonals = range(start, start + index + 2)
+        d = diagonals[bisect_right(diagonals, index,
+                                   key=self._diagonals_before) - 1]
         # within diagonal d: order by p ascending, then pattern lexicographic
-        offset = index - total
-        for p in range(0, d - min(self._by_length) + 1):
+        offset = index - self._diagonals_before(d)
+        for p in range(0, d - start + 1):
             fs = self._by_length.get(d - p, ())
             if offset < len(fs):
                 return p, fs[offset]
             offset -= len(fs)
         raise FamilyError("diagonal bookkeeping out of range")
-
-    def _diagonals_before(self, d: int) -> int:
-        if d not in self._cumdiag_cache:
-            start = min(self._by_length)
-            total = 0
-            for dd in range(start, d):
-                if dd + 1 in self._cumdiag_cache:
-                    total = self._cumdiag_cache[dd + 1]
-                    continue
-                total += self._diag_count(dd)
-                self._cumdiag_cache[dd + 1] = total
-            self._cumdiag_cache[d] = total
-        return self._cumdiag_cache[d]
 
     def index_of(self, position: int, pattern: str) -> int:
         """Inverse of the enumeration; validates the event exists."""
@@ -263,11 +246,11 @@ class ForbiddenSubstringFamily(InfiniteFamily):
                     out.append(self.index_of(p, f))
         return tuple(sorted(out))
 
-    def degree_bound(self, size: int, precision: int = 64) -> Fraction:
+    def degree_bound(self, size: int) -> Fraction:
         # one occurrence window per offset, times the per-length pattern
         # count bound: size * 2^(gamma*size)
         from .intervals import pow2_interval
-        lo, _hi = pow2_interval(self.gamma * size, precision)
+        lo, _hi = pow2_interval(self.gamma * size, 64)
         return size * lo
 
     def events_in_window(self, length: int) -> list[int]:
@@ -329,7 +312,7 @@ class TrimmedFamily(InfiniteFamily):
                 out.append(idx)
         return tuple(sorted(out))
 
-    def degree_bound(self, size: int, precision: int = 64) -> Fraction:
+    def degree_bound(self, size: int) -> Fraction:
         # every original size s with s - ceil(rho*s) == size can contribute,
         # each within the base family's own bound; the map is non-decreasing
         # in s, so stop once it overshoots
@@ -340,6 +323,6 @@ class TrimmedFamily(InfiniteFamily):
             if m > size:
                 break
             if m == size:
-                total += self.base.degree_bound(s, precision)
+                total += self.base.degree_bound(s)
             s += 1
         return total

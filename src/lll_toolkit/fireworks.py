@@ -162,10 +162,11 @@ class BeatResult:
     def value(self, u: int) -> int:
         return self.table.get(u, 0)
 
-    def beats(self, oracle: FnOracle, probe_budget: int = 1 << 16) -> bool:
-        """Does some table entry strictly exceed f there? (test helper)"""
+    def beats(self, oracle: FnOracle) -> bool:
+        """Does some table entry strictly exceed f there, with f probed at
+        budget 2^16? (test helper)"""
         for u, g in self.table.items():
-            fv = oracle.evaluate(u, probe_budget)
+            fv = oracle.evaluate(u, 1 << 16)
             if fv is not None and g > fv:
                 return True
         return False

@@ -20,7 +20,6 @@ from typing import Optional
 from .errors import ModelError, UnresolvedBranches
 from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
                     as_fraction, check_lll)
-from .model import expected_steps_bound  # noqa: F401  (kept importable here)
 from .tape import Tape
 from .witness import WitnessTree, validate_tree
 from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs

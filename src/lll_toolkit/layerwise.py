@@ -26,10 +26,11 @@ from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
 from .families import InfiniteFamily
 
 DEFAULT_BIT_GUARD = 40
+_BALL_GUARD = 100_000
 
 
 def _start_bits(system: ConstraintSystem) -> int:
-    """Default first coin budget of a census: two coins per variable, >= 8."""
+    """First coin budget of a census: two coins per variable, >= 8."""
     return max(8, 2 * len(system.variables))
 
 
@@ -77,8 +78,7 @@ class StabilityCertificate:
         return total
 
 
-def _neighbor_ball(family: InfiniteFamily, event: int, radius: int,
-                   guard: int = 100_000) -> set[int]:
+def _neighbor_ball(family: InfiniteFamily, event: int, radius: int) -> set[int]:
     ball = {event}
     frontier = [event]
     for _ in range(radius):
@@ -88,22 +88,24 @@ def _neighbor_ball(family: InfiniteFamily, event: int, radius: int,
                 if j not in ball:
                     ball.add(j)
                     new.append(j)
-                    if len(ball) > guard:
+                    if len(ball) > _BALL_GUARD:
                         raise FamilyError(
                             f"neighbor ball around event {event} exceeds "
-                            f"{guard} events")
+                            f"{_BALL_GUARD} events")
         frontier = new
     return ball
 
 
 def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
-                      delta, ball_guard: int = 100_000) -> StabilityCertificate:
+                      delta) -> StabilityCertificate:
     """Certified step count N with Pr[cell changes after step N] <= delta.
 
     The delta budget is split evenly: each event touching the cell gets
     delta/(2*count) for its tree-size term and the same for its Markov term.
     All the defining inequalities are checked in exact rational arithmetic.
     """
+    if cell < 0:
+        raise ModelError(f"cell must be >= 0, got {cell}")
     delta = as_fraction(delta)
     if delta <= ZERO:
         raise ModelError("delta must be positive")
@@ -125,7 +127,7 @@ def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
         while ratio * power > share:
             m += 1
             power *= params.alpha
-        ball = _neighbor_ball(family, j, m, ball_guard)
+        ball = _neighbor_ball(family, j, m)
         k = max(ball) + 1
         bound = expected_steps_bound([params.z_of(i) for i in range(k)])
         t = ceil(bound / share) if bound > ZERO else 0
@@ -139,8 +141,7 @@ def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
 
 def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
                                delta, *, bit_guard: int = DEFAULT_BIT_GUARD,
-                               branch_guard: int = DEFAULT_BRANCH_GUARD,
-                               start_bits: int | None = None
+                               branch_guard: int = DEFAULT_BRANCH_GUARD
                                ) -> tuple[Fraction, Fraction]:
     """An interval [lo, hi] containing the probability that the final
     assignment starts with `prefix`, with hi - lo <= delta.
@@ -158,7 +159,7 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     for pos, value in enumerate(prefix):
         if not 0 <= value < system.variables[pos].range_size:
             raise ModelError(f"prefix value {value} out of range at cell {pos}")
-    budget = start_bits if start_bits is not None else _start_bits(system)
+    budget = _start_bits(system)
     while True:
         census = census_runs(system, budget, branch_guard=branch_guard,
                              want_trees=False)
@@ -182,20 +183,18 @@ class QOracle(Protocol):
 
 
 class TableQOracle:
-    """A finite-support measure with the schedule q_n = q * n/(n+1).
+    """A finite-support binary measure with the schedule q_n = q * n/(n+1).
 
-    `atoms` maps infinite branches, given as (pattern, period_start), to
-    masses; q(u) sums the atoms whose branch extends u. Plain dict-of-prefix
-    construction is also accepted via `from_prefix_masses` for irregular
-    tables.
+    `atoms` maps infinite 0/1 branches to masses, each branch given by a
+    pattern repeated forever ("01" is 0101...); q(u) sums the atoms whose
+    branch extends u.
     """
 
-    def __init__(self, atoms: dict[str, Fraction], arities: int = 2):
+    def __init__(self, atoms: dict[str, Fraction]):
         self.atoms = {p: as_fraction(m) for p, m in atoms.items()}
-        self._arity = arities
 
     def arity(self, position: int) -> int:
-        return self._arity
+        return 2
 
     def _branch_value(self, pattern: str, position: int) -> int:
         return int(pattern[position % len(pattern)])
@@ -216,17 +215,15 @@ class SystemQOracle:
     """The solver's output distribution as a lower-approximable measure.
 
     q(u) is the probability that the final assignment starts with u;
-    q_n(u) is the resolved mass at coin budget `base + step * n`, which can
-    only grow with the budget.
+    q_n(u) is the resolved mass at coin budget `_start_bits(system) + 4n`
+    (at most `bit_guard`), which can only grow with the budget.
     """
 
-    def __init__(self, system: ConstraintSystem, base_bits: int | None = None,
-                 step_bits: int = 4, bit_guard: int = DEFAULT_BIT_GUARD,
+    def __init__(self, system: ConstraintSystem,
+                 bit_guard: int = DEFAULT_BIT_GUARD,
                  branch_guard: int = DEFAULT_BRANCH_GUARD):
         self.system = system
-        self.base_bits = (base_bits if base_bits is not None
-                          else _start_bits(system))
-        self.step_bits = step_bits
+        self.base_bits = _start_bits(system)
         self.bit_guard = bit_guard
         self.branch_guard = branch_guard
         self._census_cache: dict[int, object] = {}
@@ -243,36 +240,30 @@ class SystemQOracle:
         return self._census_cache[budget]
 
     def lower_bound(self, prefix: tuple[int, ...], n: int) -> Fraction:
-        budget = min(self.bit_guard, self.base_bits + self.step_bits * n)
+        budget = min(self.bit_guard, self.base_bits + 4 * n)
         prefix = tuple(prefix)
         lo = self._census(budget).prefix_mass(prefix)
         best = max(self._best.get(prefix, ZERO), lo)
         self._best[prefix] = best
         return best
 
-    def unresolved(self, n: int) -> Fraction:
-        budget = min(self.bit_guard, self.base_bits + self.step_bits * n)
-        return self._census(budget).unresolved_mass
-
 
 def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
-                                      max_rounds: int = 256,
-                                      max_cells: int | None = None
-                                      ) -> Iterator[int]:
+                                      max_rounds: int = 256) -> Iterator[int]:
     """Stream the branch through w whose measure exceeds the threshold r.
 
     Valid when the target branch has measure > r and q(w) < 2r: at each
     prefix exactly one child's measure can exceed r (two would push the
     parent past 2r), so dovetailing the children's lower bounds with rising
     precision pins down the next cell. The 2r precondition is watched
-    opportunistically and a contract violation aborts the stream.
+    opportunistically and a contract violation aborts the stream. The
+    stream has no end: callers take as many cells as they need.
     """
     r = as_fraction(r)
     if r <= ZERO:
         raise ModelError("threshold r must be positive")
     prefix = tuple(w)
-    emitted = 0
-    while max_cells is None or emitted < max_cells:
+    while True:
         chosen = None
         for n in range(1, max_rounds + 1):
             if q.lower_bound(prefix, n) > 2 * r:
@@ -291,7 +282,6 @@ def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
                 f"no child exceeded r = {r} within {max_rounds} rounds "
                 f"at prefix {prefix}")
         prefix += (chosen,)
-        emitted += 1
         yield chosen
 
 
@@ -346,7 +336,6 @@ class PrefixResult:
     interval: Optional[tuple[Fraction, Fraction]] = None
     frequencies: tuple[Fraction, ...] = ()
     trials: int = 0
-    horizon: Optional[int] = None
 
 
 def _decided_events(system: ConstraintSystem, values: tuple[int, ...]) -> list[int]:

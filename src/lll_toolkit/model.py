@@ -337,31 +337,29 @@ def expected_steps_bound(z: Sequence[Fraction], k: int | None = None) -> Fractio
 _ENUM_GUARD = 1 << 22
 
 
-def _avoiders(system: ConstraintSystem, guard: int) -> Iterator[tuple[int, ...]]:
+def _avoiders(system: ConstraintSystem) -> Iterator[tuple[int, ...]]:
     """Brute-force scan: every assignment under which no event is true."""
     space = 1
     for var in system.variables:
         space *= var.range_size
-    if space > guard:
+    if space > _ENUM_GUARD:
         raise BudgetRefused(
-            f"assignment space of size {space} exceeds guard {guard}")
+            f"assignment space of size {space} exceeds guard {_ENUM_GUARD}")
     n_events = len(system.events)
     for assignment in system.assignments():
         if not any(system.is_true(i, assignment) for i in range(n_events)):
             yield assignment
 
 
-def avoiding_probability(system: ConstraintSystem,
-                         guard: int = _ENUM_GUARD) -> Fraction:
+def avoiding_probability(system: ConstraintSystem) -> Fraction:
     """Exact mass of assignments under which no event is true.
 
     Brute-force enumeration over the full assignment space; desk scale only.
     """
     return sum((system.assignment_probability(a)
-                for a in _avoiders(system, guard)), ZERO)
+                for a in _avoiders(system)), ZERO)
 
 
-def avoiding_assignments(system: ConstraintSystem,
-                         guard: int = _ENUM_GUARD) -> list[tuple[int, ...]]:
+def avoiding_assignments(system: ConstraintSystem) -> list[tuple[int, ...]]:
     """All assignments avoiding every event, by brute force (desk scale)."""
-    return list(_avoiders(system, guard))
+    return list(_avoiders(system))

@@ -26,14 +26,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import BudgetRefused, ModelError, TapeExhausted
-
-if TYPE_CHECKING:
-    from .model import VariableSpec
+from .errors import ModelError, TapeExhausted
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -227,22 +223,3 @@ class Tape:
                 f"tape {text!r}: value does not fit in {length} bits")
         return cls(bits=format(value, f"0{length}b") if length else "")
 
-
-def fresh_value(tape: Tape, var: VariableSpec) -> int:
-    """Draw the next unused value for a variable from its personal stream."""
-    return tape.draw(var.index, var.distribution)
-
-
-DEFAULT_ENUM_GUARD = 26
-
-
-def enumerate_tapes(bit_budget: int, guard: int = DEFAULT_ENUM_GUARD,
-                    force: bool = False) -> Iterator[Tape]:
-    """All 2^bit_budget explicit tapes, lexicographic by bit string."""
-    if bit_budget < 0:
-        raise ModelError("bit_budget must be >= 0")
-    if bit_budget > guard and not force:
-        raise BudgetRefused(
-            f"bit budget {bit_budget} over guard {guard}; pass force=True")
-    for combo in product("01", repeat=bit_budget):
-        yield Tape(bits="".join(combo))

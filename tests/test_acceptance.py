@@ -9,14 +9,13 @@ from itertools import islice
 
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
                                StreamParams, avoiding_assignments,
-                               check_computable_lll, check_finite_lll,
-                               clause_event, uniform_bit)
+                               check_finite_lll, check_lll, clause_event,
+                               expected_steps_bound, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import SATISFIED, log_from_event_sequence, run_finite, run_stream
 from lll_toolkit.witness import WitnessTree, build_witness_tree
 from lll_toolkit.exhaustive import check_tree_lemma
 from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw,
-                                       expected_steps_bound,
                                        gw_tree_probability)
 from lll_toolkit.layerwise import (TableQOracle, compute_assignment_prefix,
                                    extract_from_positive_probability,
@@ -104,10 +103,7 @@ def test_04_exhaustive_process_comparison():
     ok = True
     for entry in toy_corpus():
         params = entry.params
-        if params.alpha < 1:
-            condition = check_computable_lll(entry.system, params)
-        else:
-            condition = check_finite_lll(entry.system, params)
+        condition = check_lll(entry.system, params)
         report = check_mt_vs_gw(entry.system, params, entry.bit_budget)
         ok = (ok and condition.holds and report.holds_within_horizon
               and report.certified and report.gw_totals_ok)
@@ -212,8 +208,8 @@ def test_08_avoiding_sequence_pipeline():
     t0 = time.perf_counter()
     gamma, alpha = F(1, 2), F(99, 100)
     bm = compute_beta_M(gamma, alpha)
-    lo_at_m, _ = _master_rhs_interval(gamma, alpha, bm.beta, bm.M, 64)
-    _, hi_prev = _master_rhs_interval(gamma, alpha, bm.beta, bm.M - 1, 64)
+    lo_at_m, _ = _master_rhs_interval(gamma, alpha, bm.beta, bm.M)
+    _, hi_prev = _master_rhs_interval(gamma, alpha, bm.beta, bm.M - 1)
     patterns = [c * m for m in range(2, 13) for c in "01"]
     result = build_avoiding_sequence(patterns, gamma, 10_000,
                                      mode="empirical", alpha=alpha, seed=17)

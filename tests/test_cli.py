@@ -124,6 +124,12 @@ def test_missing_file_is_usage_error(capsys):
      "oracle spec 'pair:01:1/2:10'"),
     (["extract", "--oracle", "point:"], "oracle spec 'point:'"),
     (["extract", "--oracle", "point:01", "--w", "x"], "--w"),
+    (["extract", "--oracle", "point:01", "--count", "0"], "--count 0"),
+    (["extract", "--oracle", "point:01", "--count", "-3"], "--count -3"),
+    (["fireworks", "--beat", "--oracle", "const:abc"],
+     "oracle spec 'const:abc'"),
+    (["fireworks", "--beat", "--oracle", "diverge:x"],
+     "oracle spec 'diverge:x'"),
 ])
 def test_malformed_spec_is_usage_error(capsys, argv, spec):
     code, out, err = run_cli(capsys, *argv)
@@ -191,6 +197,20 @@ def test_solve_log_out_and_witness(m3_file, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("event", ["-1", "3"])
+def test_witness_rejects_a_log_naming_a_missing_event(m3_file, tmp_path,
+                                                      capsys, event):
+    # the initial draws make event 2 true, which -1 must not stand for
+    log_path = tmp_path / "bad.log"
+    log_path.write_text("init 1 0 0 0 0 1 1\n"
+                        f"step 1 event {event} draws 0:1:0,5:1:0,6:1:0\n")
+    code, out, err = run_cli(capsys, "witness", "--input", m3_file,
+                             "--log", str(log_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: log {log_path}: step 1: no event {event} ")
+
+
 def test_stream_subcommand(capsys):
     code, out, _ = run_cli(capsys, "stream", "--family",
                            "chain:m=3,overlap=1,polarity=4", "--k", "4",
@@ -208,6 +228,17 @@ def test_stream_certificate_line(capsys):
                            "--z-all", "1/4", "--alpha", "1/2")
     assert code == 0
     assert "cell=0 delta=1/16 N=54 m=4 k=5" in out
+
+
+def test_stream_rejects_a_negative_certify_cell(capsys):
+    code, out, err = run_cli(capsys, "stream", "--family",
+                             "chain:m=4,overlap=1,polarity=7", "--k", "8",
+                             "--seed", "1", "--max-steps", "500",
+                             "--certify-cell", "-1",
+                             "--z-all", "1/4", "--alpha", "1/2")
+    assert code == 2
+    assert "cell=" not in out
+    assert err.startswith("error: cell must be >= 0")
 
 
 def test_gw_check_subcommand(one_bit_file, capsys):

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from lll_toolkit.errors import EngineError, ModelError, TapeExhausted
-from lll_toolkit.model import ConstraintSystem, LLLParams, uniform_bit
+from lll_toolkit.model import (ConstraintSystem, LLLParams,
+                               expected_steps_bound, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED, ResampleLog,
                                 Step, first_k_stable_time,
                                 log_from_event_sequence, replay, run_finite,
                                 run_stream, suggested_max_steps)
 from lll_toolkit.families import ChainCnfFamily, FiniteFamily
-from lll_toolkit.galton_watson import expected_steps_bound
 
 
 F = Fraction
@@ -105,6 +105,20 @@ def test_replay_rejects_corrupted_log(chain3_system):
                                    (bad,) + result.log.steps[1:])
     with pytest.raises(EngineError):
         replay(chain3_system, bad_log)
+
+
+@pytest.mark.parametrize("event", [-1, 3])
+def test_replay_rejects_an_event_outside_the_system(chain3_system, event):
+    # the initial draws make event 2 true, so a log naming event 2 replays;
+    # -1 must not be read as the last event, nor 3 end in an IndexError
+    draws = ((4, 1, 0), (5, 1, 0), (6, 1, 0))
+    initial = (0, 0, 0, 0, 1, 0, 1)
+    replay(chain3_system, ResampleLog(initial, (Step(1, 2, draws),)))
+    log = ResampleLog(initial, (Step(1, event, draws),))
+    with pytest.raises(EngineError, match=f"step 1: no event {event} "):
+        replay(chain3_system, log)
+    with pytest.raises(EngineError):
+        first_k_stable_time(log, chain3_system, 1)
 
 
 @pytest.mark.parametrize("seed", range(25))

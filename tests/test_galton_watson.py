@@ -7,11 +7,11 @@ import pytest
 
 from lll_toolkit.errors import ModelError, UnresolvedBranches
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
-                               clause_event, uniform_bit)
+                               clause_event, expected_steps_bound,
+                               uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.witness import WitnessTree
-from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw,
-                                       expected_steps_bound, gw_sample,
+from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
                                        gw_tree_probability)
 from lll_toolkit.corpus import toy_corpus
 

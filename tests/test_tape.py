@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 
 from lll_toolkit.corpus import toy_corpus
-from lll_toolkit.errors import BudgetRefused, ModelError, TapeExhausted
+from lll_toolkit.errors import ModelError, TapeExhausted
 from lll_toolkit.engine import run_finite
 from lll_toolkit.model import ConstraintSystem, Event, VariableSpec
-from lll_toolkit.tape import Tape, enumerate_tapes, fresh_value, sampler_for
+from lll_toolkit.tape import Tape, sampler_for
 from reference_tape import ReferenceTape, word
 
 F = Fraction
@@ -125,30 +125,6 @@ def test_non_dyadic_distribution_converges_from_below():
     assert decided[0] <= F(1, 3)
     assert decided[1] <= F(2, 3)
     assert decided[0] + decided[1] == 1 - F(1, 2 ** depth)
-
-
-def test_fresh_value_uses_variable_stream():
-    var = VariableSpec(4, (F(1, 2), F(1, 2)))
-    tape = Tape(seed=0)
-    fresh_value(tape, var)
-    assert tape.consumed_count(4) == 1
-
-
-def test_enumerate_tapes_basics():
-    assert [t.bits for t in enumerate_tapes(0)] == [""]
-    tapes = [t.bits for t in enumerate_tapes(3)]
-    assert tapes == sorted(tapes)
-    assert len(tapes) == 8
-    assert len(set(tapes)) == 8
-    total = sum(F(1, 2 ** 3) for _ in tapes)
-    assert total == 1
-
-
-def test_enumerate_tapes_guard():
-    with pytest.raises(BudgetRefused):
-        list(enumerate_tapes(27))
-    gen = enumerate_tapes(27, force=True)
-    assert next(gen).bits == "0" * 27
 
 
 def test_hex_round_trip():
