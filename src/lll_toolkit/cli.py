@@ -198,10 +198,13 @@ def _cmd_gw(args) -> int:
     system, params = _load_system(args.input, args.z_all, args.alpha)
     if params is None:
         raise ModelError("gw needs z values (z lines or --z-all)")
+    if args.sample:
+        if args.samples < 1:
+            raise ModelError(f"--samples {args.samples}: must be >= 1")
+        gw_params = GWParams.from_lll(params, args.root)
     _emit_manifest(args)
     if args.sample:
         tape = _tape_from_args(args)
-        gw_params = GWParams.from_lll(params, args.root)
         for i in range(args.samples):
             tree = gw_sample(gw_params, system, tape, args.depth_budget)
             line = "overflow" if tree is None else tree.canonical_line()
@@ -305,6 +308,8 @@ def _cmd_avoid(args) -> int:
 
 def _cmd_fireworks(args) -> int:
     oracle = _fn_oracle_from_spec(args.oracle) if args.beat else None
+    game = (GameConfig(args.n, args.seller_k)
+            if not args.beat and args.seller_k is not None else None)
     _emit_manifest(args)
     if args.beat:
         tape = _tape_from_args(args)
@@ -313,9 +318,9 @@ def _cmd_fireworks(args) -> int:
         print(f"status={result.status} k={result.k} table={table}")
         return OK
     print(f"win_probability={q(win_probability_exact(args.n))}")
-    if args.seller_k is not None:
+    if game is not None:
         tape = _tape_from_args(args)
-        outcome = play_game(GameConfig(args.n, args.seller_k), tape)
+        outcome = play_game(game, tape)
         print(f"outcome={outcome.outcome} k={outcome.k} "
               f"tests={outcome.tests_made}")
     return OK

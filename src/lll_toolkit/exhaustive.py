@@ -1,18 +1,19 @@
 """Exhaustive run exploration over explicit coin strings.
 
-Instead of materializing all 2^budget tapes, the driver explores the
+Instead of materializing all 2^budget tapes, the census explores the
 computation prefix tree: a draw inverts its interval of coins read so far
-and forks the run only where it actually demands another coin. Each leaf
+and branches only where it actually demands another coin. Each leaf
 therefore carries an exact dyadic weight, and weights of leaves sum to one.
 Runs that would need more than `bit_budget` coins are reported as
 unresolved mass.
 
-Two explorations share that draw. `enumerate_runs` walks the tree depth
-first and carries each run's state (assignment, log, draw in flight) into
-both children of a coin, so every leaf comes with its log. The census
-without trees needs outputs only: a run's future depends on its assignment
-and coins used alone, so it sweeps resample levels forward, merging equal
-states and counting the coin paths that reach each one.
+One exploration serves both censuses. `census_runs` sweeps resample levels
+forward, merging runs in equal states and counting the coin paths that
+reach each one. A witness tree depends only on the sequence of resampled
+events, never on the values drawn, so the census with trees adds that
+sequence to the state and builds trees once per distinct history.
+`enumerate_runs` lists the leaves one by one instead, re-executing the run
+on each coin prefix.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BudgetRefused, EngineError, ModelError
+from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, event_probability
-from .engine import (BUDGET_EXCEEDED, EXHAUSTED, SATISFIED, ResampleLog,
-                     Step)
-from .tape import Sampler
+from .engine import (EXHAUSTED, SATISFIED, ResampleLog,
+                     log_from_event_sequence, run_finite)
+from .tape import Sampler, Tape
 from .witness import (WitnessTree, build_witness_tree,
                       tape_positions_by_vertex, trees_for_run)
 
@@ -101,111 +102,47 @@ def _refuse(branch_guard: int) -> None:
         f"branch guard {branch_guard} exceeded during enumeration")
 
 
-class _Run:
-    """A resampling run paused where its draw in flight demands a coin.
-
-    `seq` lists the variables of the current phase (all of them while
-    initializing, else the vbl of `event`), `todo` indexes the one in
-    flight, whose coins so far give the interval [a/2^d, (a+1)/2^d).
-    """
-
-    __slots__ = ("assignment", "initial", "steps", "consumed", "event",
-                 "seq", "todo", "draws", "a", "d")
-
-    def __init__(self, system: ConstraintSystem):
-        self.assignment: list[int] = []
-        self.initial: Optional[tuple[int, ...]] = None
-        self.steps: tuple[Step, ...] = ()
-        self.consumed = [0] * len(system.variables)
-        self.event: Optional[int] = None
-        self.seq = range(len(system.variables))
-        self.todo = 0
-        self.draws: list = []
-        self.a = self.d = 0
-
-    def fork(self, bit: int) -> "_Run":
-        """A copy that has read `bit` as its next coin."""
-        run = object.__new__(_Run)
-        run.assignment = self.assignment.copy()
-        run.initial = self.initial
-        run.steps = self.steps
-        run.consumed = self.consumed.copy()
-        run.event = self.event
-        run.seq = self.seq
-        run.todo = self.todo
-        run.draws = self.draws.copy()
-        run.a = 2 * self.a + bit
-        run.d = self.d + 1
-        return run
-
-    def advance(self, system, step_guard, first_true) -> Optional[str]:
-        """Run on until the next coin demand (None) or the end (status)."""
-        while True:
-            if self.todo < len(self.seq):
-                v = self.seq[self.todo]
-                value = system.samplers[v].settle(self.a, self.d)
-                if value is None:
-                    return None
-                self.a = self.d = 0
-                self.todo += 1
-                if self.event is None:
-                    self.assignment.append(value)
-                else:
-                    self.assignment[v] = value
-                    self.draws.append((v, self.consumed[v], value))
-                self.consumed[v] += 1
-                continue
-            if self.event is None:
-                self.initial = tuple(self.assignment)
-            else:
-                self.steps += (Step(len(self.steps) + 1, self.event,
-                                    tuple(self.draws)),)
-            event = first_true(tuple(self.assignment))
-            if event is None:
-                return SATISFIED
-            if len(self.steps) >= step_guard:
-                return BUDGET_EXCEEDED
-            self.event = event
-            self.seq = system.events[event].vbl
-            self.todo = 0
-            self.draws = []
-
-    def log(self) -> Optional[ResampleLog]:
-        if self.initial is None:
-            return None
-        return ResampleLog(self.initial, self.steps)
-
-
 def enumerate_runs(system: ConstraintSystem, bit_budget: int,
                    step_guard: int | None = None,
                    branch_guard: int = DEFAULT_BRANCH_GUARD) -> Iterator[Branch]:
     """Depth-first enumeration of all run branches up to `bit_budget` coins,
     in lexicographic order of their coin strings.
 
+    Every node of the prefix tree re-runs `run_finite` from scratch on its
+    coins; a run stopped by the end of its prefix branches on the next coin.
     A leaf is resolved when its run is satisfied; unresolved leaves carry
     the partial assignment and log available at cutoff. Refuses once more
-    than `branch_guard` prefix-tree nodes are visited.
+    than `branch_guard` prefix-tree nodes are visited. The censuses do not
+    call this: it is the per-branch view, for tests and tracing.
     """
     step_guard = _step_guard(system, bit_budget, step_guard)
-    first_true = _first_true(system)
     visited = 0
-    stack = [("", _Run(system))]
+    stack = [""]
     while stack:
-        prefix, run = stack.pop()
+        prefix = stack.pop()
         visited += 1
         if visited > branch_guard:
             _refuse(branch_guard)
-        status = run.advance(system, step_guard, first_true)
         weight = Fraction(1, 1 << len(prefix))
-        if status is not None:
-            yield Branch(prefix, weight, status == SATISFIED, status,
-                         tuple(run.assignment), run.log())
-        elif len(prefix) < bit_budget:
-            stack.append((prefix + "1", run.fork(1)))
-            stack.append((prefix + "0", run.fork(0)))
-        else:
-            yield Branch(prefix, weight, False, EXHAUSTED,
-                         tuple(run.assignment), run.log(), run.event)
+        tape = Tape(bits=prefix)
+        try:
+            result = run_finite(system, tape, step_guard)
+        except TapeExhausted as exc:
+            if len(prefix) < bit_budget:
+                stack.append(prefix + "1")
+                stack.append(prefix + "0")
+            else:
+                yield Branch(prefix, weight, False, EXHAUSTED,
+                             exc.partial_assignment, exc.partial_log,
+                             exc.in_flight_event)
+            continue
+        # the run ended; every coin of the prefix was demanded by construction
+        if tape.bit_cursor != len(prefix):
+            raise EngineError(
+                f"run on prefix {prefix!r} ended after {tape.bit_cursor} "
+                f"of its {len(prefix)} coins")
+        yield Branch(prefix, weight, result.status == SATISFIED,
+                     result.status, result.assignment, result.log)
 
 
 @dataclass(frozen=True)
@@ -252,23 +189,20 @@ class RunCensus:
                       key=lambda a: (-a.p_low, a.tree.canonical_line()))
 
 
-def _components(system: ConstraintSystem) -> list[frozenset[int]]:
-    """Connected components of the event neighbor graph."""
-    seen: set[int] = set()
-    out = []
+def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
+    """Each event's connected component in the event neighbor graph."""
+    out: dict = {}
     for start in range(len(system.events)):
-        if start in seen:
+        if start in out:
             continue
         comp = {start}
         frontier = [start]
         while frontier:
-            e = frontier.pop()
-            for j in system.neighbor_sets[e]:
+            for j in system.neighbor_sets[frontier.pop()]:
                 if j not in comp:
                     comp.add(j)
                     frontier.append(j)
-        seen |= comp
-        out.append(frozenset(comp))
+        out.update(dict.fromkeys(comp, frozenset(comp)))
     return out
 
 
@@ -278,27 +212,30 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                 want_trees: bool = True) -> RunCensus:
     """Tally witness-tree appearances and outputs over all run branches.
 
-    With want_trees=False only output masses are collected, by a forward
-    sweep over resample levels (used by the output-distribution oracle).
-    A run's future depends only on its assignment, the coins it has read
-    and, through the step guard, its resample count; all runs of a level
-    share the count, so runs there with equal assignment and coins merge
-    into one state carrying the number of coin paths that reach it. Masses
-    stay integers in units of 2^-budget until the end. The branch count and
-    the guard are those of the prefix tree, whose visited nodes number
-    2 * leaves - 1.
+    The census sweeps resample levels forward. A run's future depends only
+    on its assignment, the coins it has read and, through the step guard,
+    its resample count; all runs of a level share the count, so runs there
+    in equal states merge into one state carrying the number of coin paths
+    that reach it. Masses stay integers in units of 2^-budget until the end.
+    The branch count and the guard are those of the prefix tree, whose
+    visited nodes number 2 * leaves - 1.
 
-    With want_trees=True the census walks `enumerate_runs`, since witness
-    trees need each branch's log.
+    With want_trees=True a state also holds the events it has resampled,
+    the one in flight included, as its witness trees depend on nothing
+    else. A state that has just completed a resample carries the mass of
+    every leaf below it, so the tree of its last step appears with that
+    mass. Unresolved runs are kept by assignment, history and event in
+    flight for the pending bounds of `_tree_tally`. With want_trees=False
+    only output masses are collected (used by the output-distribution
+    oracle).
     """
     step_guard = _step_guard(system, bit_budget, step_guard)
-    if want_trees:
-        return _tree_census(system, enumerate_runs(system, bit_budget,
-                                                   step_guard, branch_guard))
     first_true = _first_true(system)
     paths: dict = {}
     leaves = unresolved = 0
     resolved: dict = {}  # assignment -> units
+    reached: dict = {}  # completed history -> units
+    cut: dict = {}  # (assignment, completed history, in-flight event) -> units
 
     def guard(pending: int) -> None:
         # every pending path ends in at least one leaf
@@ -310,17 +247,23 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         nonlocal leaves, unresolved
         for v in variables:
             out: dict = {}
-            for (assignment, coins), n in states.items():
+            for (assignment, coins, events), n in states.items():
                 key = (v, bit_budget - coins)
                 if key not in paths:
                     paths[key] = _draw_paths(system.samplers[v],
                                              bit_budget - coins)
-                settled, cut = paths[key]
-                leaves += n * cut
-                unresolved += n * cut
+                settled, n_cut = paths[key]
+                if n_cut:
+                    leaves += n * n_cut
+                    unresolved += n * n_cut
+                    if want_trees:
+                        # no history yet: the cut came during initialization
+                        where = ((assignment, events[:-1], events[-1])
+                                 if events else (None, None, None))
+                        cut[where] = cut.get(where, 0) + n * n_cut
+                head, tail = assignment[:v], assignment[v + 1:]
                 for (value, used), k in settled.items():
-                    state = (assignment[:v] + (value,) + assignment[v + 1:],
-                             coins + used)
+                    state = (head + (value,) + tail, coins + used, events)
                     out[state] = out.get(state, 0) + n * k
             states = out
             guard(sum(states.values()))
@@ -328,21 +271,28 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
 
     # initialization draws every variable, in order, over placeholder zeros
     n_vars = len(system.variables)
-    frontier = draw({((0,) * n_vars, 0): 1}, range(n_vars))
+    frontier = draw({((0,) * n_vars, 0, ()): 1}, range(n_vars))
     level = 0
     while frontier:
         by_event: dict = {}
-        for (assignment, coins), n in frontier.items():
+        for (assignment, coins, events), n in frontier.items():
             event = first_true(assignment)
             units = n << (bit_budget - coins)
+            if events:
+                reached[events] = reached.get(events, 0) + units
             if event is None:
                 leaves += n
                 resolved[assignment] = resolved.get(assignment, 0) + units
             elif level >= step_guard:
                 leaves += n
                 unresolved += units
+                if want_trees:
+                    where = (assignment, events, None)
+                    cut[where] = cut.get(where, 0) + units
             else:
-                by_event.setdefault(event, {})[assignment, coins] = n
+                if want_trees:
+                    events += (event,)
+                by_event.setdefault(event, {})[assignment, coins, events] = n
         frontier = {}
         for event, states in by_event.items():
             for state, n in draw(states, system.events[event].vbl).items():
@@ -350,102 +300,97 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         level += 1
     guard(0)
     total = 1 << bit_budget
+    appearances = (_tree_tally(system, reached, cut, total) if want_trees
+                   else {})
     output_mass = {a: Fraction(u, total) for a, u in resolved.items()}
-    return RunCensus({}, Fraction(sum(resolved.values()), total),
+    return RunCensus(appearances, Fraction(sum(resolved.values()), total),
                      Fraction(unresolved, total), leaves, output_mass)
 
 
-def _tree_census(system: ConstraintSystem, branches) -> RunCensus:
-    """The census with trees over the branches of a prefix-tree walk.
+def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
+                total: int) -> dict:
+    """Witness-tree appearances from the census tables, masses in units of
+    1/total.
 
-    For each unresolved branch the census works out which trees could still
+    `reached` maps each resample history (the events resampled, in order)
+    to the mass of runs that complete it; the tree of its last step appears
+    with that mass. `cut` maps (assignment, history, event in flight) of
+    the unresolved runs to their mass; the history is None for runs cut
+    during initialization, and the event in flight None for runs stopped by
+    the step guard.
+
+    For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
     reachable (neighbor-connected to a currently-true event) and the tree
     must contain, label for label, the base tree a hypothetical next
-    resampling of that root would inherit from the branch's history. Mass of
-    branches failing those filters cannot contribute, so it is excluded from
+    resampling of that root would inherit from the run's history. Mass of
+    runs failing those filters cannot contribute, so it is excluded from
     `pending`.
 
     Surviving charges are further discounted: a tree appearing in an
     extension pins the values of table cells it determines, and any vertex
-    all of whose relevant cells lie beyond the branch's consumption must
+    all of whose relevant cells lie beyond the run's consumption must
     still hit its forbidden set with fresh coins, contributing an
     independent factor Pr[A_label].
     """
-    components = _components(system)
-    comp_of = {}
-    for comp in components:
-        for e in comp:
-            comp_of[e] = comp
+    comp_of = _component_of(system)
+    history_trees: dict = {}
+
+    def trees_of(history: tuple[int, ...]) -> dict:
+        """canon -> tree for each step of `history`, in step order."""
+        if history not in history_trees:
+            log = log_from_event_sequence(system, history)
+            history_trees[history] = {tree.canon(): tree
+                                      for tree in trees_for_run(log, system)}
+        return history_trees[history]
 
     p_low: dict = {}
     trees_by_canon: dict = {}
-    resolved_mass = Fraction(0)
-    unresolved_mass = Fraction(0)
-    branch_count = 0
-    output_mass: dict = {}
-    # per unresolved branch:
-    # (weight, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
-    pending_info: list[tuple[Fraction, dict, set, Optional[dict]]] = []
+    for history, units in reached.items():
+        canon, tree = next(reversed(trees_of(history).items()))
+        trees_by_canon.setdefault(canon, tree)
+        p_low[canon] = p_low.get(canon, 0) + units
 
-    for branch in branches:
-        branch_count += 1
-        appeared: set = set()
-        if branch.log is not None and branch.log.steps:
-            for tree in trees_for_run(branch.log, system):
-                canon = tree.canon()
-                appeared.add(canon)
-                trees_by_canon.setdefault(canon, tree)
-                p_low[canon] = p_low.get(canon, Fraction(0)) + branch.weight
-        if branch.resolved:
-            resolved_mass += branch.weight
-            key = branch.assignment
-            output_mass[key] = output_mass.get(key, Fraction(0)) + branch.weight
-        else:
-            unresolved_mass += branch.weight
-            bases: dict = {}
-            consumed_ub: Optional[dict] = None
-            if branch.assignment is not None and branch.log is not None:
-                # upper bound on per-variable table consumption: one entry at
-                # initialization, one per logged resample touching the
-                # variable, plus one for the cut-off resampling in flight
-                consumed_ub = {v: 1 for v in range(len(system.variables))}
-                for step in branch.log.steps:
-                    for v, _, _ in step.draws:
-                        consumed_ub[v] += 1
-                if branch.in_flight_event is not None:
-                    for v in system.events[branch.in_flight_event].vbl:
-                        consumed_ub[v] += 1
-                in_flight = branch.in_flight_event
-                reachable: set[int] = set()
-                for e in range(len(system.events)):
-                    if system.is_true(e, branch.assignment):
-                        reachable |= comp_of[e]
-                if in_flight is not None:
-                    reachable |= comp_of[in_flight]
-                history = branch.log.steps
-                if in_flight is not None:
-                    # the cut-off resampling completes before anything else
-                    # an extension logs
-                    history = history + (Step(len(history) + 1, in_flight, ()),)
-                for root in reachable:
-                    fake = ResampleLog(
-                        branch.log.initial,
-                        history + (Step(len(history) + 1, root, ()),))
-                    base = build_witness_tree(fake, len(fake.steps), system)
-                    min_size = base.size
-                    flippable = (in_flight is not None
-                                 and root in system.neighbor_sets[in_flight])
-                    if not system.is_true(root, branch.assignment) and not flippable:
-                        # some future neighbor resample must make root true
-                        # first, and it would join the tree as well
-                        min_size += 1
-                    bases[root] = (base.label_counts(), min_size)
-            else:
-                # cut off during initialization: no filter information
-                bases = {root: (Counter(), 1)
-                         for root in range(len(system.events))}
-            pending_info.append((branch.weight, bases, appeared, consumed_ub))
+    # per unresolved run:
+    # (weight, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
+    pending_info: list[tuple[Fraction, dict, dict, Optional[list]]] = []
+    for (assignment, history, in_flight), units in cut.items():
+        weight = Fraction(units, total)
+        if history is None:
+            # cut off during initialization: no filter information
+            bases = {root: (Counter(), 1)
+                     for root in range(len(system.events))}
+            pending_info.append((weight, bases, {}, None))
+            continue
+        # upper bound on per-variable table consumption: one entry at
+        # initialization, one per resample touching the variable, the
+        # cut-off resampling in flight included
+        consumed_ub = [1] * len(system.variables)
+        begun = history if in_flight is None else history + (in_flight,)
+        for e in begun:
+            for v in system.events[e].vbl:
+                consumed_ub[v] += 1
+        reachable: set[int] = set()
+        for e in range(len(system.events)):
+            if system.is_true(e, assignment):
+                reachable |= comp_of[e]
+        if in_flight is not None:
+            # the cut-off resampling completes before anything else an
+            # extension logs
+            reachable |= comp_of[in_flight]
+        bases = {}
+        for root in reachable:
+            fake = log_from_event_sequence(system, begun + (root,))
+            base = build_witness_tree(fake, len(fake.steps), system)
+            min_size = base.size
+            flippable = (in_flight is not None
+                         and root in system.neighbor_sets[in_flight])
+            if not system.is_true(root, assignment) and not flippable:
+                # some future neighbor resample must make root true
+                # first, and it would join the tree as well
+                min_size += 1
+            bases[root] = (base.label_counts(), min_size)
+        pending_info.append((weight, bases, trees_of(history), consumed_ub))
 
     event_probs = [event_probability(ev, system) for ev in system.events]
     appearances: dict = {}
@@ -469,15 +414,14 @@ def _tree_census(system: ConstraintSystem, branches) -> RunCensus:
                 for v in range(tree.size):
                     # cell x^(p-1) holds the value that made the vertex's
                     # event true; if the whole before-tuple is beyond the
-                    # branch's consumption it must still land forbidden
+                    # run's consumption it must still land forbidden
                     if all(p - 1 >= consumed_ub[var]
                            for var, p in positions[v].items()):
                         charge *= event_probs[tree.labels[v]]
             pending += charge
-        appearances[canon] = TreeAppearance(tree, p_low[canon], pending)
-
-    return RunCensus(appearances, resolved_mass, unresolved_mass,
-                     branch_count, output_mass)
+        appearances[canon] = TreeAppearance(tree, Fraction(p_low[canon], total),
+                                            pending)
+    return appearances
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,7 @@ class InfiniteFamily:
     def _build_event(self, index: int) -> Event:
         raise NotImplementedError
 
-    def events_of_variable(self, var: int,
-                           size: int | None = None) -> tuple[int, ...]:
+    def events_of_variable(self, var: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def size(self) -> Optional[int]:
@@ -109,12 +108,8 @@ class FiniteFamily(InfiniteFamily):
     def variable_spec(self, var: int) -> VariableSpec:
         return self.system.variables[var]
 
-    def events_of_variable(self, var: int,
-                           size: int | None = None) -> tuple[int, ...]:
-        out = self.system.var_to_events.get(var, ())
-        if size is not None:
-            out = tuple(i for i in out if len(self.system.events[i].vbl) == size)
-        return out
+    def events_of_variable(self, var: int) -> tuple[int, ...]:
+        return self.system.var_to_events.get(var, ())
 
 
 class ChainCnfFamily(InfiniteFamily):
@@ -148,10 +143,7 @@ class ChainCnfFamily(InfiniteFamily):
         falsifying = tuple((word >> j) & 1 for j in range(self.m))
         return clause_event(index, vbl, falsifying)
 
-    def events_of_variable(self, var: int,
-                           size: int | None = None) -> tuple[int, ...]:
-        if size is not None and size != self.m:
-            return ()
+    def events_of_variable(self, var: int) -> tuple[int, ...]:
         stride = self._stride()
         lo = max(0, -((-(var - self.m + 1)) // stride))
         hi = var // stride
@@ -235,12 +227,9 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         vbl = tuple(range(p, p + len(f)))
         return clause_event(index, vbl, tuple(int(c) for c in f))
 
-    def events_of_variable(self, var: int,
-                           size: int | None = None) -> tuple[int, ...]:
+    def events_of_variable(self, var: int) -> tuple[int, ...]:
         out = []
         for l, fs in sorted(self._by_length.items()):
-            if size is not None and l != size:
-                continue
             for f in fs:
                 for p in range(max(0, var - l + 1), var + 1):
                     out.append(self.index_of(p, f))
@@ -301,16 +290,11 @@ class TrimmedFamily(InfiniteFamily):
         (tup,) = ev.forbidden
         return clause_event(index, ev.vbl[drop:], tup[drop:])
 
-    def events_of_variable(self, var: int,
-                           size: int | None = None) -> tuple[int, ...]:
-        out = []
+    def events_of_variable(self, var: int) -> tuple[int, ...]:
         # a variable survives in clauses where it is not among the dropped
         # prefix; scan the base incidence over all original sizes
-        for idx in self.base.events_of_variable(var):
-            ev = self.event(idx)
-            if var in ev.vbl and (size is None or len(ev.vbl) == size):
-                out.append(idx)
-        return tuple(sorted(out))
+        return tuple(sorted(idx for idx in self.base.events_of_variable(var)
+                            if var in self.event(idx).vbl))
 
     def degree_bound(self, size: int) -> Fraction:
         # every original size s with s - ceil(rho*s) == size can contribute,

@@ -38,6 +38,9 @@ class GWParams:
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if any(not ZERO < x < ONE for x in self.z):
             raise ModelError("every z must lie strictly between 0 and 1")
+        if not 0 <= self.root < len(self.z):
+            raise ModelError(
+                f"root {self.root} is not an event in 0..{len(self.z) - 1}")
         if not ZERO < self.alpha <= ONE:
             raise ModelError("alpha must lie in (0, 1]")
 
@@ -76,6 +79,8 @@ def gw_sample(params: GWParams, system: ConstraintSystem, tape: Tape,
     Returns None when a vertex at the depth budget spawns a son (the branch
     is treated as non-terminating at desk scale).
     """
+    if depth_budget < 0:
+        raise ModelError("depth_budget must be >= 0")
     labels = [params.root]
     parents = [-1]
     depths = [0]

@@ -130,6 +130,7 @@ def test_missing_file_is_usage_error(capsys):
      "oracle spec 'const:abc'"),
     (["fireworks", "--beat", "--oracle", "diverge:x"],
      "oracle spec 'diverge:x'"),
+    (["fireworks", "--seller-k", "-2"], "seller_k must be >= 0"),
 ])
 def test_malformed_spec_is_usage_error(capsys, argv, spec):
     code, out, err = run_cli(capsys, *argv)
@@ -258,6 +259,19 @@ def test_gw_sample_subcommand(one_bit_file, capsys):
                            "--seed", "3")
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("sample=")]) == 5
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--root", "5"], "root 5 is not an event in 0..0"),
+    (["--samples", "-2"], "--samples -2: must be >= 1"),
+    (["--depth-budget", "-1"], "depth_budget must be >= 0"),
+])
+def test_gw_sample_rejects_bad_input(one_bit_file, capsys, flags, message):
+    code, out, err = run_cli(capsys, "gw", "--input", one_bit_file,
+                             "--z-all", "1/2", "--sample", *flags)
+    assert code == 2
+    assert "sample=" not in out
+    assert err.startswith(f"error: {message}")
 
 
 def test_extract_point_oracle(capsys):

@@ -293,8 +293,6 @@ def test_chain_family_events_of_variable():
     # clause t covers 2t..2t+2: variable 4 sits in clauses 1 and 2
     assert family.events_of_variable(4) == (1, 2)
     assert family.events_of_variable(0) == (0,)
-    assert family.events_of_variable(4, size=3) == (1, 2)
-    assert family.events_of_variable(4, size=4) == ()
 
 
 def test_chain_family_neighbor_counts():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lll_toolkit import exhaustive
 from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
 from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
+from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.tape import Tape
 from test_properties import systems
 
@@ -21,16 +23,16 @@ DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
 def test_run_ending_before_its_prefix_is_a_typed_error(chain2_system,
                                                        monkeypatch):
     # a run that ends without demanding every coin of its prefix would make
-    # the reference's branch weights wrong; it must raise, also under
+    # the enumerated branch weights wrong; it must raise, also under
     # `python -O`
     def run_ignoring_prefix(system, tape, max_steps):
         if tape.bits:
             tape = Tape(seed=0)
         return run_finite(system, tape, max_steps)
 
-    monkeypatch.setattr(reference_census, "run_finite", run_ignoring_prefix)
+    monkeypatch.setattr(exhaustive, "run_finite", run_ignoring_prefix)
     with pytest.raises(EngineError, match="ended after 0 of its 1 coins"):
-        list(reference_census.enumerate_runs(chain2_system, 4))
+        list(exhaustive.enumerate_runs(chain2_system, 4))
 
 
 def test_census_losing_mass_is_a_typed_error(chain2_system, monkeypatch):
@@ -86,8 +88,10 @@ def test_step_guard_cuts_as_in_the_reference(step_guard):
         assert (output_view(exhaustive.census_runs(*args, want_trees=False))
                 == output_view(reference_census.census_runs(
                     *args, want_trees=False)))
-        assert (list(exhaustive.enumerate_runs(*args))
-                == list(reference_census.enumerate_runs(*args)))
+        census = exhaustive.census_runs(*args)
+        reference = reference_census.census_runs(*args)
+        assert census.appearance_list() == reference.appearance_list()
+        assert output_view(census) == output_view(reference)
 
 
 # small step guards cut runs whose coins would last longer
@@ -107,16 +111,47 @@ def test_output_census_matches_the_reference(system, budget, step_guard):
 
 @given(systems(point_masses=True), st.integers(0, 10), STEP_GUARDS)
 @DIFFERENTIAL
-def test_forked_branches_match_the_reference(system, budget, step_guard):
-    assert (list(exhaustive.enumerate_runs(system, budget, step_guard))
-            == list(reference_census.enumerate_runs(system, budget,
-                                                    step_guard)))
-
-
-@given(systems(point_masses=True), st.integers(0, 10), STEP_GUARDS)
-@DIFFERENTIAL
 def test_tree_census_matches_the_reference(system, budget, step_guard):
     census = exhaustive.census_runs(system, budget, step_guard)
     reference = reference_census.census_runs(system, budget, step_guard)
     assert census.appearance_list() == reference.appearance_list()
     assert output_view(census) == output_view(reference)
+
+
+# The tree census pinned by hashes of its appearance lines, branch count and
+# unresolved mass. The reference census shares the tree tally, so the
+# differential tests cannot see a change to it; these hashes can. They were
+# taken before the tree census moved onto the level sweep.
+PINNED_CENSUS = {
+    "one_bit": "45801716f4a99c13f330c61619953ed089e6500e3beb5494d319bb5d089d8b1b",
+    "two_disjoint":
+        "31f0d274fa4de6a60c84485a8387129906866234f1acf3ae5c94a28d16039039",
+    "shared_pair":
+        "162b2bcd800cb3b8e65bf9b892df3c110262f0dcd9bc44550945fc0d5e54e5d2",
+    "overlap_triples":
+        "7502362b85c3a1cbf078d813132f8df148bd66aa31ff743a365e974af9443d0c",
+    "lopsided_bit":
+        "2afd0d73e078598f9f40a2230702645b570bdcd1bd354a09024ab89b267dd631",
+    "impossible_plus":
+        "000411b7f502946864876ec79c29ed9549fb5e431f9c79e3647fb70b01fbaa83",
+    "chain4_202@18":
+        "3b83140b6f727ce9f61b5669ef81fdae7eb905430b2fc8d55494eb38318624db",
+}
+
+
+def _census_inputs():
+    inputs = {e.name: (e.system, e.bit_budget) for e in toy_corpus()}
+    inputs["chain4_202@18"] = (ChainCnfFamily(3, 1, 202).materialize(4), 18)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CENSUS))
+def test_tree_census_is_pinned(name):
+    system, budget = _census_inputs()[name]
+    census = exhaustive.census_runs(system, budget)
+    lines = [f"{a.tree.canonical_line()} {a.p_low} {a.pending}"
+             for a in census.appearance_list()]
+    lines.append(f"branches={census.branch_count} "
+                 f"unresolved={census.unresolved_mass}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_CENSUS[name]

@@ -64,6 +64,9 @@ def test_params_validation():
         GWParams(0, (F(1),))  # z = 1 disallowed
     with pytest.raises(ModelError):
         GWParams(0, (F(1, 2),), F(0))
+    for root in (-1, 1):
+        with pytest.raises(ModelError, match="root"):
+            GWParams(root, (F(1, 2),))
 
 
 # --- expected steps bound ---------------------------------------------------
