@@ -16,7 +16,7 @@ from .model import (ConditionEntry, ConditionReport, ConstraintSystem, Event,
 from .tape import Tape
 from .engine import (ResampleLog, RunResult, Step, first_k_stable_time,
                      log_from_event_sequence, replay, run_finite, run_stream,
-                     suggested_max_steps)
+                     stable_times, suggested_max_steps)
 from .witness import (WitnessTree, build_witness_tree,
                       crosscheck_tape_positions, reconstruct_tape_positions,
                       tree_probability_bound, trees_for_run, validate_tree)

@@ -20,8 +20,8 @@ from .errors import (BudgetRefused, ContractViolation, EngineError,
                      UnresolvedBranches, VerificationError)
 from .model import LLLParams, check_lll
 from .tape import Tape
-from .engine import (SATISFIED, first_k_stable_time, replay, run_finite,
-                     run_stream, suggested_max_steps)
+from .engine import (SATISFIED, replay, run_finite, run_stream, stable_times,
+                     suggested_max_steps)
 from .witness import build_witness_tree
 from .galton_watson import GWParams, check_mt_vs_gw, gw_sample
 from .layerwise import (TableQOracle, compute_assignment_prefix,
@@ -138,8 +138,7 @@ def _cmd_stream(args) -> int:
         print(cert.to_line())
     print("assignment=" + ",".join(str(v) for v in result.assignment))
     print(f"resamples={result.resample_count} status={result.status}")
-    for k in range(0, args.k + 1):
-        t = first_k_stable_time(result.log, system, k)
+    for k, t in enumerate(stable_times(result.log, system)):
         print(f"stable_time k={k} t={'none' if t is None else t}")
     if args.log_out:
         with open(args.log_out, "w") as handle:

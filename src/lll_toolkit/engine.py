@@ -180,35 +180,67 @@ def replay(system: ConstraintSystem, log: ResampleLog,
     return [tuple(assignment) for _, assignment in _walk(system, log, validate)]
 
 
+def stable_times(log: ResampleLog,
+                 system: ConstraintSystem) -> list[Optional[int]]:
+    """Entry k is the first step count after which events 0..k-1 are
+    simultaneously false, for k = 0..len(system.events); None when the
+    logged run never reaches that state.
+
+    One validating walk over the log, as `replay` does. A lazy min-heap
+    holds the true events, rechecked only where a step redrew a variable;
+    when the least true index rises to m, every entry k <= m still empty
+    takes the current step count.
+    """
+    n_events = len(system.events)
+    times: list[Optional[int]] = [None] * (n_events + 1)
+    filled = 0  # entries 0..filled-1 are set; stable times rise with k
+    is_true: list[bool] = []
+    heap: list[int] = []
+    for t, (step, assignment) in enumerate(_walk(system, log)):
+        if step is None:
+            is_true = [system.is_true(i, assignment) for i in range(n_events)]
+            heap = [i for i in range(n_events) if is_true[i]]
+            heapq.heapify(heap)
+        else:
+            for j in {j for v, _, _ in step.draws
+                      for j in system.var_to_events[v]}:
+                now = system.is_true(j, assignment)
+                # an event turning true gets a fresh entry; stale entries
+                # are dropped when they reach the top
+                if now and not is_true[j]:
+                    heapq.heappush(heap, j)
+                is_true[j] = now
+        while heap and not is_true[heap[0]]:
+            heapq.heappop(heap)
+        least = heap[0] if heap else n_events
+        while filled <= least:
+            times[filled] = t
+            filled += 1
+    return times
+
+
+# (log, system, stable_times(log, system)) of the last call. Both are frozen
+# and held here, so their ids cannot be reused while they are compared.
+_last_stable_times: Optional[tuple] = None
+
+
 def first_k_stable_time(log: ResampleLog, system: ConstraintSystem,
                         k: int) -> Optional[int]:
-    """First step count after which events 0..k-1 are simultaneously false.
+    """Entry k of `stable_times(log, system)`: the first step count after
+    which events 0..k-1 are simultaneously false, None if never reached.
 
-    Returns None when the logged run never reaches that state ("not reached").
-    The whole log is validated as `replay` does. Events below k are tested
-    once on the initial assignment, then only those touching a variable a
-    step redrew.
+    A view with a one-entry memo keyed by the identities of the log and the
+    system, so asking for every k of one log walks it once. A log that
+    fails validation raises on every call and is never cached.
     """
+    global _last_stable_times
     if not 0 <= k <= len(system.events):
         raise ModelError(f"k must be in 0..{len(system.events)}")
-    stable = None
-    true_below: set[int] = set()
-    for t, (step, assignment) in enumerate(_walk(system, log)):
-        if stable is not None:
-            continue
-        if step is None:
-            rechecks = range(k)
-        else:
-            rechecks = {j for v, _, _ in step.draws
-                        for j in system.var_to_events[v] if j < k}
-        for j in rechecks:
-            if system.is_true(j, assignment):
-                true_below.add(j)
-            else:
-                true_below.discard(j)
-        if not true_below:
-            stable = t
-    return stable
+    memo = _last_stable_times
+    if memo is None or memo[0] is not log or memo[1] is not system:
+        memo = (log, system, stable_times(log, system))
+        _last_stable_times = memo
+    return memo[2][k]
 
 
 def log_from_event_sequence(system: ConstraintSystem,

@@ -27,8 +27,8 @@ from .model import ConstraintSystem, event_probability
 from .engine import (EXHAUSTED, SATISFIED, ResampleLog,
                      log_from_event_sequence, run_finite)
 from .tape import Sampler, Tape
-from .witness import (WitnessTree, build_witness_tree,
-                      tape_positions_by_vertex, trees_for_run)
+from .witness import (WitnessTree, admit_tree, build_witness_tree,
+                      tape_positions_by_vertex)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
 
@@ -334,20 +334,30 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     independent factor Pr[A_label].
     """
     comp_of = _component_of(system)
-    history_trees: dict = {}
+    # history -> (tree of its last step, canon -> step of each step's tree,
+    # root label -> multiplicity), the bookkeeping of `admit_tree`
+    history_trees: dict = {(): (None, {}, {})}
 
-    def trees_of(history: tuple[int, ...]) -> dict:
-        """canon -> tree for each step of `history`, in step order."""
-        if history not in history_trees:
-            log = log_from_event_sequence(system, history)
-            history_trees[history] = {tree.canon(): tree
-                                      for tree in trees_for_run(log, system)}
+    def trees_of(history: tuple[int, ...]) -> tuple:
+        """The entry of `history`, extending the longest memoized prefix by
+        one tree per step."""
+        n = len(history)
+        while history[:n] not in history_trees:
+            n -= 1
+        _, seen, root_counts = history_trees[history[:n]]
+        for k in range(n + 1, len(history) + 1):
+            log = log_from_event_sequence(system, history[:k])
+            tree = build_witness_tree(log, k, system)
+            seen, root_counts = dict(seen), dict(root_counts)
+            admit_tree(tree, k, seen, root_counts)
+            history_trees[history[:k]] = (tree, seen, root_counts)
         return history_trees[history]
 
     p_low: dict = {}
     trees_by_canon: dict = {}
     for history, units in reached.items():
-        canon, tree = next(reversed(trees_of(history).items()))
+        tree = trees_of(history)[0]
+        canon = tree.canon()
         trees_by_canon.setdefault(canon, tree)
         p_low[canon] = p_low.get(canon, 0) + units
 
@@ -390,7 +400,8 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
                 # first, and it would join the tree as well
                 min_size += 1
             bases[root] = (base.label_counts(), min_size)
-        pending_info.append((weight, bases, trees_of(history), consumed_ub))
+        pending_info.append((weight, bases, trees_of(history)[1],
+                             consumed_ub))
 
     event_probs = [event_probability(ev, system) for ev in system.events]
     appearances: dict = {}

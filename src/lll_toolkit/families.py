@@ -177,8 +177,9 @@ class ForbiddenSubstringFamily(InfiniteFamily):
             (kept if len(f) >= min_len else rejected).append(f)
         self.patterns = tuple(sorted(kept, key=lambda f: (len(f), f)))
         self.rejected_patterns = tuple(sorted(rejected, key=lambda f: (len(f), f)))
+        # longest patterns first: the order of events within a diagonal
         self._by_length: dict[int, tuple[str, ...]] = {}
-        for f in self.patterns:
+        for f in sorted(self.patterns, key=lambda f: (-len(f), f)):
             self._by_length.setdefault(len(f), ())
             self._by_length[len(f)] += (f,)
 
@@ -200,13 +201,14 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         diagonals = range(start, start + index + 2)
         d = diagonals[bisect_right(diagonals, index,
                                    key=self._diagonals_before) - 1]
-        # within diagonal d: order by p ascending, then pattern lexicographic
+        # within diagonal d: order by p ascending, that is by the length
+        # l = d - p descending, then pattern lexicographic
         offset = index - self._diagonals_before(d)
-        for p in range(0, d - start + 1):
-            fs = self._by_length.get(d - p, ())
-            if offset < len(fs):
-                return p, fs[offset]
-            offset -= len(fs)
+        for l, fs in self._by_length.items():
+            if l <= d:
+                if offset < len(fs):
+                    return d - l, fs[offset]
+                offset -= len(fs)
         raise FamilyError("diagonal bookkeeping out of range")
 
     def index_of(self, position: int, pattern: str) -> int:
@@ -216,11 +218,11 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         if position < 0:
             raise FamilyError("position must be >= 0")
         d = position + len(pattern)
-        total = self._diagonals_before(d)
-        for p in range(0, position):
-            total += len(self._by_length.get(d - p, ()))
-        fs = self._by_length.get(len(pattern), ())
-        return total + fs.index(pattern)
+        # events on diagonal d at smaller positions have longer patterns
+        total = self._diagonals_before(d) + sum(
+            len(fs) for l, fs in self._by_length.items()
+            if len(pattern) < l <= d)
+        return total + self._by_length[len(pattern)].index(pattern)
 
     def _build_event(self, index: int) -> Event:
         p, f = self._enumeration(index)

@@ -140,18 +140,30 @@ def trees_for_run(log: ResampleLog,
     seen: dict = {}
     root_counts: dict[int, int] = {}
     for k, tree in enumerate(trees, start=1):
-        c = tree.canon()
-        if c in seen:
-            raise EngineError(
-                f"steps {seen[c]} and {k} produced identical witness trees")
-        seen[c] = k
-        root = tree.root_label
-        n_root = tree.label_counts()[root]
-        if n_root <= root_counts.get(root, 0):
-            raise EngineError(
-                f"step {k}: root-label multiplicity did not increase")
-        root_counts[root] = n_root
+        admit_tree(tree, k, seen, root_counts)
     return trees
+
+
+def admit_tree(tree: WitnessTree, k: int, seen: dict,
+               root_counts: dict[int, int]) -> None:
+    """Record step k's tree after the trees of steps 1..k-1.
+
+    `seen` maps each earlier tree's canon to its step, and `root_counts`
+    each root label to its multiplicity in the latest tree rooted there.
+    Raises EngineError if the tree repeats an earlier one, or if its root
+    label occurs no more often than in the latest tree with that root.
+    """
+    c = tree.canon()
+    if c in seen:
+        raise EngineError(
+            f"steps {seen[c]} and {k} produced identical witness trees")
+    seen[c] = k
+    root = tree.root_label
+    n_root = tree.label_counts()[root]
+    if n_root <= root_counts.get(root, 0):
+        raise EngineError(
+            f"step {k}: root-label multiplicity did not increase")
+    root_counts[root] = n_root
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,32 @@ def test_substring_family_index_roundtrip():
         ev = family.event(index)
         pattern = "".join(str(x) for x in sorted(ev.forbidden)[0])
         assert family.index_of(ev.vbl[0], pattern) == index
+
+
+# sha256 of the "position pattern" lines of the first n events, taken when
+# the numbering walked each diagonal position by position: demo 05's family
+# (runs of length 22..30) and one with gaps between lengths
+PINNED_NUMBERING = {
+    "demo_05": (7000,
+                "08f8c6b225348fe46b67f94314e69b1489b89e5177e282314a4174e92f758ae1"),
+    "mixed": (2000,
+              "62d3cb785da1927734fd94f46974721baf6caad9f4af1dbcb558d646cc0af1a4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NUMBERING))
+def test_substring_family_numbering_is_pinned(name):
+    family = {
+        "demo_05": ForbiddenSubstringFamily(runs_patterns(30), F(1, 2), 22),
+        "mixed": ForbiddenSubstringFamily(
+            ["01", "10", "111", "00110", "10101", "000000"], F(1, 2), 2),
+    }[name]
+    n, digest = PINNED_NUMBERING[name]
+    pairs = [family._enumeration(i) for i in range(n)]
+    lines = "".join(f"{p} {f}\n" for p, f in pairs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+    for i, pair in enumerate(pairs):
+        assert family.index_of(*pair) == i
 
 
 def test_substring_family_enumeration_repeatable():

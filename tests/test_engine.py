@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from lll_toolkit import engine
 from lll_toolkit.errors import EngineError, ModelError, TapeExhausted
-from lll_toolkit.model import (ConstraintSystem, LLLParams,
+from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
                                expected_steps_bound, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED, ResampleLog,
                                 Step, first_k_stable_time,
                                 log_from_event_sequence, replay, run_finite,
-                                run_stream, suggested_max_steps)
+                                run_stream, stable_times, suggested_max_steps)
 from lll_toolkit.families import ChainCnfFamily, FiniteFamily
 
 
@@ -144,7 +146,7 @@ def test_suggested_max_steps():
     assert expected_steps_bound(params.z) == F(3, 2)
 
 
-# --- first_k_stable_time ----------------------------------------------------
+# --- stable_times and first_k_stable_time -----------------------------------
 
 def test_stable_time_trivial_k_zero(one_bit_system):
     result = run_finite(one_bit_system, Tape(bits="10"), 10)
@@ -178,15 +180,81 @@ def test_stable_time_validates_the_whole_log(chain3_system):
     bad = Step(len(result.log.steps) + 1, 0, ((0, 99, 1), (1, 99, 1),
                                               (2, 99, 1)))
     log = ResampleLog(result.log.initial, result.log.steps + (bad,))
+    with pytest.raises(EngineError, match="step 3: "):
+        stable_times(log, chain3_system)
     for k in range(len(chain3_system.events) + 1):
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="step 3: "):
             first_k_stable_time(log, chain3_system, k)
 
 
 def test_stable_time_rejects_bad_k(one_bit_system):
     result = run_finite(one_bit_system, Tape(bits="0"), 1)
-    with pytest.raises(ModelError):
-        first_k_stable_time(result.log, one_bit_system, 2)
+    for k in (-1, 2):
+        with pytest.raises(ModelError):
+            first_k_stable_time(result.log, one_bit_system, k)
+
+
+def test_stable_times_hand_trace(chain3_system):
+    # x4 = x6 = 1 makes event 2 true and nothing else; its first redraw
+    # leaves it true, the second clears it
+    initial = (0, 0, 0, 0, 1, 0, 1)
+    steps = (Step(1, 2, ((4, 1, 1), (5, 1, 0), (6, 1, 1))),
+             Step(2, 2, ((4, 2, 1), (5, 2, 1), (6, 2, 1))))
+    log = ResampleLog(initial, steps)
+    assert stable_times(log, chain3_system) == [0, 0, 0, 2]
+    assert stable_times(ResampleLog(initial, steps[:1]), chain3_system) == [
+        0, 0, 0, None]
+
+
+def test_stable_time_view_walks_each_log_once(chain3_system, monkeypatch):
+    walks = []
+
+    def counted(log, system):
+        walks.append(log)
+        return stable_times(log, system)
+
+    monkeypatch.setattr(engine, "stable_times", counted)
+    log = run_finite(chain3_system, Tape(seed=3), 100).log
+    expected = stable_times(log, chain3_system)
+    for k in range(len(expected)):
+        assert first_k_stable_time(log, chain3_system, k) == expected[k]
+    assert walks == [log]
+    # an equal but distinct log is walked again, not looked up
+    twin = ResampleLog(log.initial, log.steps)
+    assert twin == log and twin is not log
+    assert first_k_stable_time(twin, chain3_system, 3) == expected[3]
+    assert len(walks) == 2 and walks[1] is twin
+
+
+def test_stable_time_memo_is_keyed_by_the_system(chain3_system):
+    # event 0 forbids every tuple in the other system, so its logs are the
+    # same but no k >= 1 ever stabilizes
+    first = chain3_system.events[0]
+    always = Event(0, first.vbl, frozenset(product((0, 1), repeat=3)))
+    other = ConstraintSystem.build(chain3_system.variables,
+                                   (always,) + chain3_system.events[1:])
+    log = run_finite(chain3_system, Tape(seed=3), 100).log
+    assert stable_times(log, other) == [0, None, None, None]
+    expected = stable_times(log, chain3_system)
+    assert None not in expected
+    for k in range(1, 4):
+        assert first_k_stable_time(log, chain3_system, k) == expected[k]
+        assert first_k_stable_time(log, other, k) is None
+
+
+def test_stable_time_after_a_bad_log(chain3_system):
+    # a walk that raises caches nothing, so neither the bad log nor the
+    # good one asked next gets another log's answer
+    good = run_finite(chain3_system, Tape(seed=6), 100).log
+    expected = stable_times(good, chain3_system)
+    bad_step = Step(3, 0, ((0, 99, 1), (1, 99, 1), (2, 99, 1)))
+    bad = ResampleLog(good.initial, good.steps + (bad_step,))
+    for _ in range(2):
+        with pytest.raises(EngineError):
+            first_k_stable_time(bad, chain3_system, 1)
+        assert first_k_stable_time(good, chain3_system, 3) == expected[3]
+        with pytest.raises(EngineError):
+            first_k_stable_time(bad, chain3_system, 0)
 
 
 # --- run_stream -------------------------------------------------------------

@@ -15,6 +15,7 @@ from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.tape import Tape
 from test_properties import systems
+from test_witness import BROKEN_BUILDS, broken_build
 
 DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
                         deadline=None)
@@ -47,6 +48,17 @@ def test_census_losing_mass_is_a_typed_error(chain2_system, monkeypatch):
     monkeypatch.setattr(exhaustive, "_draw_paths", dropping_cut_paths)
     with pytest.raises(EngineError, match="census masses sum to"):
         exhaustive.census_runs(chain2_system, 4, want_trees=False)
+
+
+@pytest.mark.parametrize("message", sorted(BROKEN_BUILDS))
+def test_census_keeps_the_in_run_tree_checks(one_bit_system, monkeypatch,
+                                             message):
+    # the census builds each history's trees one step at a time; a history
+    # of two resamples must still fail the check of its second tree
+    monkeypatch.setattr(exhaustive, "build_witness_tree",
+                        broken_build(message))
+    with pytest.raises(EngineError, match=message):
+        exhaustive.census_runs(one_bit_system, 3)
 
 
 @pytest.mark.parametrize("want_trees", [False, True])
@@ -92,6 +104,27 @@ def test_step_guard_cuts_as_in_the_reference(step_guard):
         reference = reference_census.census_runs(*args)
         assert census.appearance_list() == reference.appearance_list()
         assert output_view(census) == output_view(reference)
+
+
+def test_mid_resample_cut_matches_the_reference():
+    # two_disjoint (uniform x0, x1; events x0 = 1 and x1 = 1) at 4 coins:
+    # coins 1110 redraw x0 twice, then run out while redrawing x1 for
+    # event 1. That resample completes before anything an extension logs,
+    # so tree 1(1) can still first appear there, and the run's 1/16 stays
+    # pending on it undiscounted: x1's second value is the one in flight.
+    # Coins 1111, cut while redrawing x0 with x1 = 1, add 1/16 * 1/2.
+    entry = next(e for e in toy_corpus() if e.name == "two_disjoint")
+    branch = next(b for b in exhaustive.enumerate_runs(entry.system, 4)
+                  if b.bits == "1110")
+    assert (branch.log.events(), branch.in_flight_event) == ((0, 0), 1)
+    census = exhaustive.census_runs(entry.system, 4)
+    reference = reference_census.census_runs(entry.system, 4)
+    assert census.appearance_list() == reference.appearance_list()
+    assert output_view(census) == output_view(reference)
+    pending = {a.tree.canonical_line(): a.pending
+               for a in census.appearance_list()}
+    assert pending == {"0": 0, "1": Fraction(1, 16), "0(0)": 0,
+                       "1(1)": Fraction(3, 32)}
 
 
 # small step guards cut runs whose coins would last longer

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lll_toolkit.engine import first_k_stable_time, run_finite
+from lll_toolkit.engine import (ResampleLog, Step, first_k_stable_time,
+                                run_finite, stable_times)
 from lll_toolkit.errors import ModelError
 from lll_toolkit.exhaustive import census_runs
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
@@ -139,18 +140,54 @@ def test_condition_at_alpha_matches_the_explicit_checks(system, data):
     assert check_lll(system, params) == explicit(system, params)
 
 
-@given(systems(max_events=6), st.integers(0, 1 << 16), st.integers(0, 30))
-@settings(PROPERTY, max_examples=80)
-def test_stable_time_is_the_first_stable_replayed_state(system, seed,
-                                                        max_steps):
-    log = run_finite(system, Tape(seed=seed), max_steps).log
+def naive_stable_times(log, system):
+    """Replay every state, then find for each k the first state in which
+    events 0..k-1 are all false."""
     states = [list(log.initial)]
     for step in log.steps:
         states.append(states[-1].copy())
         for v, _, value in step.draws:
             states[-1][v] = value
+    return [next((t for t, a in enumerate(states)
+                  if not any(system.is_true(i, a) for i in range(k))), None)
+            for k in range(len(system.events) + 1)]
+
+
+@given(systems(max_events=6), st.integers(0, 1 << 16), st.integers(0, 30))
+@settings(PROPERTY, max_examples=80)
+def test_stable_time_is_the_first_stable_replayed_state(system, seed,
+                                                        max_steps):
+    log = run_finite(system, Tape(seed=seed), max_steps).log
+    naive = naive_stable_times(log, system)
+    assert stable_times(log, system) == naive
     for k in range(len(system.events) + 1):
-        naive = next((t for t, a in enumerate(states)
-                      if not any(system.is_true(i, a) for i in range(k))),
-                     None)
-        assert first_k_stable_time(log, system, k) == naive
+        assert first_k_stable_time(log, system, k) == naive[k]
+
+
+@given(systems(max_events=6), st.data())
+@settings(PROPERTY, max_examples=200)
+def test_stable_times_of_logs_resampling_any_true_event(system, data):
+    # the run picks the minimal true event; a valid log may resample any
+    # true one, so the least true index can fall as well as rise.
+    # Start where two events are true, if any assignment has two.
+    crowded = [a for a in system.assignments()
+               if len(system.true_events(a)) >= 2]
+    assignment = list(data.draw(st.sampled_from(
+        crowded or list(system.assignments()))))
+    initial = tuple(assignment)
+    ranges = [var.range_size for var in system.variables]
+    positions = [1] * len(ranges)
+    steps = []
+    for number in range(1, data.draw(st.integers(0, 12)) + 1):
+        true_events = system.true_events(assignment)
+        if not true_events:
+            break
+        event = data.draw(st.sampled_from(true_events))
+        draws = []
+        for v in system.events[event].vbl:
+            assignment[v] = data.draw(st.integers(0, ranges[v] - 1))
+            draws.append((v, positions[v], assignment[v]))
+            positions[v] += 1
+        steps.append(Step(number, event, tuple(draws)))
+    log = ResampleLog(initial, tuple(steps))
+    assert stable_times(log, system) == naive_stable_times(log, system)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lll_toolkit.errors import ModelError
+from lll_toolkit import witness
+from lll_toolkit.errors import EngineError, ModelError
 from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import (SATISFIED, log_from_event_sequence,
@@ -129,6 +130,31 @@ def test_root_label_multiplicity_increases(paper_example_system):
     counts = [t.label_counts()[2] for t in trees if t.root_label == 2]
     assert counts == sorted(counts)
     assert len(set(counts)) == len(counts)
+
+
+# Tree builders that break one in-run guarantee at step 2: a repeated tree,
+# or a root label no more frequent than in the step-1 tree with that root.
+BROKEN_BUILDS = {
+    "steps 1 and 2 produced identical witness trees":
+        (WitnessTree((0,), (-1,)), WitnessTree((0,), (-1,))),
+    "step 2: root-label multiplicity did not increase":
+        (WitnessTree((0, 0), (-1, 0)), WitnessTree((0,), (-1,))),
+}
+
+
+def broken_build(message):
+    def build(log, k, system):
+        return BROKEN_BUILDS[message][min(k, 2) - 1]
+    return build
+
+
+@pytest.mark.parametrize("message", sorted(BROKEN_BUILDS))
+def test_broken_in_run_guarantee_is_an_engine_error(one_bit_system,
+                                                    monkeypatch, message):
+    monkeypatch.setattr(witness, "build_witness_tree", broken_build(message))
+    result = run_finite(one_bit_system, Tape(bits="110"), 10)
+    with pytest.raises(EngineError, match=message):
+        trees_for_run(result.log, one_bit_system)
 
 
 def test_variable_label_once_per_level(chain3_system, paper_example_system):
