@@ -84,7 +84,7 @@ def _tape_from_args(args) -> Tape:
         return Tape.from_hex(args.tape_hex)
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = int(os.environ.get("LLL_SEED", "0"))
+        seed = _integer("LLL_SEED", os.environ.get("LLL_SEED", "0"))
     return Tape(seed=seed)
 
 

@@ -85,9 +85,11 @@ def _first_true(system: ConstraintSystem):
 
 
 def _step_guard(system: ConstraintSystem, bit_budget: int,
-                step_guard: int | None) -> int:
+                step_guard: int | None, branch_guard: int) -> int:
     if bit_budget < 0:
         raise ModelError("bit_budget must be >= 0")
+    if branch_guard < 1:
+        raise ModelError("branch_guard must be >= 1")
     if step_guard is None:
         # each resample consumes at least one coin unless a variable is
         # deterministic; the extra headroom covers those
@@ -115,7 +117,7 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
     than `branch_guard` prefix-tree nodes are visited. The censuses do not
     call this: it is the per-branch view, for tests and tracing.
     """
-    step_guard = _step_guard(system, bit_budget, step_guard)
+    step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     visited = 0
     stack = [""]
     while stack:
@@ -224,18 +226,18 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     the one in flight included, as its witness trees depend on nothing
     else. A state that has just completed a resample carries the mass of
     every leaf below it, so the tree of its last step appears with that
-    mass. Unresolved runs are kept by assignment, history and event in
-    flight for the pending bounds of `_tree_tally`. With want_trees=False
-    only output masses are collected (used by the output-distribution
-    oracle).
+    mass. Unresolved runs are kept by the set of events true when they
+    stop, their history and their event in flight, all that the pending
+    filters of `_tree_tally` read. With want_trees=False only output
+    masses are collected (used by the output-distribution oracle).
     """
-    step_guard = _step_guard(system, bit_budget, step_guard)
+    step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     first_true = _first_true(system)
     paths: dict = {}
     leaves = unresolved = 0
     resolved: dict = {}  # assignment -> units
     reached: dict = {}  # completed history -> units
-    cut: dict = {}  # (assignment, completed history, in-flight event) -> units
+    cut: dict = {}  # (true events, completed history, in-flight event) -> units
 
     def guard(pending: int) -> None:
         # every pending path ends in at least one leaf
@@ -258,7 +260,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     unresolved += n * n_cut
                     if want_trees:
                         # no history yet: the cut came during initialization
-                        where = ((assignment, events[:-1], events[-1])
+                        where = ((frozenset(system.true_events(assignment)),
+                                  events[:-1], events[-1])
                                  if events else (None, None, None))
                         cut[where] = cut.get(where, 0) + n * n_cut
                 head, tail = assignment[:v], assignment[v + 1:]
@@ -287,7 +290,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                 leaves += n
                 unresolved += units
                 if want_trees:
-                    where = (assignment, events, None)
+                    where = (frozenset(system.true_events(assignment)),
+                             events, None)
                     cut[where] = cut.get(where, 0) + units
             else:
                 if want_trees:
@@ -314,8 +318,8 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
 
     `reached` maps each resample history (the events resampled, in order)
     to the mass of runs that complete it; the tree of its last step appears
-    with that mass. `cut` maps (assignment, history, event in flight) of
-    the unresolved runs to their mass; the history is None for runs cut
+    with that mass. `cut` maps (true events, history, event in flight) of
+    the unresolved runs to their mass; the key is all None for runs cut
     during initialization, and the event in flight None for runs stopped by
     the step guard.
 
@@ -323,9 +327,10 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     appear for the first time in an extension: the tree's root must be
     reachable (neighbor-connected to a currently-true event) and the tree
     must contain, label for label, the base tree a hypothetical next
-    resampling of that root would inherit from the run's history. Mass of
-    runs failing those filters cannot contribute, so it is excluded from
-    `pending`.
+    resampling of that root would inherit from the run's history. Base
+    trees come from the same per-history memo as the appearing trees, so
+    each event sequence's tree is built once. Mass of runs failing those
+    filters cannot contribute, so it is excluded from `pending`.
 
     Surviving charges are further discounted: a tree appearing in an
     extension pins the values of table cells it determines, and any vertex
@@ -364,7 +369,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     # per unresolved run:
     # (weight, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
     pending_info: list[tuple[Fraction, dict, dict, Optional[list]]] = []
-    for (assignment, history, in_flight), units in cut.items():
+    for (true, history, in_flight), units in cut.items():
         weight = Fraction(units, total)
         if history is None:
             # cut off during initialization: no filter information
@@ -380,22 +385,17 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         for e in begun:
             for v in system.events[e].vbl:
                 consumed_ub[v] += 1
-        reachable: set[int] = set()
-        for e in range(len(system.events)):
-            if system.is_true(e, assignment):
-                reachable |= comp_of[e]
-        if in_flight is not None:
-            # the cut-off resampling completes before anything else an
-            # extension logs
-            reachable |= comp_of[in_flight]
+        # the cut-off resampling completes before anything else an
+        # extension logs
+        reachable = set().union(*(comp_of[e] for e in true),
+                                comp_of.get(in_flight, ()))
         bases = {}
         for root in reachable:
-            fake = log_from_event_sequence(system, begun + (root,))
-            base = build_witness_tree(fake, len(fake.steps), system)
+            base = trees_of(begun + (root,))[0]
             min_size = base.size
             flippable = (in_flight is not None
                          and root in system.neighbor_sets[in_flight])
-            if not system.is_true(root, assignment) and not flippable:
+            if root not in true and not flippable:
                 # some future neighbor resample must make root true
                 # first, and it would join the tree as well
                 min_size += 1

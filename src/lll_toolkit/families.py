@@ -20,8 +20,6 @@ from .tape import _word
 class InfiniteFamily:
     """Base class: a total, repeatable enumeration of events."""
 
-    kind = "abstract"
-
     def __init__(self):
         self._event_cache: dict[int, Event] = {}
         self._system_cache: dict[int, ConstraintSystem] = {}
@@ -93,8 +91,6 @@ class InfiniteFamily:
 class FiniteFamily(InfiniteFamily):
     """Any finite system viewed through the family interface."""
 
-    kind = "finite"
-
     def __init__(self, system: ConstraintSystem):
         super().__init__()
         self.system = system
@@ -120,8 +116,6 @@ class ChainCnfFamily(InfiniteFamily):
     each clause is derived from `polarity_seed`, giving a reproducible
     "random" CNF meeting the fixed-clause-size neighbor bound.
     """
-
-    kind = "fixed_cnf"
 
     def __init__(self, m: int, overlap: int = 1, polarity_seed: int = 0):
         super().__init__()
@@ -158,8 +152,6 @@ class ForbiddenSubstringFamily(InfiniteFamily):
     over variables p..p+|f|-1 forbidding exactly the tuple f. Events are
     numbered diagonally by (p + |f|, p, f) so each has a finite index.
     """
-
-    kind = "forbidden_substrings"
 
     def __init__(self, patterns: Sequence[str], gamma: Fraction, min_len: int):
         super().__init__()
@@ -261,8 +253,6 @@ class TrimmedFamily(InfiniteFamily):
     only strengthens it: any assignment satisfying the trimmed clause
     satisfies the original.
     """
-
-    kind = "variable_cnf"
 
     def __init__(self, base: InfiniteFamily, rho: Fraction):
         super().__init__()

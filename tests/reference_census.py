@@ -45,7 +45,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         else:
             unresolved_mass += branch.weight
             where = ((None, None, None) if history is None else
-                     (branch.assignment, history, branch.in_flight_event))
+                     (frozenset(system.true_events(branch.assignment)),
+                      history, branch.in_flight_event))
             cut[where] = cut.get(where, 0) + units
     appearances = (exhaustive._tree_tally(system, reached, cut, total)
                    if want_trees else {})

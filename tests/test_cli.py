@@ -187,6 +187,16 @@ def test_solve_rejects_malformed_tape_hex(one_bit_file, capsys, text):
     assert err.startswith("error: tape ")
 
 
+def test_solve_rejects_a_non_integer_seed_variable(one_bit_file, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("LLL_SEED", "abc")
+    code, out, err = run_cli(capsys, "solve", "--input", one_bit_file,
+                             "--max-steps", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: LLL_SEED: 'abc' is not an integer")
+
+
 def test_solve_log_out_and_witness(m3_file, tmp_path, capsys):
     log_path = str(tmp_path / "run.log")
     code, _, _ = run_cli(capsys, "solve", "--input", m3_file,
@@ -301,6 +311,15 @@ def test_prefix_exact(one_bit_file, capsys):
     assert code == 0
     assert "cells=0" in out
     assert "interval lo=" in out
+
+
+@pytest.mark.parametrize("guard", ["0", "-5"])
+def test_prefix_rejects_a_branch_guard_below_one(one_bit_file, capsys, guard):
+    code, _, err = run_cli(capsys, "prefix", "--input", one_bit_file,
+                           "--length", "1", "--mode", "exact",
+                           f"--branch-guard={guard}")
+    assert code == 2
+    assert err.startswith("error: branch_guard must be >= 1")
 
 
 def test_avoid_subcommand(tmp_path, capsys):

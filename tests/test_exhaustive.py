@@ -13,6 +13,7 @@ from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
 from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
+from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
 from lll_toolkit.tape import Tape
 from test_properties import systems
 from test_witness import BROKEN_BUILDS, broken_build
@@ -86,6 +87,13 @@ def test_negative_budget_or_step_guard_is_a_model_error(chain2_system,
         exhaustive.census_runs(chain2_system, -1, want_trees=want_trees)
     with pytest.raises(ModelError, match="step_guard"):
         exhaustive.census_runs(chain2_system, 4, -1, want_trees=want_trees)
+    for branch_guard in (0, -5):
+        with pytest.raises(ModelError, match="branch_guard"):
+            exhaustive.census_runs(chain2_system, 4, branch_guard=branch_guard,
+                                   want_trees=want_trees)
+        with pytest.raises(ModelError, match="branch_guard"):
+            next(exhaustive.enumerate_runs(chain2_system, 4,
+                                           branch_guard=branch_guard))
 
 
 def output_view(census):
@@ -153,8 +161,10 @@ def test_tree_census_matches_the_reference(system, budget, step_guard):
 
 # The tree census pinned by hashes of its appearance lines, branch count and
 # unresolved mass. The reference census shares the tree tally, so the
-# differential tests cannot see a change to it; these hashes can. They were
-# taken before the tree census moved onto the level sweep.
+# differential tests cannot see a change to it; these hashes can. The
+# corpus and chain hashes were taken before the tree census moved onto the
+# level sweep, the in-flight one before the census keyed cut runs by their
+# true events.
 PINNED_CENSUS = {
     "one_bit": "45801716f4a99c13f330c61619953ed089e6500e3beb5494d319bb5d089d8b1b",
     "two_disjoint":
@@ -169,12 +179,20 @@ PINNED_CENSUS = {
         "000411b7f502946864876ec79c29ed9549fb5e431f9c79e3647fb70b01fbaa83",
     "chain4_202@18":
         "3b83140b6f727ce9f61b5669ef81fdae7eb905430b2fc8d55494eb38318624db",
+    "in_flight@7":
+        "6f818a900b589eda37387280b58533247b89dcfe89fbe40e610d261de9efa85b",
 }
 
 
 def _census_inputs():
     inputs = {e.name: (e.system, e.bit_budget) for e in toy_corpus()}
     inputs["chain4_202@18"] = (ChainCnfFamily(3, 1, 202).materialize(4), 18)
+    # event 0 forbids x2 = 0, event 1 forbids (x0, x1) = (0, 0). Tree 1(1)
+    # has p_low 1/32 and pending 13/512, of which 4/512 sits on runs that
+    # reach root 1 only through the event in flight.
+    inputs["in_flight@7"] = (ConstraintSystem.build(
+        [uniform_bit(i) for i in range(3)],
+        [clause_event(0, (2,), (0,)), clause_event(1, (0, 1), (0, 0))]), 7)
     return inputs
 
 
@@ -188,3 +206,18 @@ def test_tree_census_is_pinned(name):
                  f"unresolved={census.unresolved_mass}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_CENSUS[name]
+
+
+def test_each_event_sequence_builds_its_tree_once(monkeypatch):
+    # the appearing trees and the base trees of the pending filters come
+    # from one memo keyed by event sequence
+    built = []
+    build = exhaustive.build_witness_tree
+
+    def recording_build(log, k, system):
+        built.append(log.events()[:k])
+        return build(log, k, system)
+
+    monkeypatch.setattr(exhaustive, "build_witness_tree", recording_build)
+    exhaustive.census_runs(ChainCnfFamily(3, 1, 202).materialize(4), 18)
+    assert built and len(built) == len(set(built))
