@@ -264,12 +264,12 @@ def _cmd_extract(args) -> int:
 
 def _cmd_prefix(args) -> int:
     system, params = _load_system(args.input, args.z_all, args.alpha)
-    _emit_manifest(args)
     if args.mode == "exact":
         result = compute_assignment_prefix(
             system, None, args.length, mode="exact",
             delta=parse_rational(args.delta),
             bit_guard=args.bit_guard, branch_guard=args.branch_guard)
+        _emit_manifest(args)
         print("cells=" + "".join(str(v) for v in result.values))
         for i, bound in enumerate(result.cell_bounds):
             print(f"cell={i} lower_bound={q(bound)}")
@@ -285,6 +285,7 @@ def _cmd_prefix(args) -> int:
         system, stream_params, args.length, mode="empirical",
         trials=args.trials, seed=args.seed or 0,
         max_steps=args.max_steps)
+    _emit_manifest(args)
     print("cells=" + "".join(str(v) for v in result.values))
     for i, freq in enumerate(result.frequencies):
         print(f"cell={i} frequency={q(freq)}")

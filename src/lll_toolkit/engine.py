@@ -63,9 +63,12 @@ def run_finite(system: ConstraintSystem, tape: Tape,
                max_steps: int) -> RunResult:
     """Run the resampling loop on a finite system.
 
-    Truth tracking is incremental: after a resample only events sharing a
-    changed variable are rechecked, with a lazy min-heap over true events
-    standing in for a full rescan (differentially tested against one).
+    The initial assignment comes from one `Tape.draw_initial`, which draws
+    every x^0 of an all-fair system on a fresh seeded tape in one packed
+    pass. Truth tracking is incremental: after a resample only events
+    sharing a changed variable are rechecked, with a lazy min-heap over true
+    events standing in for a full rescan (differentially tested against
+    one).
     """
     if max_steps < 0:
         raise ModelError("max_steps must be >= 0")
@@ -76,8 +79,7 @@ def run_finite(system: ConstraintSystem, tape: Tape,
     steps: list[Step] = []
     initial = None
     try:
-        for v, sampler in enumerate(samplers):
-            assignment.append(draw(v, sampler))
+        tape.draw_initial(samplers, assignment, system.fair)
         initial = tuple(assignment)
 
         is_true = [system.is_true(i, assignment) for i in range(n_events)]

@@ -181,6 +181,10 @@ class QOracle(Protocol):
 
     def arity(self, position: int) -> int: ...
 
+    def guard(self, n: int) -> Optional[int]:
+        """The coin guard that fixes every lower bound from round n on, or
+        None while a later round can still raise one."""
+
 
 class TableQOracle:
     """A finite-support binary measure with the schedule q_n = q * n/(n+1).
@@ -195,6 +199,9 @@ class TableQOracle:
 
     def arity(self, position: int) -> int:
         return 2
+
+    def guard(self, n: int) -> Optional[int]:
+        return None
 
     def _branch_value(self, pattern: str, position: int) -> int:
         return int(pattern[position % len(pattern)])
@@ -232,6 +239,12 @@ class SystemQOracle:
     def arity(self, position: int) -> int:
         return self.system.variables[position].range_size
 
+    def guard(self, n: int) -> Optional[int]:
+        return self.bit_guard if self._budget(n) == self.bit_guard else None
+
+    def _budget(self, n: int) -> int:
+        return min(self.bit_guard, self.base_bits + 4 * n)
+
     def _census(self, budget: int):
         if budget not in self._census_cache:
             self._census_cache[budget] = census_runs(
@@ -240,9 +253,8 @@ class SystemQOracle:
         return self._census_cache[budget]
 
     def lower_bound(self, prefix: tuple[int, ...], n: int) -> Fraction:
-        budget = min(self.bit_guard, self.base_bits + 4 * n)
         prefix = tuple(prefix)
-        lo = self._census(budget).prefix_mass(prefix)
+        lo = self._census(self._budget(n)).prefix_mass(prefix)
         best = max(self._best.get(prefix, ZERO), lo)
         self._best[prefix] = best
         return best
@@ -257,7 +269,9 @@ def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
     parent past 2r), so dovetailing the children's lower bounds with rising
     precision pins down the next cell. The 2r precondition is watched
     opportunistically and a contract violation aborts the stream. The
-    stream has no end: callers take as many cells as they need.
+    stream has no end: callers take as many cells as they need. A round
+    with no winner after which the oracle's coin guard fixes every bound
+    raises `BudgetRefused`.
     """
     r = as_fraction(r)
     if r <= ZERO:
@@ -277,6 +291,11 @@ def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
             if winners:
                 chosen = winners[0]
                 break
+            guard = q.guard(n)
+            if guard is not None:
+                raise BudgetRefused(
+                    f"no child exceeded r = {r} within the coin guard of "
+                    f"{guard} coins at prefix {prefix}")
         if chosen is None:
             raise ExtractionTimeout(
                 f"no child exceeded r = {r} within {max_rounds} rounds "
@@ -292,6 +311,11 @@ def _extract_positive_step(q: QOracle, prefix: tuple[int, ...],
             bound = q.lower_bound(prefix + (a,), n)
             if bound > ZERO:
                 return a, bound
+        guard = q.guard(n)
+        if guard is not None:
+            raise BudgetRefused(
+                f"no child with positive lower bound within the coin guard "
+                f"of {guard} coins at prefix {prefix}")
     raise ExtractionTimeout(
         f"no child with positive lower bound within {max_rounds} rounds "
         f"at prefix {prefix}")
@@ -305,6 +329,9 @@ def extract_positive_branch(q: QOracle, max_rounds: int = 256,
     Dovetail schedule: precision rounds ascending, children in value order
     within a round; the first child with a strictly positive lower bound is
     emitted. Recorded bounds (one per emitted cell) land in `bounds_out`.
+    A round with no positive child after which the oracle's coin guard fixes
+    every bound raises `BudgetRefused`; `max_rounds` futile rounds raise
+    `ExtractionTimeout`.
     """
     prefix: tuple[int, ...] = ()
     emitted = 0
@@ -377,6 +404,8 @@ def compute_assignment_prefix(target, params: Optional[StreamParams], L: int,
         return PrefixResult((), mode)
 
     if mode == "exact":
+        if as_fraction(delta) <= ZERO:
+            raise ModelError("delta must be positive")
         oracle = SystemQOracle(system, bit_guard=bit_guard,
                                branch_guard=branch_guard)
         bounds: list[Fraction] = []

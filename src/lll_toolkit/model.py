@@ -143,6 +143,11 @@ class ConstraintSystem:
         first use)."""
         return tuple(sampler_for(var.distribution) for var in self.variables)
 
+    @cached_property
+    def fair(self) -> bool:
+        """Whether every variable is a fair bit (checked at first use)."""
+        return all(s.fair for s in self.samplers)
+
     def is_true(self, event_index: int, assignment: Sequence[int]) -> bool:
         ev = self.events[event_index]
         return ev.values(assignment) in ev.forbidden

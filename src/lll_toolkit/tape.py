@@ -20,6 +20,10 @@ mix of the seed, so a stream's personal value sequence is independent of the
 order in which other streams are consumed. The mix rounds that depend only
 on the seed run once per tape, those of the stream once per stream, so a
 draw costs one round for its key plus one per 64-coin block.
+`Tape.draw_initial` draws x^0 of every stream of an all-fair system on a
+fresh seeded tape at once: its three rounds per stream (stream key, draw
+key, coin block) run as three passes of `_mix64` over one integer that
+holds a 64-bit lane per stream.
 """
 from __future__ import annotations
 
@@ -37,12 +41,14 @@ _STREAM = 0xC2B2AE3D27D4EB4F
 _DRAW = 0x165667B19E3779F9
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix64(x: int, mask: int = _MASK64) -> int:
+    # splitmix64 finalizer, on every 64-bit lane of `mask` at once: a lane
+    # is masked after each xor-shift (which pulls in bits of the lane above)
+    # and before each multiply, so its product stays below the next lane
+    x &= mask
+    x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    return (x ^ (x >> 31)) & mask
 
 
 def _word(seed: int, stream: int, draw: int, block: int) -> int:
@@ -115,6 +121,16 @@ def _compiled(masses: tuple, _types: tuple) -> Sampler:
     return Sampler(masses)
 
 
+@lru_cache(maxsize=8)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """For n 128-bit lanes: 1 in every lane, v * _STREAM in lane v, and the
+    lane mask (each lane's low 64 bits)."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    streams = int.from_bytes(b"".join(v.to_bytes(16, "little")
+                                      for v in range(n)), "little")
+    return ones, streams * _STREAM, ones * _MASK64
+
+
 class Tape:
     """A single-owner source of pre-drawn random values.
 
@@ -174,6 +190,35 @@ class Tape:
                 self.bits_consumed += d
         self._consumed[stream] = index + 1
         return value
+
+    def draw_initial(self, samplers: Sequence[Sampler], out: list,
+                     fair: Optional[bool] = None) -> None:
+        """Append x^0 of streams 0..n-1 to `out`, stream v drawn per
+        `samplers[v]`: the values and tape state of `out.append(self.draw(v,
+        samplers[v]))` for v in order. `fair` is whether every sampler is
+        the fair bit, for callers that know it already.
+
+        A fresh seeded tape draws n fair bits in three passes of `_mix64`
+        over n lanes of one integer, lane v at bit 128v, wide enough to hold
+        a 64x64-bit product. Any other tape or law draws one value at a
+        time, so a cut explicit tape leaves the values drawn so far in
+        `out`.
+        """
+        n = len(samplers)
+        if fair is None:
+            fair = all(s.fair for s in samplers)
+        if not fair or self.bits is not None or self._consumed:
+            for v, sampler in enumerate(samplers):
+                out.append(self.draw(v, sampler))
+            return
+        ones, offsets, mask = _lanes(n)
+        # stream keys; the x^0 key adds 0 * _DRAW; the first coin is the
+        # top bit of the coin block
+        keys = _mix64(self._seed_key * ones + offsets, mask)
+        top = _mix64(_mix64(keys, mask), mask) >> 63
+        out.extend(top.to_bytes(16 * n, "little")[::16])
+        self._consumed = dict.fromkeys(range(n), 1)
+        self.bits_consumed += n
 
     def _invert_bits(self, sampler: Sampler) -> int:
         """Invert the next coins of the explicit string; running out of them

@@ -4,7 +4,8 @@ This is the draw the compiled `Sampler` of `lll_toolkit.tape` replaced,
 kept for the differential tests. A coin comes from four splitmix rounds
 over (seed, stream, draw, block), or from the explicit bit string; a value
 settles as soon as the dyadic interval of the coins read fits inside its
-cumulative slot.
+cumulative slot. The splitmix64 finalizer is written out here, on one word
+at a time, so the tape's lane-parallel `_mix64` is checked against it.
 """
 from __future__ import annotations
 
@@ -13,14 +14,24 @@ from functools import lru_cache
 from typing import Sequence
 
 from lll_toolkit.errors import TapeExhausted
-from lll_toolkit.tape import _GAMMA, _mix64
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(x: int) -> int:
+    """The splitmix64 finalizer on one 64-bit word."""
+    x &= MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
 
 
 def word(seed: int, stream: int, draw: int, block: int) -> int:
-    h = _mix64(seed ^ _GAMMA)
-    h = _mix64(h + stream * 0xC2B2AE3D27D4EB4F)
-    h = _mix64(h + draw * 0x165667B19E3779F9)
-    return _mix64(h + block * _GAMMA)
+    h = mix64(seed ^ GAMMA)
+    h = mix64(h + stream * 0xC2B2AE3D27D4EB4F)
+    h = mix64(h + draw * 0x165667B19E3779F9)
+    return mix64(h + block * GAMMA)
 
 
 @lru_cache(maxsize=None)

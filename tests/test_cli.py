@@ -322,6 +322,29 @@ def test_prefix_rejects_a_branch_guard_below_one(one_bit_file, capsys, guard):
     assert err.startswith("error: branch_guard must be >= 1")
 
 
+@pytest.mark.parametrize("flag", ["--branch-guard=0", "--length=-1",
+                                  "--delta=0"])
+def test_prefix_checks_its_input_before_the_manifest(one_bit_file, capsys,
+                                                     flag):
+    code, out, err = run_cli(capsys, "prefix", "--input", one_bit_file,
+                             "--length", "1", "--mode", "exact", flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_prefix_refuses_a_coin_guard_that_resolves_no_run(tmp_path, capsys):
+    path = tmp_path / "one.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    code, out, err = run_cli(capsys, "prefix", "--input", str(path),
+                             "--length", "1", "--mode", "exact",
+                             "--bit-guard", "0")
+    assert code == 3
+    assert out == ""
+    assert err == ("refused: no child with positive lower bound within the "
+                   "coin guard of 0 coins at prefix ()\n")
+
+
 def test_avoid_subcommand(tmp_path, capsys):
     patterns = tmp_path / "patterns.txt"
     patterns.write_text("".join(f"{'0' * m}\n{'1' * m}\n"

@@ -281,3 +281,31 @@ def test_system_oracle_monotone(one_bit_system):
     values = [oracle.lower_bound((0,), n) for n in range(1, 6)]
     assert values == sorted(values)
     assert values[-1] > 0
+
+
+
+@pytest.mark.parametrize("bit_guard,rounds", [(0, 1), (12, 1), (16, 2)])
+def test_capped_coin_guard_refuses_after_its_first_futile_round(bit_guard,
+                                                                rounds):
+    # x0 = 0 has mass 2^-20 and reads 20 coins, and event 0 forbids x0 = 1,
+    # so no run resolves within 19 coins. Round n runs the census at
+    # min(guard, 8 + 4n) coins; from the first round at the guard on, no
+    # lower bound can rise.
+    tiny = F(1, 2 ** 20)
+    system = ConstraintSystem.build([VariableSpec(0, (tiny, 1 - tiny))],
+                                    [clause_event(0, (0,), (1,))])
+    oracle = SystemQOracle(system, bit_guard=bit_guard)
+    asked = []
+    lower_bound = oracle.lower_bound
+    oracle.lower_bound = lambda prefix, n: asked.append(n) or lower_bound(
+        prefix, n)
+    with pytest.raises(BudgetRefused, match=f"coin guard of {bit_guard} "):
+        next(extract_positive_branch(oracle))
+    assert max(asked) == rounds
+    asked.clear()
+    with pytest.raises(BudgetRefused, match=f"coin guard of {bit_guard} "):
+        next(extract_from_positive_probability(oracle, tiny / 2))
+    assert max(asked) == rounds
+    # at 20 coins the third round finds the one resolved run
+    assert list(extract_positive_branch(SystemQOracle(system, bit_guard=20),
+                                        max_cells=1)) == [0]

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import random
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.errors import ModelError, TapeExhausted
 from lll_toolkit.engine import run_finite
 from lll_toolkit.model import ConstraintSystem, Event, VariableSpec
-from lll_toolkit.tape import Tape, sampler_for
-from reference_tape import ReferenceTape, word
+from lll_toolkit.tape import _GAMMA, Tape, _mix64, sampler_for
+from reference_tape import GAMMA, ReferenceTape, mix64, word
 
 F = Fraction
 
@@ -257,3 +261,120 @@ def test_seeded_solve_hashes_no_fraction(monkeypatch):
     for seed in range(20):
         run_finite(system, Tape(seed=seed), 100)
     assert hashed == []
+
+
+# --- splitmix64 and the packed initial draw ------------------------------
+
+# the first outputs of the splitmix64 generator (state += gamma, then the
+# finalizer) from states 0 and 1234567
+SPLITMIX64 = [
+    (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+    (1234567, [6457827717110365317, 3203168211198807973,
+               9817491932198370423, 4593380528125082431,
+               16408922859458223821]),
+]
+
+
+@pytest.mark.parametrize("mix", [_mix64, mix64], ids=["tape", "reference"])
+def test_mix64_is_the_splitmix64_finalizer(mix):
+    assert _GAMMA == GAMMA
+    for state, outputs in SPLITMIX64:
+        assert [mix(state + k * GAMMA)
+                for k in range(1, len(outputs) + 1)] == outputs
+
+
+FAIR = (F(1, 2), F(1, 2))
+INITIAL_LAWS = [FAIR, (F(1),), (F(3, 4), F(1, 4)), (F(1, 3), F(2, 3)),
+                (F(1, 4),) * 4]
+
+
+class CountingTape(Tape):
+    """A tape that counts its per-value draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.draws = 0
+
+    def draw(self, stream, distribution):
+        self.draws += 1
+        return super().draw(stream, distribution)
+
+
+@st.composite
+def initial_draws(draw):
+    """(laws by stream, Tape keyword arguments, draws made before)."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 2001]), st.integers(0, 24)))
+    if draw(st.booleans()):
+        laws = [FAIR] * n
+    else:
+        # mixed, constant and unfair laws, repeating over the streams
+        cycle = draw(st.lists(st.sampled_from(INITIAL_LAWS), min_size=1,
+                              max_size=4))
+        laws = [cycle[v % len(cycle)] for v in range(n)]
+    if draw(st.booleans()):
+        # negative seeds and seeds of 64 bits and more
+        kwargs = {"seed": draw(st.integers(-3, 3)) << 64
+                  | draw(st.integers(0, 2 ** 64 - 1))}
+    else:
+        # coin strings long enough for some initializations, not for others
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        length = draw(st.integers(0, 2 * n + 2))
+        kwargs = {"bits": "".join(rng.choice("01") for _ in range(length))}
+    before = draw(st.lists(st.tuples(st.integers(0, n + 1),
+                                     st.sampled_from(INITIAL_LAWS)),
+                           max_size=3))
+    return laws, kwargs, before
+
+
+def _check_draw_initial(laws, kwargs, before=()):
+    samplers = [sampler_for(law) for law in laws]
+    tape, ref = CountingTape(**kwargs), Tape(**kwargs)
+    for stream, law in before:
+        assert _outcome(tape, stream, law) == _outcome(ref, stream, law)
+    tape.draws = 0
+    expected, cut = [], False
+    try:
+        for v, sampler in enumerate(samplers):
+            expected.append(ref.draw(v, sampler))
+    except TapeExhausted:
+        cut = True
+    got: list[int] = []
+    with pytest.raises(TapeExhausted) if cut else nullcontext():
+        tape.draw_initial(samplers, got)
+    assert got == expected
+    assert tape.consumed == ref.consumed
+    assert tape.bits_consumed == ref.bits_consumed
+    assert tape.bit_cursor == ref.bit_cursor
+    packed = "seed" in kwargs and not before and set(laws) <= {FAIR}
+    assert tape.draws == (0 if packed else len(got) + cut)
+    # the next two draws of every stream, and of two streams not drawn
+    for v, law in enumerate(laws + [FAIR, FAIR]):
+        for _ in range(2):
+            assert _outcome(tape, v, law) == _outcome(ref, v, law)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(initial_draws())
+def test_draw_initial_matches_the_per_draw_loop(case):
+    _check_draw_initial(*case)
+
+
+@pytest.mark.parametrize("seed", [-2 ** 64 - 3, -1, 0, 2 ** 64, 2 ** 70 + 5])
+def test_packed_initial_draw_matches_the_per_draw_loop(seed):
+    for n in (0, 1, 2, 3, 17, 2001):
+        _check_draw_initial([FAIR] * n, {"seed": seed})
+
+
+def test_run_cut_during_initialization_keeps_the_values_drawn():
+    # x0 and x1 read one coin each, x2 (thirds) cannot settle on one coin
+    system = ConstraintSystem.build(
+        [VariableSpec(0, FAIR), VariableSpec(1, (F(3, 4), F(1, 4))),
+         VariableSpec(2, (F(1, 3), F(2, 3)))],
+        [Event(0, (0, 2), frozenset({(1, 1)}))])
+    with pytest.raises(TapeExhausted) as cut:
+        run_finite(system, Tape(bits="100"), 10)
+    assert cut.value.partial_assignment == (1, 0)
+    assert cut.value.partial_log is None
+    assert cut.value.in_flight_event is None
