@@ -19,7 +19,8 @@ from .engine import (ResampleLog, RunResult, Step, first_k_stable_time,
                      stable_times, suggested_max_steps)
 from .witness import (WitnessTree, build_witness_tree,
                       crosscheck_tape_positions, reconstruct_tape_positions,
-                      tree_probability_bound, trees_for_run, validate_tree)
+                      tree_of_events, tree_probability_bound, trees_for_run,
+                      validate_tree)
 from .exhaustive import census_runs, check_tree_lemma, enumerate_runs
 from .galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
                             gw_tree_probability)

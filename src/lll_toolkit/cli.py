@@ -180,13 +180,13 @@ def _cmd_witness(args) -> int:
         replay(system, log)
     except EngineError as exc:
         raise ModelError(f"log {args.log}: {exc}") from None
-    _emit_manifest(args)
     if args.step is not None:
         steps = [args.step]
     else:
         steps = range(1, len(log.steps) + 1)
-    for k in steps:
-        tree = build_witness_tree(log, k, system)
+    trees = [(k, build_witness_tree(log, k, system)) for k in steps]
+    _emit_manifest(args)
+    for k, tree in trees:
         print(f"step={k} tree={tree.canonical_line()}")
         if args.indent:
             print(tree.to_indented())
@@ -201,15 +201,16 @@ def _cmd_gw(args) -> int:
         if args.samples < 1:
             raise ModelError(f"--samples {args.samples}: must be >= 1")
         gw_params = GWParams.from_lll(params, args.root)
-    _emit_manifest(args)
-    if args.sample:
         tape = _tape_from_args(args)
-        for i in range(args.samples):
-            tree = gw_sample(gw_params, system, tape, args.depth_budget)
+        trees = [gw_sample(gw_params, system, tape, args.depth_budget)
+                 for _ in range(args.samples)]
+        _emit_manifest(args)
+        for i, tree in enumerate(trees):
             line = "overflow" if tree is None else tree.canonical_line()
             print(f"sample={i} tree={line}")
         return OK
     report = check_mt_vs_gw(system, params, args.bit_budget)
+    _emit_manifest(args)
     for entry in report.entries:
         ok = entry.certified
         print(f"tree={entry.tree.canonical_line()} p_mt={q(entry.p_mt)} "

@@ -11,7 +11,8 @@ One exploration serves both censuses. `census_runs` sweeps resample levels
 forward, merging runs in equal states and counting the coin paths that
 reach each one. A witness tree depends only on the sequence of resampled
 events, never on the values drawn, so the census with trees adds that
-sequence to the state and builds trees once per distinct history.
+sequence to the state and builds each distinct history's tree once,
+straight from the sequence, keeping its canon alongside.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 """
@@ -24,11 +25,10 @@ from typing import Iterator, Optional
 
 from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, event_probability
-from .engine import (EXHAUSTED, SATISFIED, ResampleLog,
-                     log_from_event_sequence, run_finite)
+from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
-from .witness import (WitnessTree, admit_tree, build_witness_tree,
-                      tape_positions_by_vertex)
+from .witness import (WitnessTree, admit_tree, tape_positions_by_vertex,
+                      tree_of_events)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
 
@@ -336,12 +336,14 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     extension pins the values of table cells it determines, and any vertex
     all of whose relevant cells lie beyond the run's consumption must
     still hit its forbidden set with fresh coins, contributing an
-    independent factor Pr[A_label].
+    independent factor Pr[A_label]. A tree's charges are summed in units
+    per tuple of such fresh labels, and each tuple's product is taken once.
     """
     comp_of = _component_of(system)
-    # history -> (tree of its last step, canon -> step of each step's tree,
-    # root label -> multiplicity), the bookkeeping of `admit_tree`
-    history_trees: dict = {(): (None, {}, {})}
+    # history -> (tree of its last step, its canon, canon -> step of each
+    # step's tree, root label -> multiplicity), the bookkeeping of
+    # `admit_tree`
+    history_trees: dict = {(): (None, None, {}, {})}
 
     def trees_of(history: tuple[int, ...]) -> tuple:
         """The entry of `history`, extending the longest memoized prefix by
@@ -349,33 +351,30 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         n = len(history)
         while history[:n] not in history_trees:
             n -= 1
-        _, seen, root_counts = history_trees[history[:n]]
+        _, _, seen, root_counts = history_trees[history[:n]]
         for k in range(n + 1, len(history) + 1):
-            log = log_from_event_sequence(system, history[:k])
-            tree = build_witness_tree(log, k, system)
+            tree = tree_of_events(history[:k], system)
             seen, root_counts = dict(seen), dict(root_counts)
-            admit_tree(tree, k, seen, root_counts)
-            history_trees[history[:k]] = (tree, seen, root_counts)
+            canon = admit_tree(tree, k, seen, root_counts)
+            history_trees[history[:k]] = (tree, canon, seen, root_counts)
         return history_trees[history]
 
     p_low: dict = {}
     trees_by_canon: dict = {}
     for history, units in reached.items():
-        tree = trees_of(history)[0]
-        canon = tree.canon()
+        tree, canon = trees_of(history)[:2]
         trees_by_canon.setdefault(canon, tree)
         p_low[canon] = p_low.get(canon, 0) + units
 
     # per unresolved run:
-    # (weight, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
-    pending_info: list[tuple[Fraction, dict, dict, Optional[list]]] = []
+    # (units, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
+    pending_info: list[tuple[int, dict, dict, Optional[list]]] = []
     for (true, history, in_flight), units in cut.items():
-        weight = Fraction(units, total)
         if history is None:
             # cut off during initialization: no filter information
             bases = {root: (Counter(), 1)
                      for root in range(len(system.events))}
-            pending_info.append((weight, bases, {}, None))
+            pending_info.append((units, bases, {}, None))
             continue
         # upper bound on per-variable table consumption: one entry at
         # initialization, one per resample touching the variable, the
@@ -400,7 +399,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
                 # first, and it would join the tree as well
                 min_size += 1
             bases[root] = (base.label_counts(), min_size)
-        pending_info.append((weight, bases, trees_of(history)[1],
+        pending_info.append((units, bases, trees_of(history)[2],
                              consumed_ub))
 
     event_probs = [event_probability(ev, system) for ev in system.events]
@@ -408,8 +407,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     for canon, tree in trees_by_canon.items():
         counts = tree.label_counts()
         positions = tape_positions_by_vertex(tree, system)
-        pending = Fraction(0)
-        for weight, bases, appeared, consumed_ub in pending_info:
+        # labels of the fresh vertices -> units of the runs charged so
+        fresh_units: dict = {}
+        for units, bases, appeared, consumed_ub in pending_info:
             if canon in appeared:
                 continue
             entry = bases.get(tree.root_label)
@@ -420,15 +420,19 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
                 continue
             if any(counts[label] < n for label, n in base_counts.items()):
                 continue
-            charge = weight
-            if consumed_ub is not None:
-                for v in range(tree.size):
-                    # cell x^(p-1) holds the value that made the vertex's
-                    # event true; if the whole before-tuple is beyond the
-                    # run's consumption it must still land forbidden
-                    if all(p - 1 >= consumed_ub[var]
-                           for var, p in positions[v].items()):
-                        charge *= event_probs[tree.labels[v]]
+            # cell x^(p-1) holds the value that made a vertex's event true;
+            # if the whole before-tuple is beyond the run's consumption it
+            # must still land forbidden, an independent factor Pr[A_label]
+            fresh = () if consumed_ub is None else tuple(
+                tree.labels[v] for v in range(tree.size)
+                if all(p - 1 >= consumed_ub[var]
+                       for var, p in positions[v].items()))
+            fresh_units[fresh] = fresh_units.get(fresh, 0) + units
+        pending = Fraction(0)
+        for fresh, units in fresh_units.items():
+            charge = Fraction(units, total)
+            for label in fresh:
+                charge *= event_probs[label]
             pending += charge
         appearances[canon] = TreeAppearance(tree, Fraction(p_low[canon], total),
                                             pending)

@@ -13,6 +13,7 @@ enumeration.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,7 +55,8 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
     """Exact probability that the spawning process yields exactly this tree.
 
     Per vertex: a factor z_l for each neighbor label l attached as a son,
-    and (1 - z_l) for each neighbor label not attached.
+    and (1 - z_l) for each neighbor label not attached. The factors are
+    counted per label first and multiplied as powers in label order.
     """
     if tree.root_label != params.root:
         raise ModelError(
@@ -64,11 +66,16 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
         raise ModelError("; ".join(check.violations))
     if len(params.z) != len(system.events):
         raise ModelError("params.z must cover every event")
+    # a legal tree's sons carry distinct labels that their father's label
+    # offers, so label l spawned once per non-root vertex carrying it and
+    # was missed at every other offer
+    spawned = Counter(tree.labels[1:])
+    offered = Counter(l for label in tree.labels
+                      for l in system.neighbor_sets[label])
     prob = ONE
-    for v in range(tree.size):
-        son_labels = {tree.labels[w] for w in tree.children(v)}
-        for l in sorted(system.neighbor_sets[tree.labels[v]]):
-            prob *= params.z[l] if l in son_labels else ONE - params.z[l]
+    for l in sorted(offered):
+        z = params.z[l]
+        prob *= z ** spawned[l] * (ONE - z) ** (offered[l] - spawned[l])
     return prob
 
 
@@ -157,10 +164,13 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     census = census_runs(system, bit_budget, branch_guard=branch_guard)
     entries = []
     gw_totals: dict[int, Fraction] = {}
+    gw_params: dict[int, GWParams] = {}
     for appearance in census.appearance_list():
         tree = appearance.tree
         root = tree.root_label
-        gw_p = gw_tree_probability(tree, GWParams.from_lll(params, root), system)
+        if root not in gw_params:
+            gw_params[root] = GWParams.from_lll(params, root)
+        gw_p = gw_tree_probability(tree, gw_params[root], system)
         zi = params.z[root]
         bound = zi / (ONE - zi) * params.alpha ** tree.size * gw_p
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p

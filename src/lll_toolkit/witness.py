@@ -1,17 +1,22 @@
 """Witness trees: the accounting device of the resampling analysis.
 
-The tree for step k is built by scanning the resample log backwards from k.
-Each earlier resampling that shares a variable with a label already in the
-tree is attached as a son of a deepest such vertex; everything else is
-skipped. The resulting trees determine exactly which table entries each
-variable consumed, and the probability that a given tree shows up in a run
-is bounded by the product of its labels' event probabilities.
+The tree for step k is built by scanning the resampled events backwards from
+k. Each earlier resampling that shares a variable with a label already in
+the tree is attached as a son of a deepest such vertex; everything else is
+skipped. A tree thus depends only on the sequence of resampled events, never
+on the values drawn: `tree_of_events` builds it from that sequence, and
+`build_witness_tree` reads the sequence off a log. The resulting trees
+determine exactly which table entries each variable consumed, and the
+probability that a given tree shows up in a run is bounded by the product of
+its labels' event probabilities.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
+
 from .errors import EngineError, ModelError
 from .model import ConstraintSystem, ONE, event_probability
 from .engine import ResampleLog
@@ -54,9 +59,6 @@ class WitnessTree:
         for v in range(1, self.size):
             out[v] = out[self.parents[v]] + 1
         return tuple(out)
-
-    def children(self, v: int) -> list[int]:
-        return [w for w in range(self.size) if self.parents[w] == v]
 
     def label_counts(self) -> Counter:
         return Counter(self.labels)
@@ -101,35 +103,57 @@ class WitnessTree:
         return hash(self.canon())
 
 
-def build_witness_tree(log: ResampleLog, k: int,
-                       system: ConstraintSystem) -> WitnessTree:
-    """Tree for step k: reverse-scan steps k-1..1, attaching neighbors.
+def tree_of_events(events: Sequence[int],
+                   system: ConstraintSystem) -> WitnessTree:
+    """Tree of the last event of a resample-order event sequence.
 
-    Attachment point: a deepest vertex whose label neighbors the scanned
-    event; ties break to the lowest label (same-depth vertices never share
-    a label, so depth plus label is a total order).
+    Reverse-scans the earlier events, attaching each one that neighbors a
+    label already in the tree as a son of a deepest such vertex; ties break
+    to the lowest label (same-depth vertices never share a label, so depth
+    plus label is a total order). Every event is its own neighbor, so a
+    label's latest vertex is its deepest one, and the scan needs only the
+    latest vertex of each neighbor of the scanned event; events that
+    neighbor no label in the tree are skipped with one set lookup. Vertex
+    steps are 1-based positions in `events`.
     """
-    if not 1 <= k <= len(log.steps):
-        raise ModelError(f"step must be in 1..{len(log.steps)}, got {k}")
+    k = len(events)
+    if k == 0:
+        raise ModelError("a witness tree needs at least one event")
     nb = system.neighbor_sets
-    labels = [log.steps[k - 1].event]
+    root = events[-1]
+    labels = [root]
     parents = [-1]
     steps = [k]
     depths = [0]
+    latest = {root: 0}  # label -> its deepest (latest) vertex
+    near = set(nb[root])  # every neighbor of a label in the tree
     for t in range(k - 2, -1, -1):
-        s = log.steps[t].event
-        best = -1
-        for v, label in enumerate(labels):
-            if s in nb[label]:
-                if best == -1 or (depths[v], -labels[v]) > (depths[best], -labels[best]):
-                    best = v
-        if best == -1:
+        s = events[t]
+        if s not in near:
             continue
+        best, best_depth, best_label = -1, -1, 0
+        for label in nb[s]:
+            v = latest.get(label)
+            if v is None:
+                continue
+            d = depths[v]
+            if d > best_depth or (d == best_depth and label < best_label):
+                best, best_depth, best_label = v, d, label
+        latest[s] = len(labels)
+        near |= nb[s]
         labels.append(s)
         parents.append(best)
         steps.append(t + 1)
-        depths.append(depths[best] + 1)
+        depths.append(best_depth + 1)
     return WitnessTree(tuple(labels), tuple(parents), tuple(steps))
+
+
+def build_witness_tree(log: ResampleLog, k: int,
+                       system: ConstraintSystem) -> WitnessTree:
+    """Tree for step k of a log: `tree_of_events` over its first k events."""
+    if not 1 <= k <= len(log.steps):
+        raise ModelError(f"step must be in 1..{len(log.steps)}, got {k}")
+    return tree_of_events([step.event for step in log.steps[:k]], system)
 
 
 def trees_for_run(log: ResampleLog,
@@ -145,8 +169,9 @@ def trees_for_run(log: ResampleLog,
 
 
 def admit_tree(tree: WitnessTree, k: int, seen: dict,
-               root_counts: dict[int, int]) -> None:
-    """Record step k's tree after the trees of steps 1..k-1.
+               root_counts: dict[int, int]):
+    """Record step k's tree after the trees of steps 1..k-1; returns its
+    canon.
 
     `seen` maps each earlier tree's canon to its step, and `root_counts`
     each root label to its multiplicity in the latest tree rooted there.
@@ -159,11 +184,12 @@ def admit_tree(tree: WitnessTree, k: int, seen: dict,
             f"steps {seen[c]} and {k} produced identical witness trees")
     seen[c] = k
     root = tree.root_label
-    n_root = tree.label_counts()[root]
+    n_root = tree.labels.count(root)
     if n_root <= root_counts.get(root, 0):
         raise EngineError(
             f"step {k}: root-label multiplicity did not increase")
     root_counts[root] = n_root
+    return c
 
 
 @dataclass(frozen=True)

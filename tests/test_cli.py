@@ -284,6 +284,32 @@ def test_gw_sample_rejects_bad_input(one_bit_file, capsys, flags, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--bit-budget", "-1"], "bit_budget must be >= 0"),
+    (["--sample", "--depth-budget", "-1"], "depth_budget must be >= 0"),
+])
+def test_gw_checks_its_input_before_the_manifest(one_bit_file, capsys, flags,
+                                                 message):
+    code, out, err = run_cli(capsys, "gw", "--input", one_bit_file,
+                             "--z-all", "1/2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("step", ["0", "99"])
+def test_witness_checks_its_step_before_the_manifest(one_bit_file, tmp_path,
+                                                     capsys, step):
+    log_path = tmp_path / "two.log"
+    log_path.write_text("init 1\nstep 1 event 0 draws 0:1:1\n"
+                        "step 2 event 0 draws 0:2:0\n")
+    code, out, err = run_cli(capsys, "witness", "--input", one_bit_file,
+                             "--log", str(log_path), "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: step must be in 1..2, got {step}")
+
+
 def test_extract_point_oracle(capsys):
     code, out, _ = run_cli(capsys, "extract", "--oracle", "point:01",
                            "--count", "6")

@@ -56,8 +56,9 @@ def test_census_keeps_the_in_run_tree_checks(one_bit_system, monkeypatch,
                                              message):
     # the census builds each history's trees one step at a time; a history
     # of two resamples must still fail the check of its second tree
-    monkeypatch.setattr(exhaustive, "build_witness_tree",
-                        broken_build(message))
+    build = broken_build(message)
+    monkeypatch.setattr(exhaustive, "tree_of_events",
+                        lambda events, system: build(None, len(events), system))
     with pytest.raises(EngineError, match=message):
         exhaustive.census_runs(one_bit_system, 3)
 
@@ -212,12 +213,12 @@ def test_each_event_sequence_builds_its_tree_once(monkeypatch):
     # the appearing trees and the base trees of the pending filters come
     # from one memo keyed by event sequence
     built = []
-    build = exhaustive.build_witness_tree
+    build = exhaustive.tree_of_events
 
-    def recording_build(log, k, system):
-        built.append(log.events()[:k])
-        return build(log, k, system)
+    def recording_build(events, system):
+        built.append(tuple(events))
+        return build(events, system)
 
-    monkeypatch.setattr(exhaustive, "build_witness_tree", recording_build)
+    monkeypatch.setattr(exhaustive, "tree_of_events", recording_build)
     exhaustive.census_runs(ChainCnfFamily(3, 1, 202).materialize(4), 18)
     assert built and len(built) == len(set(built))

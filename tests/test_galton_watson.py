@@ -5,12 +5,15 @@ from itertools import product
 
 import pytest
 
+import reference_witness
 from lll_toolkit.errors import ModelError, UnresolvedBranches
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
                                clause_event, expected_steps_bound,
                                uniform_bit)
 from lll_toolkit.tape import Tape
-from lll_toolkit.witness import WitnessTree
+from lll_toolkit.exhaustive import census_runs
+from lll_toolkit.families import ChainCnfFamily
+from lll_toolkit.witness import WitnessTree, validate_tree
 from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
                                        gw_tree_probability)
 from lll_toolkit.corpus import toy_corpus
@@ -186,7 +189,6 @@ def test_gw_probability_matches_enumeration():
     # the spawning process can also emit trees outside the legal class
     # (same-depth cousins with neighboring labels); gw_tree_probability is
     # contracted to legal trees only, so compare on those
-    from lll_toolkit.witness import validate_tree
     system = star_system()
     params = GWParams(0, (F(1, 3), F(1, 2), F(1, 4)))
     exact = exact_gw_enumeration(params, system, 2, "asc")
@@ -198,6 +200,43 @@ def test_gw_probability_matches_enumeration():
         assert gw_tree_probability(tree, params, system) == p
         compared += 1
     assert compared >= 5
+
+
+def uneven_z(system):
+    # distinct z per label, none 1/2, so swapping z and 1 - z shows
+    return tuple(F(1, l + 3) for l in range(len(system.events)))
+
+
+def test_exponent_form_matches_the_per_vertex_product_on_samples():
+    compared = 0
+    for system in (star_system(), ChainCnfFamily(3, 1, 5).materialize(3)):
+        z = uneven_z(system)
+        for root in range(len(system.events)):
+            params = GWParams(root, z)
+            for seed in range(60):
+                tree = gw_sample(params, system, Tape(seed=seed), 3)
+                if tree is None or not validate_tree(tree, system).valid:
+                    continue
+                assert (gw_tree_probability(tree, params, system)
+                        == reference_witness.gw_tree_probability(tree, z,
+                                                                 system))
+                compared += tree.size > 1
+    assert compared > 50
+
+
+def test_exponent_form_matches_the_per_vertex_product_on_census_trees():
+    inputs = [(e.system, e.bit_budget) for e in toy_corpus()]
+    inputs.append((ChainCnfFamily(3, 1, 202).materialize(3), 10))
+    compared = 0
+    for system, budget in inputs:
+        z = uneven_z(system)
+        for appearance in census_runs(system, budget).appearance_list():
+            tree = appearance.tree
+            params = GWParams(tree.root_label, z)
+            assert (gw_tree_probability(tree, params, system)
+                    == reference_witness.gw_tree_probability(tree, z, system))
+            compared += 1
+    assert compared > 30
 
 
 def rebuild_from_canon(canon):

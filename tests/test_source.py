@@ -17,3 +17,25 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_float_outside_the_decimal_rendering():
+    # speed never comes from floats: the one float is the decimal shown next
+    # to each exact rational in `cli.q`
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            q = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "q")
+            allowed = {id(node) for node in ast.walk(q)}
+        for node in ast.walk(tree):
+            literal = (isinstance(node, ast.Constant)
+                       and isinstance(node.value, (float, complex)))
+            call = (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float")
+            if (literal or call) and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

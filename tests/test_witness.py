@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_witness
 from lll_toolkit import witness
 from lll_toolkit.errors import EngineError, ModelError
 from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
@@ -15,8 +19,9 @@ from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  crosscheck_tape_positions,
                                  reconstruct_tape_positions,
                                  tape_positions_by_vertex,
-                                 tree_probability_bound, trees_for_run,
-                                 validate_tree)
+                                 tree_of_events, tree_probability_bound,
+                                 trees_for_run, validate_tree)
+from test_properties import systems
 
 
 F = Fraction
@@ -73,6 +78,108 @@ def test_tree_structural_validation():
         WitnessTree((1, 2), (0, -1))
     with pytest.raises(ModelError):
         WitnessTree((1, 2), (-1, 5))
+
+
+# --- the sequence builder against the reference scan -------------------------
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=60,
+                        deadline=None)
+
+
+def as_built(tree):
+    # the built form, not the canon: vertex order and steps must match too
+    return tree.labels, tree.parents, tree.steps
+
+
+def assert_matches_reference(events, system):
+    for k in range(1, len(events) + 1):
+        assert (as_built(tree_of_events(events[:k], system))
+                == as_built(reference_witness.tree_of_events(events[:k],
+                                                             system)))
+
+
+@given(systems(), st.data())
+@DIFFERENTIAL
+def test_sequence_builder_matches_the_reference_scan(system, data):
+    events = data.draw(st.lists(st.integers(0, len(system.events) - 1),
+                                min_size=1, max_size=24))
+    assert_matches_reference(events, system)
+
+
+@pytest.mark.parametrize("length", [16, 17, 40])
+def test_one_event_sequence_builds_a_path(one_bit_system, length):
+    # each repeat of the event hangs under the latest, deepest vertex
+    events = [0] * length
+    assert_matches_reference(events, one_bit_system)
+    tree = tree_of_events(events, one_bit_system)
+    assert tree.parents == (-1,) + tuple(range(length - 1))
+    assert tree.steps == tuple(range(length, 0, -1))
+
+
+def tie_system():
+    """Events 0..8 each read their own bit; event 9 reads bits 1 and 8, so
+    it neighbors 1 and 8, which do not neighbor each other. Its neighbor
+    set iterates 8 before 1."""
+    return ConstraintSystem.build(
+        [uniform_bit(i) for i in range(9)],
+        [clause_event(i, (i,), (1,)) for i in range(9)]
+        + [clause_event(9, (1, 8), (1, 1))])
+
+
+@pytest.mark.parametrize("events", [(9, 1, 8, 9), (9, 8, 1, 9),
+                                    (1, 8, 9, 1, 8, 9)])
+def test_same_depth_tie_goes_to_the_lowest_label(events):
+    system = tie_system()
+    assert_matches_reference(events, system)
+    tree = tree_of_events(events, system)
+    # the scan reaches the earlier 9 with 1 and 8 at the same depth
+    v = tree.labels.index(9, 1)
+    assert tree.labels[tree.parents[v]] == 1
+
+
+def test_every_short_sequence_over_a_tie_matches_the_reference():
+    system = tie_system()
+    for length in range(1, 7):
+        for events in product((1, 8, 9), repeat=length):
+            assert (as_built(tree_of_events(events, system))
+                    == as_built(reference_witness.tree_of_events(events,
+                                                                 system)))
+
+
+def test_log_trees_match_the_reference_scan(chain3_system):
+    bigger = ChainCnfFamily(3, 1, 13).materialize(8)
+    compared = 0
+    for system, seeds in ((chain3_system, range(100)), (bigger, range(60))):
+        for seed in seeds:
+            log = run_finite(system, Tape(seed=seed), 400).log
+            events = log.events()
+            for k in range(1, len(events) + 1):
+                assert (as_built(build_witness_tree(log, k, system))
+                        == as_built(reference_witness.tree_of_events(
+                            events[:k], system)))
+                compared += 1
+    assert compared > 100
+
+
+def test_log_builder_scans_only_the_first_k_events(chain3_system,
+                                                   monkeypatch):
+    scanned = []
+    build = witness.tree_of_events
+
+    def recording_build(events, system):
+        scanned.append(len(events))
+        return build(events, system)
+
+    monkeypatch.setattr(witness, "tree_of_events", recording_build)
+    log = log_from_event_sequence(chain3_system, [0, 1, 2, 1, 0])
+    for k in range(1, 6):
+        build_witness_tree(log, k, chain3_system)
+    assert scanned == [1, 2, 3, 4, 5]
+
+
+def test_sequence_builder_needs_an_event(one_bit_system):
+    with pytest.raises(ModelError, match="at least one event"):
+        tree_of_events((), one_bit_system)
 
 
 # --- validate_tree ----------------------------------------------------------
