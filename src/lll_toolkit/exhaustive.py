@@ -10,9 +10,13 @@ unresolved mass.
 One exploration serves both censuses. `census_runs` sweeps resample levels
 forward, merging runs in equal states and counting the coin paths that
 reach each one. A witness tree depends only on the sequence of resampled
-events, never on the values drawn, so the census with trees adds that
-sequence to the state and builds each distinct history's tree once,
-straight from the sequence, keeping its canon alongside.
+events, never on the values drawn, so the census with trees groups states
+by that sequence and builds each distinct history's tree once, straight
+from the sequence, keeping its canon alongside. A state is packed into one
+int, each variable's value in a bit field of its own and the coins read
+above them, so a draw is one AND and one addition and an event's truth
+one AND and one set lookup. Only the resolved outputs and the true events
+of cut runs are ever unpacked.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 """
@@ -21,14 +25,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
-from .witness import (WitnessTree, admit_tree, tape_positions_by_vertex,
-                      tree_of_events)
+from .witness import (WitnessTree, admit_tree, canon_line,
+                      tape_positions_by_vertex, tree_of_events)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
 
@@ -68,20 +73,6 @@ def _draw_paths(sampler: Sampler, coins_left: int) -> tuple[dict, int]:
         else:
             cut += 1
     return settled, cut
-
-
-def _first_true(system: ConstraintSystem):
-    """The minimal-index true event of an assignment tuple (None if none),
-    as `run_finite` picks it; memoized per assignment."""
-    cache: dict = {}
-    events = range(len(system.events))
-
-    def first(assignment: tuple[int, ...]) -> Optional[int]:
-        if assignment not in cache:
-            cache[assignment] = next(
-                (e for e in events if system.is_true(e, assignment)), None)
-        return cache[assignment]
-    return first
 
 
 def _step_guard(system: ConstraintSystem, bit_budget: int,
@@ -187,8 +178,11 @@ class RunCensus:
         return total
 
     def appearance_list(self) -> list[TreeAppearance]:
-        return sorted(self.appearances.values(),
-                      key=lambda a: (-a.p_low, a.tree.canonical_line()))
+        """Appearances by falling p_low, then by canonical line, each line
+        formatted from the canon the appearance is stored under."""
+        ordered = sorted(self.appearances.items(),
+                         key=lambda item: (-item[1].p_low, canon_line(item[0])))
+        return [a for _, a in ordered]
 
 
 def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
@@ -222,22 +216,50 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     The branch count and the guard are those of the prefix tree, whose
     visited nodes number 2 * leaves - 1.
 
-    With want_trees=True a state also holds the events it has resampled,
-    the one in flight included, as its witness trees depend on nothing
-    else. A state that has just completed a resample carries the mass of
-    every leaf below it, so the tree of its last step appears with that
-    mass. Unresolved runs are kept by the set of events true when they
-    stop, their history and their event in flight, all that the pending
-    filters of `_tree_tally` read. With want_trees=False only output
-    masses are collected (used by the output-distribution oracle).
+    A state is one int: variable v's value sits in a field of
+    (range_size - 1).bit_length() bits (none for a range-1 variable), and
+    the number of coins read sits above all the fields. A draw clears the
+    variable's field and adds a precomputed value-and-coins addend; each
+    event is the mask of its fields and the set of its forbidden tuples
+    packed under it, and the first true event is memoized per packed
+    assignment. Unpacked are only the resolved outputs, once each into the
+    assignment tuples that key `output_mass`, and the true-event sets of
+    cut runs.
+
+    States are grouped by history. With want_trees=True that is the events
+    a state has resampled, the one in flight included, as its witness trees
+    depend on nothing else; otherwise every state shares the empty one. A
+    state that has just completed a resample carries the mass of every
+    leaf below it, so the tree of its last step appears with that mass.
+    Unresolved runs are kept by the set of events true when they stop,
+    their history and their event in flight, all that the pending filters
+    of `_tree_tally` read. With want_trees=False only output masses are
+    collected (used by the output-distribution oracle).
     """
     step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
-    first_true = _first_true(system)
-    paths: dict = {}
+    widths = [(var.range_size - 1).bit_length() for var in system.variables]
+    *offsets, coin_shift = accumulate(widths, initial=0)
+    fields = [((1 << w) - 1) << o for w, o in zip(widths, offsets)]
+    values_mask = (1 << coin_shift) - 1
+    # each event as the mask of its variables' fields and its forbidden
+    # tuples packed under that mask
+    event_bits = [(sum(fields[v] for v in ev.vbl),
+                   frozenset(sum(x << offsets[v] for v, x in zip(ev.vbl, t))
+                             for t in ev.forbidden))
+                  for ev in system.events]
+    # paths[v][coins]: the moves of a draw of v after `coins` coins, each
+    # the addend to the cleared state (the value in v's field, the coins it
+    # reads above) with its number of paths, and the paths the budget cuts
+    paths: list = [[None] * (bit_budget + 1) for _ in widths]
+    first: dict = {}  # packed assignment -> its minimal-index true event
     leaves = unresolved = 0
-    resolved: dict = {}  # assignment -> units
+    resolved: dict = {}  # packed assignment -> units
     reached: dict = {}  # completed history -> units
     cut: dict = {}  # (true events, completed history, in-flight event) -> units
+
+    def true_events(a: int) -> frozenset:
+        return frozenset(e for e, (mask, patterns) in enumerate(event_bits)
+                         if a & mask in patterns)
 
     def guard(pending: int) -> None:
         # every pending path ends in at least one leaf
@@ -245,68 +267,83 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             _refuse(branch_guard)
 
     def draw(states: dict, variables) -> dict:
-        """Run every state through draws of `variables`, in order."""
+        """Run every state through draws of `variables`, in order; states
+        are grouped by history, which a draw leaves as it is."""
         nonlocal leaves, unresolved
         for v in variables:
             out: dict = {}
-            for (assignment, coins, events), n in states.items():
-                key = (v, bit_budget - coins)
-                if key not in paths:
-                    paths[key] = _draw_paths(system.samplers[v],
-                                             bit_budget - coins)
-                settled, n_cut = paths[key]
-                if n_cut:
-                    leaves += n * n_cut
-                    unresolved += n * n_cut
-                    if want_trees:
-                        # no history yet: the cut came during initialization
-                        where = ((frozenset(system.true_events(assignment)),
-                                  events[:-1], events[-1])
-                                 if events else (None, None, None))
-                        cut[where] = cut.get(where, 0) + n * n_cut
-                head, tail = assignment[:v], assignment[v + 1:]
-                for (value, used), k in settled.items():
-                    state = (head + (value,) + tail, coins + used, events)
-                    out[state] = out.get(state, 0) + n * k
+            clear, by_coins = ~fields[v], paths[v]
+            for events, group in states.items():
+                drawn = out[events] = {}
+                for s, n in group.items():
+                    coins = s >> coin_shift
+                    if by_coins[coins] is None:
+                        settled, n_cut = _draw_paths(system.samplers[v],
+                                                     bit_budget - coins)
+                        by_coins[coins] = (
+                            [((value << offsets[v]) + (used << coin_shift), k)
+                             for (value, used), k in settled.items()], n_cut)
+                    moves, n_cut = by_coins[coins]
+                    if n_cut:
+                        leaves += n * n_cut
+                        unresolved += n * n_cut
+                        if want_trees:
+                            # no history yet: the cut came during
+                            # initialization
+                            where = ((true_events(s & values_mask),
+                                      events[:-1], events[-1])
+                                     if events else (None, None, None))
+                            cut[where] = cut.get(where, 0) + n * n_cut
+                    s &= clear
+                    for move, k in moves:
+                        t = s + move
+                        drawn[t] = drawn.get(t, 0) + n * k
             states = out
-            guard(sum(states.values()))
+            guard(sum(sum(group.values()) for group in states.values()))
         return states
 
     # initialization draws every variable, in order, over placeholder zeros
-    n_vars = len(system.variables)
-    frontier = draw({((0,) * n_vars, 0, ()): 1}, range(n_vars))
+    frontier = draw({(): {0: 1}}, range(len(widths)))
     level = 0
     while frontier:
         by_event: dict = {}
-        for (assignment, coins, events), n in frontier.items():
-            event = first_true(assignment)
-            units = n << (bit_budget - coins)
-            if events:
-                reached[events] = reached.get(events, 0) + units
-            if event is None:
-                leaves += n
-                resolved[assignment] = resolved.get(assignment, 0) + units
-            elif level >= step_guard:
-                leaves += n
-                unresolved += units
-                if want_trees:
-                    where = (frozenset(system.true_events(assignment)),
-                             events, None)
-                    cut[where] = cut.get(where, 0) + units
-            else:
-                if want_trees:
-                    events += (event,)
-                by_event.setdefault(event, {})[assignment, coins, events] = n
+        for events, group in frontier.items():
+            for s, n in group.items():
+                a = s & values_mask
+                if a not in first:
+                    first[a] = min(true_events(a), default=None)
+                event = first[a]
+                units = n << (bit_budget - (s >> coin_shift))
+                if events:
+                    reached[events] = reached.get(events, 0) + units
+                if event is None:
+                    leaves += n
+                    resolved[a] = resolved.get(a, 0) + units
+                elif level >= step_guard:
+                    leaves += n
+                    unresolved += units
+                    if want_trees:
+                        where = (true_events(a), events, None)
+                        cut[where] = cut.get(where, 0) + units
+                else:
+                    history = events + (event,) if want_trees else events
+                    by_event.setdefault(event, {}).setdefault(
+                        history, {})[s] = n
         frontier = {}
         for event, states in by_event.items():
-            for state, n in draw(states, system.events[event].vbl).items():
-                frontier[state] = frontier.get(state, 0) + n
+            for events, group in draw(states,
+                                      system.events[event].vbl).items():
+                merged = frontier.setdefault(events, {})
+                for s, n in group.items():
+                    merged[s] = merged.get(s, 0) + n
         level += 1
     guard(0)
     total = 1 << bit_budget
     appearances = (_tree_tally(system, reached, cut, total) if want_trees
                    else {})
-    output_mass = {a: Fraction(u, total) for a, u in resolved.items()}
+    unpack = list(zip(fields, offsets))
+    output_mass = {tuple([(a & f) >> o for f, o in unpack]): Fraction(u, total)
+                   for a, u in resolved.items()}
     return RunCensus(appearances, Fraction(sum(resolved.values()), total),
                      Fraction(unresolved, total), leaves, output_mass)
 

@@ -22,6 +22,15 @@ from .model import ConstraintSystem, ONE, event_probability
 from .engine import ResampleLog
 
 
+def canon_line(canon) -> str:
+    """The text form of a canon (`WitnessTree.canon`): a leaf's label, or
+    `label(child,...)` with the children in canon order."""
+    label, children = canon
+    if not children:
+        return str(label)
+    return f"{label}({','.join(map(canon_line, children))})"
+
+
 @dataclass(frozen=True)
 class WitnessTree:
     """Rooted event-labeled tree; vertex 0 is the root.
@@ -75,12 +84,7 @@ class WitnessTree:
         return memo[0]
 
     def canonical_line(self) -> str:
-        def fmt(node) -> str:
-            label, children = node
-            if not children:
-                return str(label)
-            return f"{label}({','.join(fmt(c) for c in children)})"
-        return fmt(self.canon())
+        return canon_line(self.canon())
 
     def to_indented(self) -> str:
         lines: list[str] = []

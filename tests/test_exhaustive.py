@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
 from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
-from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
+from lll_toolkit.layerwise import compute_assignment_prefix
+from lll_toolkit.model import (ConstraintSystem, Event, VariableSpec,
+                               clause_event, uniform_bit)
 from lll_toolkit.tape import Tape
 from test_properties import systems
 from test_witness import BROKEN_BUILDS, broken_build
@@ -160,6 +163,45 @@ def test_tree_census_matches_the_reference(system, budget, step_guard):
     assert output_view(census) == output_view(reference)
 
 
+@st.composite
+def wide_systems(draw):
+    """Up to 3 variables of range 1, 2, 4 or 5, whose packed census fields
+    are 0, 1, 2 and 3 bits wide; a range-5 field has codes 5-7 that stand
+    for no value. Laws have integer weights over totals such as 3, 5 or 7,
+    some of them zero, so most draws read a varying number of coins."""
+    variables = []
+    for v, size in enumerate(draw(st.lists(st.sampled_from([1, 2, 4, 5]),
+                                           min_size=1, max_size=3))):
+        weights = draw(st.lists(st.integers(0, 3), min_size=size,
+                                max_size=size).filter(any))
+        variables.append(VariableSpec(
+            v, tuple(Fraction(w, sum(weights)) for w in weights)))
+    events = []
+    for i in range(draw(st.integers(1, 3))):
+        vbl = tuple(sorted(draw(st.sets(
+            st.integers(0, len(variables) - 1), min_size=1, max_size=3))))
+        space = list(product(*(range(variables[v].range_size)
+                               for v in vbl)))
+        events.append(Event(i, vbl, frozenset(draw(st.sets(
+            st.sampled_from(space), max_size=min(3, len(space)))))))
+    return ConstraintSystem.build(variables, events)
+
+
+@given(wide_systems(), st.integers(3, 12), STEP_GUARDS)
+@settings(DIFFERENTIAL, max_examples=100)
+def test_census_on_wide_fields_matches_the_reference(system, budget,
+                                                     step_guard):
+    census = exhaustive.census_runs(system, budget, step_guard,
+                                    want_trees=False)
+    reference = reference_census.census_runs(system, budget, step_guard,
+                                             want_trees=False)
+    assert output_view(census) == output_view(reference)
+    census = exhaustive.census_runs(system, budget, step_guard)
+    reference = reference_census.census_runs(system, budget, step_guard)
+    assert census.appearance_list() == reference.appearance_list()
+    assert output_view(census) == output_view(reference)
+
+
 # The tree census pinned by hashes of its appearance lines, branch count and
 # unresolved mass. The reference census shares the tree tally, so the
 # differential tests cannot see a change to it; these hashes can. The
@@ -222,3 +264,37 @@ def test_each_event_sequence_builds_its_tree_once(monkeypatch):
     monkeypatch.setattr(exhaustive, "tree_of_events", recording_build)
     exhaustive.census_runs(ChainCnfFamily(3, 1, 202).materialize(4), 18)
     assert built and len(built) == len(set(built))
+
+
+# The output path pinned the same way: the chain's output census at two
+# budgets, and the exact prefix that budget deepening draws from it. The
+# hashes were taken before the census packed its states into ints.
+PINNED_OUTPUT_CENSUS = {
+    18: "960a7a2a375a6fe9dc3b3f082340bbe7ae6b6269195cf4d3267b16b6c40e1f17",
+    22: "8af67d663b8ab2fd20e8411aee9a6b5f4e2f4cb0a8a91c7d3b71d6991b248fc0",
+}
+PINNED_PREFIX = (
+    "2e626138e56886897e4bc2a586381f76a1c9e2d68d543a71c0dfaf665f3c44c6")
+
+
+@pytest.mark.parametrize("budget", sorted(PINNED_OUTPUT_CENSUS))
+def test_output_census_is_pinned(budget):
+    chain = ChainCnfFamily(3, 1, 202).materialize(4)
+    census = exhaustive.census_runs(chain, budget, want_trees=False)
+    lines = [f"{''.join(map(str, a))} {m}"
+             for a, m in sorted(census.output_mass.items())]
+    lines.append(f"branches={census.branch_count} "
+                 f"resolved={census.resolved_mass} "
+                 f"unresolved={census.unresolved_mass}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_OUTPUT_CENSUS[budget]
+
+
+def test_exact_prefix_is_pinned():
+    chain = ChainCnfFamily(3, 1, 202).materialize(4)
+    result = compute_assignment_prefix(chain, None, len(chain.events),
+                                       mode="exact", delta=Fraction(1, 16))
+    line = (f"{''.join(map(str, result.values))} "
+            f"{' '.join(map(str, result.cell_bounds))} "
+            f"{result.interval[0]} {result.interval[1]}")
+    assert hashlib.sha256(line.encode()).hexdigest() == PINNED_PREFIX
