@@ -4,6 +4,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lll_toolkit.errors import FamilyError, ModelError
 from lll_toolkit.families import (ChainCnfFamily, FiniteFamily,
@@ -192,6 +194,16 @@ def test_substring_family_numbering_is_pinned(name):
         assert family.index_of(*pair) == i
 
 
+@given(st.lists(st.text("01", min_size=1, max_size=6), max_size=6),
+       st.integers(1, 3), st.integers(-3, 25))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+def test_window_is_every_occurrence_inside_it(patterns, min_len, length):
+    family = ForbiddenSubstringFamily(patterns, F(1, 2), min_len)
+    occurrences = sorted(family.index_of(p, f) for f in family.patterns
+                         for p in range(length - len(f) + 1))
+    assert list(family.events_in_window(length)) == occurrences
+
+
 def test_substring_family_enumeration_repeatable():
     family = forbidden_substrings_to_family(runs_patterns(5), F(1, 2), 2)
     first = [family.event(i) for i in range(30)]
@@ -359,6 +371,28 @@ def test_avoiding_sequence_nonvacuous_window():
     assert result.condition is not None and result.condition.holds
     # independent re-scan
     assert scan_for_substrings(result.bits, patterns, result.M) == []
+
+
+# sha256 of "index lhs rhs" lines (rationals as hex num/den) plus alpha and
+# avoid_bound, for the window above; taken before the right-hand sides were
+# memoized per neighbourhood signature
+PINNED_WINDOW_CONDITION = (
+    2250, "9542eba585f7c8245abc557921af9aa55d5022193a8ad20dc32a5babecfe76ba")
+
+
+def test_avoiding_window_condition_is_pinned():
+    def hexq(x):
+        return f"{x.numerator:x}/{x.denominator:x}"
+
+    result = build_avoiding_sequence(runs_patterns(30), F(1, 2), 150,
+                                     mode="empirical", seed=11)
+    report = result.condition
+    lines = "".join(f"{e.index} {hexq(e.lhs)} {hexq(e.rhs)}\n"
+                    for e in report.entries)
+    lines += (f"alpha {hexq(report.alpha)} "
+              f"avoid_bound {hexq(report.avoid_bound)}\n")
+    assert (len(report.entries),
+            hashlib.sha256(lines.encode()).hexdigest()) == PINNED_WINDOW_CONDITION
 
 
 def test_avoiding_sequence_short_window_vacuous():

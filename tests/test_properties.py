@@ -16,7 +16,8 @@ from lll_toolkit.engine import (ResampleLog, Step, first_k_stable_time,
                                 run_finite, stable_times)
 from lll_toolkit.errors import ModelError
 from lll_toolkit.exhaustive import census_runs
-from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
+from lll_toolkit.model import (ConditionEntry, ConditionReport,
+                               ConstraintSystem, Event, LLLParams,
                                VariableSpec, avoiding_assignments,
                                avoiding_probability, check_computable_lll,
                                check_finite_lll, check_lll)
@@ -138,6 +139,41 @@ def test_condition_at_alpha_matches_the_explicit_checks(system, data):
     params = LLLParams(z, alpha)
     explicit = (check_computable_lll if alpha < 1 else check_finite_lll)
     assert check_lll(system, params) == explicit(system, params)
+
+
+@given(systems(max_events=6), st.data())
+@PROPERTY
+def test_condition_is_the_direct_per_event_product(system, data):
+    """Each entry against alpha z_i prod (1 - z_j) over the proper
+    neighbours j found by intersecting vbl sets, and lhs against the mass
+    of the assignments making the event true; weights from a pool of three
+    (so neighbourhood signatures repeat) or all distinct."""
+    n = len(system.events)
+    if data.draw(st.booleans()):
+        pool = st.sampled_from([F(1, 4), F(1, 3), F(1, 2)])
+        z = tuple(data.draw(pool) for _ in range(n))
+    else:
+        z = tuple(data.draw(st.lists(
+            st.fractions(F(1, 64), F(63, 64), max_denominator=64),
+            min_size=n, max_size=n, unique=True)))
+    alpha = data.draw(st.sampled_from([F(1), F(99, 100), F(1, 2)]))
+    expected = []
+    for i, ev in enumerate(system.events):
+        rhs = alpha * z[i]
+        for j, other in enumerate(system.events):
+            if j != i and set(ev.vbl) & set(other.vbl):
+                rhs *= 1 - z[j]
+        lhs = sum((system.assignment_probability(a)
+                   for a in system.assignments() if system.is_true(i, a)),
+                  F(0))
+        expected.append(ConditionEntry(i, lhs, rhs))
+    bound = F(1)
+    for zi in z:
+        bound *= 1 - zi
+    report = check_lll(system, LLLParams(z, alpha))
+    assert report == ConditionReport(tuple(expected), alpha, bound)
+    assert all(type(e.rhs) is F for e in report.entries)
+    assert type(report.avoid_bound) is F
 
 
 def naive_stable_times(log, system):
