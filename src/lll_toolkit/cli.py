@@ -24,7 +24,8 @@ from .engine import (SATISFIED, replay, run_finite, run_stream, stable_times,
                      suggested_max_steps)
 from .witness import build_witness_tree
 from .galton_watson import GWParams, check_mt_vs_gw, gw_sample
-from .layerwise import (TableQOracle, compute_assignment_prefix,
+from .layerwise import (PREFIX_BRANCH_GUARD, TableQOracle,
+                        compute_assignment_prefix,
                         extract_from_positive_probability,
                         extract_positive_branch)
 from .corollaries import build_avoiding_sequence
@@ -79,13 +80,18 @@ def _load_system(path: str, z_all: str | None, alpha: str | None):
     return system, params
 
 
+def _seed(args) -> int:
+    """The run's seed: --seed, else env LLL_SEED, else 0. It is stored back
+    in `args`, so the manifest of a seeded run names it."""
+    if args.seed is None:
+        args.seed = _integer("LLL_SEED", os.environ.get("LLL_SEED", "0"))
+    return args.seed
+
+
 def _tape_from_args(args) -> Tape:
-    if getattr(args, "tape_hex", None):
+    if args.tape_hex:
         return Tape.from_hex(args.tape_hex)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _integer("LLL_SEED", os.environ.get("LLL_SEED", "0"))
-    return Tape(seed=seed)
+    return Tape(seed=_seed(args))
 
 
 def _cmd_check(args) -> int:
@@ -284,7 +290,7 @@ def _cmd_prefix(args) -> int:
         stream_params = StreamParams(lambda i: z_list[i], params.alpha)
     result = compute_assignment_prefix(
         system, stream_params, args.length, mode="empirical",
-        trials=args.trials, seed=args.seed or 0,
+        trials=args.trials, seed=_seed(args),
         max_steps=args.max_steps)
     _emit_manifest(args)
     print("cells=" + "".join(str(v) for v in result.values))
@@ -298,7 +304,8 @@ def _cmd_avoid(args) -> int:
         patterns = [line.strip() for line in handle if line.strip()]
     result = build_avoiding_sequence(
         patterns, parse_rational(args.gamma), args.length, mode=args.mode,
-        alpha=parse_rational(args.alpha), seed=args.seed or 0)
+        alpha=parse_rational(args.alpha),
+        seed=_seed(args) if args.mode == "empirical" else 0)
     _emit_manifest(args)
     print(f"beta={q(result.beta)} M={result.M} events={result.event_count} "
           f"resamples={result.resamples}")
@@ -311,16 +318,15 @@ def _cmd_fireworks(args) -> int:
     oracle = _fn_oracle_from_spec(args.oracle) if args.beat else None
     game = (GameConfig(args.n, args.seller_k)
             if not args.beat and args.seller_k is not None else None)
+    tape = _tape_from_args(args) if args.beat or game is not None else None
     _emit_manifest(args)
     if args.beat:
-        tape = _tape_from_args(args)
         result = beat_function(oracle, parse_rational(args.epsilon), tape)
         table = " ".join(f"{u}:{v}" for u, v in sorted(result.table.items()))
         print(f"status={result.status} k={result.k} table={table}")
         return OK
     print(f"win_probability={q(win_probability_exact(args.n))}")
     if game is not None:
-        tape = _tape_from_args(args)
         outcome = play_game(game, tape)
         print(f"outcome={outcome.outcome} k={outcome.k} "
               f"tests={outcome.tests_made}")
@@ -378,11 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
         subparsers.append(p)
         return p
 
-    def common(p, budget=False):
+    def common(p, budget=False, tape=True):
         p.add_argument("--seed", type=int, default=None,
                        help="tape seed (default: env LLL_SEED or 0)")
-        p.add_argument("--tape-hex", default=None,
-                       help="explicit tape as <bits>:<hex>")
+        if tape:
+            p.add_argument("--tape-hex", default=None,
+                           help="explicit tape as <bits>:<hex>")
         if budget:
             p.add_argument("--max-steps", type=int, default=None)
 
@@ -410,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="1/16")
     p.add_argument("--z-all", default=None)
     p.add_argument("--alpha", default=None)
-    common(p, budget=True)
+    p.add_argument("--max-steps", type=int, required=True)
+    common(p)
     p.set_defaults(func=_cmd_stream)
 
     p = add_parser("witness", help="render witness trees for a log")
@@ -451,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--bit-guard", type=int, default=40,
                    help="refuse exact enumeration past this coin depth")
-    p.add_argument("--branch-guard", type=int, default=1 << 18,
+    p.add_argument("--branch-guard", type=int, default=PREFIX_BRANCH_GUARD,
                    help="refuse exact enumeration past this many branches")
-    common(p, budget=True)
+    common(p, budget=True, tape=False)
     p.set_defaults(func=_cmd_prefix)
 
     p = add_parser("avoid", help="substring-avoiding bit prefix")
@@ -464,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "empirical"),
                    default="empirical")
-    common(p)
+    common(p, tape=False)
     p.set_defaults(func=_cmd_avoid)
 
     p = add_parser("fireworks", help="game values and function beating")

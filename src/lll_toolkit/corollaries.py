@@ -15,8 +15,8 @@ from math import ceil
 from typing import Optional, Sequence
 
 from .errors import FamilyError, ModelError, VerificationError
-from .model import (ConditionReport, ConstraintSystem, Event, LLLParams, ONE,
-                    ZERO, as_fraction, check_computable_lll)
+from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
+                    as_fraction, check_computable_lll)
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
 from .families import ForbiddenSubstringFamily, InfiniteFamily, TrimmedFamily
@@ -290,17 +290,15 @@ def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
     >= M, solves the events inside the window, and scans the result with the
     independent substring verifier before returning it.
     """
+    if length < 0:
+        raise ModelError(f"length {length}: must be >= 0")
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
     bm = compute_beta_M(gamma, alpha)
     family = forbidden_substrings_to_family(patterns, gamma, bm.M)
-    window_events = family.events_in_window(length)
-
-    # events inside the window form a finite system over the window variables
-    events = []
-    for new_index, idx in enumerate(window_events):
-        ev = family.event(idx)
-        events.append(Event(new_index, ev.vbl, ev.forbidden))
+    # the window's events are the family's first ones, so they keep their
+    # indices in the finite system over the window variables
+    events = [family.event(i) for i in family.events_in_window(length)]
     variables = [family.variable_spec(v) for v in range(length)]
     system = ConstraintSystem.build(variables, events)
 
@@ -321,9 +319,10 @@ def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
         bits = "".join(str(v) for v in result.assignment)
         resamples = result.resample_count
     elif mode == "exact":
-        from .layerwise import compute_assignment_prefix
+        from .layerwise import PREFIX_BRANCH_GUARD, compute_assignment_prefix
         prefix = compute_assignment_prefix(system, None, length,
-                                           mode="exact", delta=delta)
+                                           mode="exact", delta=delta,
+                                           branch_guard=PREFIX_BRANCH_GUARD)
         bits = "".join(str(v) for v in prefix.values)
         resamples = 0
     else:

@@ -3,6 +3,8 @@
 A family enumerates events by index and answers which events touch a given
 variable; any finite prefix can be materialized as an ordinary
 ConstraintSystem (cached, so repeated materializations are identical).
+Forbidden-substring events are numbered by diagonal p + |f|, so those
+inside a window of L bits are the family's first events.
 """
 from __future__ import annotations
 
@@ -236,14 +238,10 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         lo, _hi = pow2_interval(self.gamma * size, 64)
         return size * lo
 
-    def events_in_window(self, length: int) -> list[int]:
-        """Indices of all events fully inside variables 0..length-1."""
-        out = []
-        for l, fs in sorted(self._by_length.items()):
-            for f in fs:
-                for p in range(0, max(0, length - l + 1)):
-                    out.append(self.index_of(p, f))
-        return sorted(out)
+    def events_in_window(self, length: int) -> range:
+        """Indices of all events fully inside variables 0..length-1: those
+        with p + |f| <= length, which the diagonal numbering puts first."""
+        return range(self._diagonals_before(length + 1))
 
 
 class TrimmedFamily(InfiniteFamily):

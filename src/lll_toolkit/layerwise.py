@@ -26,6 +26,9 @@ from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
 from .families import InfiniteFamily
 
 DEFAULT_BIT_GUARD = 40
+# exact prefixes at the command line and exact avoidance refuse past this
+# many census branches, long before a census can outgrow memory
+PREFIX_BRANCH_GUARD = 1 << 18
 _BALL_GUARD = 100_000
 
 

@@ -2,9 +2,12 @@
 
 All probabilities and condition bounds are `fractions.Fraction` values and
 every comparison is exact; no float enters any correctness-bearing path.
+The condition check forms each right-hand side once per neighbourhood
+signature: an event's weight and the multiset of its neighbours' weights.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -260,51 +263,35 @@ class ConditionReport:
         return all(e.holds for e in self.entries)
 
 
+def _complement_product(counts: Counter) -> Fraction:
+    """prod (1 - z)^count over weights z keyed as (numerator, denominator)."""
+    product = ONE
+    for (num, den), count in counts.items():
+        product *= (ONE - Fraction(num, den)) ** count
+    return product
+
+
 def _condition_entries(system: ConstraintSystem, params: LLLParams,
                        alpha: Fraction) -> ConditionReport:
     if len(params.z) != len(system.events):
         raise ModelError(
             f"got {len(params.z)} weights for {len(system.events)} events")
-    # group repeated weights so products exponentiate instead of multiplying
-    # once per neighbor; small-int ids avoid hashing Fractions in the hot loop
-    ids: dict[tuple[int, int], int] = {}
-    id_of: list[int] = []
-    complements: list[Fraction] = []
-    for z in params.z:
-        key = (z.numerator, z.denominator)
-        if key not in ids:
-            ids[key] = len(complements)
-            complements.append(ONE - z)
-        id_of.append(ids[key])
-    power_cache: dict[tuple[int, int], Fraction] = {}
-
-    def factor(zid: int, count: int) -> Fraction:
-        try:
-            return power_cache[(zid, count)]
-        except KeyError:
-            value = complements[zid] ** count
-            power_cache[(zid, count)] = value
-            return value
-
+    # a right-hand side depends only on the event's signature: its own weight
+    # and the multiset of its proper neighbours' weights, so it is formed once
+    # per signature; pairs hash faster than Fractions
+    keys = [(z.numerator, z.denominator) for z in params.z]
+    rhs_of: dict[tuple, Fraction] = {}
     entries = []
     for i, ev in enumerate(system.events):
-        lhs = event_probability(ev, system)
-        rhs = alpha * params.z[i]
-        counts: dict[int, int] = {}
-        for j in system.neighbor_sets[i]:
-            if j != i:
-                zid = id_of[j]
-                counts[zid] = counts.get(zid, 0) + 1
-        for zid, count in counts.items():
-            rhs *= factor(zid, count)
-        entries.append(ConditionEntry(i, lhs, rhs))
-    bound_counts: dict[int, int] = {}
-    for zid in id_of:
-        bound_counts[zid] = bound_counts.get(zid, 0) + 1
-    bound = ONE
-    for zid, count in bound_counts.items():
-        bound *= factor(zid, count)
-    return ConditionReport(tuple(entries), alpha, bound)
+        counts = Counter(keys[j] for j in system.neighbor_sets[i] if j != i)
+        signature = (keys[i], frozenset(counts.items()))
+        if signature not in rhs_of:
+            rhs_of[signature] = (alpha * params.z[i]
+                                 * _complement_product(counts))
+        entries.append(ConditionEntry(i, event_probability(ev, system),
+                                      rhs_of[signature]))
+    return ConditionReport(tuple(entries), alpha,
+                           _complement_product(Counter(keys)))
 
 
 def check_finite_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:

@@ -139,6 +139,14 @@ def test_malformed_spec_is_usage_error(capsys, argv, spec):
     assert err.startswith(f"error: {spec}")
 
 
+def test_stream_requires_max_steps(capsys):
+    code, out, err = run_cli(capsys, "stream", "--family", "chain:", "--k",
+                             "3")
+    assert code == 2
+    assert out == ""
+    assert "--max-steps" in err
+
+
 def test_family_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "stream", "--family", "chain:m=3",
                            "--k", "-1", "--max-steps", "5")
@@ -195,6 +203,42 @@ def test_solve_rejects_a_non_integer_seed_variable(one_bit_file, capsys,
     assert code == 2
     assert out == ""
     assert err.startswith("error: LLL_SEED: 'abc' is not an integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "{one}", "--max-steps", "5"],
+    ["gw", "--input", "{one}", "--z-all", "1/2", "--sample", "--samples",
+     "3"],
+    ["prefix", "--input", "{one}", "--length", "1", "--mode", "empirical",
+     "--trials", "20", "--max-steps", "5"],
+    ["avoid", "--forbidden", "{patterns}", "--gamma", "1/2", "--length",
+     "40"],
+    ["fireworks", "--beat", "--oracle", "const:5", "--epsilon", "1/4"],
+])
+def test_seed_comes_from_the_environment_and_is_in_the_manifest(
+        one_bit_file, tmp_path, capsys, monkeypatch, argv):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("0" * 22 + "\n" + "1" * 22 + "\n")
+    argv = [a.format(one=one_bit_file, patterns=patterns) for a in argv]
+    monkeypatch.setenv("LLL_SEED", "5")
+    _, from_env, _ = run_cli(capsys, *argv)
+    monkeypatch.delenv("LLL_SEED")
+    _, from_flag, _ = run_cli(capsys, *argv, "--seed", "5")
+    _, default, _ = run_cli(capsys, *argv)
+    assert " seed=5 " in from_env.splitlines()[0]
+    assert from_env == from_flag
+    assert " seed=0 " in default.splitlines()[0]
+    monkeypatch.setenv("LLL_SEED", "6")
+    _, flag_wins, _ = run_cli(capsys, *argv, "--seed", "5")
+    assert flag_wins == from_flag
+
+
+@pytest.mark.parametrize("command", ["prefix", "avoid"])
+def test_tape_hex_is_only_offered_where_a_tape_is_read(command, capsys):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert "--seed" in out
+    assert "--tape-hex" not in out
 
 
 def test_solve_log_out_and_witness(m3_file, tmp_path, capsys):
@@ -381,6 +425,30 @@ def test_avoid_subcommand(tmp_path, capsys):
     assert "M=22" in out
     assert "beta=3/4(0.75)" in out
     assert "scan_ok=true" in out
+
+
+def test_avoid_rejects_a_negative_length(tmp_path, capsys):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("0000\n")
+    code, out, err = run_cli(capsys, "avoid", "--forbidden", str(patterns),
+                             "--gamma", "1/2", "--length", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: length -5")
+
+
+def test_exact_avoid_refuses_a_window_past_the_branch_guard(tmp_path,
+                                                            capsys):
+    # every pattern is shorter than M = 22, so the 30-bit window has no
+    # clauses and its exact census would hold about 2^30 outputs
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("0000\n1111\n01\n")
+    code, out, err = run_cli(capsys, "avoid", "--forbidden", str(patterns),
+                             "--gamma", "1/2", "--length", "30",
+                             "--mode", "exact")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: branch guard")
 
 
 def test_prefix_budget_refusal_exit_code(tmp_path, capsys):
