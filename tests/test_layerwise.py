@@ -221,6 +221,46 @@ def test_positive_branch_records_bounds():
     assert all(b > 0 for b in bounds)
 
 
+
+def _tiny_zero_system():
+    # x0 = 0 has mass 2^-20 and reads 20 coins, and event 0 forbids x0 = 1,
+    # so no run resolves within 19 coins
+    tiny = F(1, 2 ** 20)
+    return ConstraintSystem.build([VariableSpec(0, (tiny, 1 - tiny))],
+                                  [clause_event(0, (0,), (1,))])
+
+
+@pytest.mark.parametrize("make_stream,error,message", [
+    (lambda: extract_positive_branch(
+        SystemQOracle(_tiny_zero_system(), bit_guard=16)),
+     BudgetRefused,
+     "no child with positive lower bound within the coin guard of 16 coins "
+     "at prefix ()"),
+    (lambda: extract_from_positive_probability(
+        SystemQOracle(_tiny_zero_system(), bit_guard=16), F(1, 2 ** 21)),
+     BudgetRefused,
+     "no child exceeded r = 1/2097152 within the coin guard of 16 coins "
+     "at prefix ()"),
+    (lambda: extract_positive_branch(TableQOracle({"0": F(0)})),
+     ExtractionTimeout,
+     "no child with positive lower bound within 256 rounds at prefix ()"),
+    # q_n of each child is 1/2 * n/(n+1), which never exceeds r = 1/2
+    (lambda: extract_from_positive_probability(
+        TableQOracle({"0": F(1, 2), "1": F(1, 2)}), F(1, 2)),
+     ExtractionTimeout,
+     "no child exceeded r = 1/2 within 256 rounds at prefix ()"),
+    (lambda: extract_from_positive_probability(
+        TableQOracle({"0": F(1, 2), "1": F(1, 2)}), F(1, 2), w=(1, 1)),
+     ExtractionTimeout,
+     "no child exceeded r = 1/2 within 256 rounds at prefix (1, 1)"),
+], ids=["positive-guard", "heavy-guard", "positive-timeout", "heavy-timeout",
+        "heavy-timeout-from-w"])
+def test_extraction_refusal_and_timeout_messages(make_stream, error, message):
+    with pytest.raises(error) as caught:
+        next(make_stream())
+    assert str(caught.value) == message
+
+
 # --- certified prefixes ---------------------------------------------------------
 
 def test_prefix_zero_length(one_bit_system):
