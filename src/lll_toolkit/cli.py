@@ -283,13 +283,8 @@ def _cmd_prefix(args) -> int:
         lo, hi = result.interval
         print(f"interval lo={q(lo)} hi={q(hi)}")
         return OK
-    from .model import StreamParams
-    stream_params = None
-    if params is not None:
-        z_list = params.z
-        stream_params = StreamParams(lambda i: z_list[i], params.alpha)
     result = compute_assignment_prefix(
-        system, stream_params, args.length, mode="empirical",
+        system, params, args.length, mode="empirical",
         trials=args.trials, seed=_seed(args),
         max_steps=args.max_steps)
     _emit_manifest(args)

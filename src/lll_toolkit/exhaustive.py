@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Iterator, Optional
 
 from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
@@ -169,13 +170,14 @@ class RunCensus:
                 f"{self.resolved_mass + self.unresolved_mass}, not 1")
 
     def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
-        """Resolved mass of outputs whose first cells equal `prefix`."""
+        """Resolved mass of outputs whose first cells equal `prefix`,
+        summed as integers over the lcm of their denominators."""
         n = len(prefix)
-        total = Fraction(0)
-        for assignment, weight in self.output_mass.items():
-            if assignment[:n] == prefix:
-                total += weight
-        return total
+        weights = [weight for assignment, weight in self.output_mass.items()
+                   if assignment[:n] == prefix]
+        unit = lcm(*(weight.denominator for weight in weights))
+        return Fraction(sum(weight.numerator * (unit // weight.denominator)
+                            for weight in weights), unit)
 
     def appearance_list(self) -> list[TreeAppearance]:
         """Appearances by falling p_low, then by canonical line, each line

@@ -2,6 +2,12 @@
 output-distribution intervals, and extraction of computable branches from
 lower-approximable distributions.
 
+Both extractors run one dovetail: for each cell, precision rounds n = 1, 2,
+... look for a child whose lower bound passes the extractor's test. A round
+without one after which the oracle's coin guard fixes every bound refuses
+(`BudgetRefused`), and EXTRACTION_ROUNDS futile rounds at one prefix raise
+`ExtractionTimeout`.
+
 The horizon certificate for a cell combines two exactly-checked tail bounds:
 a step count t after which the first k events are all false except with small
 probability (Markov on the expected-steps bound), and a tree-size bound
@@ -13,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil
 from typing import Iterator, Optional, Protocol, Sequence
 
 from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
                      FamilyError, ModelError, VerificationError)
-from .model import (ConstraintSystem, ONE, StreamParams, ZERO,
+from .model import (ConstraintSystem, LLLParams, ONE, StreamParams, ZERO,
                     as_fraction, expected_steps_bound)
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
@@ -193,12 +200,21 @@ class TableQOracle:
     """A finite-support binary measure with the schedule q_n = q * n/(n+1).
 
     `atoms` maps infinite 0/1 branches to masses, each branch given by a
-    pattern repeated forever ("01" is 0101...); q(u) sums the atoms whose
-    branch extends u.
+    non-empty pattern repeated forever ("01" is 0101...); q(u) sums the
+    atoms whose branch extends u. Masses are >= 0 and sum to at most 1.
     """
 
     def __init__(self, atoms: dict[str, Fraction]):
         self.atoms = {p: as_fraction(m) for p, m in atoms.items()}
+        for pattern, mass in self.atoms.items():
+            if not pattern or set(pattern) - {"0", "1"}:
+                raise ModelError(f"atom pattern {pattern!r} is not a "
+                                 f"non-empty string of 0s and 1s")
+            if mass < ZERO:
+                raise ModelError(f"atom {pattern} has negative mass {mass}")
+        total = sum(self.atoms.values(), ZERO)
+        if total > ONE:
+            raise ModelError(f"atom masses sum to {total}, more than 1")
 
     def arity(self, position: int) -> int:
         return 2
@@ -263,8 +279,35 @@ class SystemQOracle:
         return best
 
 
-def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
-                                      max_rounds: int = 256) -> Iterator[int]:
+# futile rounds at one prefix after which extraction gives up
+EXTRACTION_ROUNDS = 256
+
+
+def _dovetail(q: QOracle, prefix: tuple[int, ...], pick,
+              wanted: str) -> Iterator[tuple[int, Fraction]]:
+    """Extend `prefix` one cell at a time, yielding the (cell, lower bound)
+    that `pick(prefix, n)` returns in round n, or None; a refusal or a
+    timeout reports "no child {wanted}"."""
+    while True:
+        for n in range(1, EXTRACTION_ROUNDS + 1):
+            found = pick(prefix, n)
+            if found is not None:
+                break
+            guard = q.guard(n)
+            if guard is not None:
+                raise BudgetRefused(
+                    f"no child {wanted} within the coin guard of {guard} "
+                    f"coins at prefix {prefix}")
+        else:
+            raise ExtractionTimeout(
+                f"no child {wanted} within {EXTRACTION_ROUNDS} rounds "
+                f"at prefix {prefix}")
+        prefix += (found[0],)
+        yield found
+
+
+def extract_from_positive_probability(q: QOracle, r,
+                                      w: Sequence[int] = ()) -> Iterator[int]:
     """Stream the branch through w whose measure exceeds the threshold r.
 
     Valid when the target branch has measure > r and q(w) < 2r: at each
@@ -272,79 +315,49 @@ def extract_from_positive_probability(q: QOracle, r, w: Sequence[int] = (),
     parent past 2r), so dovetailing the children's lower bounds with rising
     precision pins down the next cell. The 2r precondition is watched
     opportunistically and a contract violation aborts the stream. The
-    stream has no end: callers take as many cells as they need. A round
-    with no winner after which the oracle's coin guard fixes every bound
-    raises `BudgetRefused`.
+    stream has no end: callers take as many cells as they need.
     """
     r = as_fraction(r)
     if r <= ZERO:
         raise ModelError("threshold r must be positive")
-    prefix = tuple(w)
-    while True:
-        chosen = None
-        for n in range(1, max_rounds + 1):
-            if q.lower_bound(prefix, n) > 2 * r:
-                raise ContractViolation(
-                    f"q({''.join(map(str, prefix))or 'empty'}) exceeds 2r = {2 * r}")
-            winners = [a for a in range(q.arity(len(prefix)))
-                       if q.lower_bound(prefix + (a,), n) > r]
-            if len(winners) > 1:
-                raise ContractViolation(
-                    f"two children exceed r = {r} at prefix {prefix}")
-            if winners:
-                chosen = winners[0]
-                break
-            guard = q.guard(n)
-            if guard is not None:
-                raise BudgetRefused(
-                    f"no child exceeded r = {r} within the coin guard of "
-                    f"{guard} coins at prefix {prefix}")
-        if chosen is None:
-            raise ExtractionTimeout(
-                f"no child exceeded r = {r} within {max_rounds} rounds "
-                f"at prefix {prefix}")
-        prefix += (chosen,)
-        yield chosen
+
+    def heavy_child(prefix, n):
+        if q.lower_bound(prefix, n) > 2 * r:
+            raise ContractViolation(
+                f"q({''.join(map(str, prefix))or 'empty'}) exceeds 2r = {2 * r}")
+        winners = [(a, bound) for a in range(q.arity(len(prefix)))
+                   if (bound := q.lower_bound(prefix + (a,), n)) > r]
+        if len(winners) > 1:
+            raise ContractViolation(
+                f"two children exceed r = {r} at prefix {prefix}")
+        return winners[0] if winners else None
+
+    for cell, _ in _dovetail(q, tuple(w), heavy_child, f"exceeded r = {r}"):
+        yield cell
 
 
-def _extract_positive_step(q: QOracle, prefix: tuple[int, ...],
-                           max_rounds: int) -> tuple[int, Fraction]:
-    for n in range(1, max_rounds + 1):
+def _positive_cells(q: QOracle) -> Iterator[tuple[int, Fraction]]:
+    """The positive branch as (cell, its first positive lower bound)."""
+
+    def first_positive_child(prefix, n):
         for a in range(q.arity(len(prefix))):
             bound = q.lower_bound(prefix + (a,), n)
             if bound > ZERO:
                 return a, bound
-        guard = q.guard(n)
-        if guard is not None:
-            raise BudgetRefused(
-                f"no child with positive lower bound within the coin guard "
-                f"of {guard} coins at prefix {prefix}")
-    raise ExtractionTimeout(
-        f"no child with positive lower bound within {max_rounds} rounds "
-        f"at prefix {prefix}")
+        return None
+
+    return _dovetail(q, (), first_positive_child, "with positive lower bound")
 
 
-def extract_positive_branch(q: QOracle, max_rounds: int = 256,
-                            max_cells: int | None = None,
-                            bounds_out: list | None = None) -> Iterator[int]:
+def extract_positive_branch(q: QOracle) -> Iterator[int]:
     """Stream a branch along which the measure stays provably positive.
 
     Dovetail schedule: precision rounds ascending, children in value order
     within a round; the first child with a strictly positive lower bound is
-    emitted. Recorded bounds (one per emitted cell) land in `bounds_out`.
-    A round with no positive child after which the oracle's coin guard fixes
-    every bound raises `BudgetRefused`; `max_rounds` futile rounds raise
-    `ExtractionTimeout`.
+    emitted. The stream has no end.
     """
-    prefix: tuple[int, ...] = ()
-    emitted = 0
-    while max_cells is None or emitted < max_cells:
-        value, bound = _extract_positive_step(q, prefix, max_rounds)
-        if bounds_out is not None:
-            bounds_out.append(bound)
-        prefix += (value,)
-        emitted += 1
-        yield value
+    for cell, _ in _positive_cells(q):
+        yield cell
 
 
 @dataclass(frozen=True)
@@ -368,67 +381,54 @@ class PrefixResult:
     trials: int = 0
 
 
-def _decided_events(system: ConstraintSystem, values: tuple[int, ...]) -> list[int]:
-    out = []
-    for i, ev in enumerate(system.events):
-        if ev.vbl[-1] < len(values):
-            out.append(i)
-    return out
-
-
-def compute_assignment_prefix(target, params: Optional[StreamParams], L: int,
+def compute_assignment_prefix(system: ConstraintSystem,
+                              params: Optional[LLLParams], L: int,
                               mode: str = "exact", *, delta=Fraction(1, 64),
                               trials: int = 2000, seed: int = 0,
-                              active_k: int | None = None,
                               max_steps: int | None = None,
                               bit_guard: int = DEFAULT_BIT_GUARD,
                               branch_guard: int = DEFAULT_BRANCH_GUARD) -> PrefixResult:
-    """Values of cells 0..L-1 of an avoiding assignment.
+    """Values of cells 0..L-1 of an avoiding assignment of `system`.
 
-    `target` is a finite ConstraintSystem, or an InfiniteFamily together
-    with `active_k` (how many events to materialize). Exact mode walks the
-    output measure with `extract_positive_branch`, so the returned prefix
-    carries positive-mass certificates; empirical mode reruns the solver
-    over seeded tapes and reports majority values with their stability
+    For an infinite family, pass `family.materialize(k)`. Exact mode takes
+    the first L cells of the positive branch of the output measure, each
+    with the lower bound that certified it, and an interval of width at
+    most `delta` around the mass of the whole prefix (at L = 0, around the
+    resolved mass of all outputs). Empirical mode reruns the solver over
+    seeded tapes, for `max_steps` steps or else `suggested_max_steps(params)`
+    as `lll solve` does, and reports majority values with their stability
     frequencies.
     """
-    if isinstance(target, InfiniteFamily):
-        if active_k is None:
-            raise ModelError("materialization size active_k is required "
-                             "for a family target")
-        system = target.materialize(active_k)
-    else:
-        system = target
     if L < 0:
         raise ModelError("prefix length must be >= 0")
     if L > len(system.variables):
         raise ModelError("prefix longer than the variable list")
-    if L == 0:
-        return PrefixResult((), mode)
 
     if mode == "exact":
         if as_fraction(delta) <= ZERO:
             raise ModelError("delta must be positive")
         oracle = SystemQOracle(system, bit_guard=bit_guard,
                                branch_guard=branch_guard)
-        bounds: list[Fraction] = []
-        values = tuple(extract_positive_branch(oracle, max_cells=L,
-                                               bounds_out=bounds))
+        cells = list(islice(_positive_cells(oracle), L))
+        values = tuple(cell for cell, _ in cells)
         interval = approx_output_distribution(system, values, delta,
                                               bit_guard=bit_guard,
                                               branch_guard=branch_guard)
-        for i in _decided_events(system, values):
-            if system.is_true(i, values):
+        for i, event in enumerate(system.events):
+            if event.vbl[-1] < L and system.is_true(i, values):
                 raise VerificationError(
                     f"internal: decided event {i} true under the prefix")
-        return PrefixResult(values, mode, tuple(bounds), interval)
+        return PrefixResult(values, mode, tuple(bound for _, bound in cells),
+                            interval)
 
     if mode == "empirical":
+        if L == 0:
+            return PrefixResult((), mode)
         if trials <= 0:
             raise ModelError("empirical mode needs a positive trial count")
         if max_steps is None:
             if params is not None:
-                max_steps = suggested_max_steps(params.prefix(len(system.events)))
+                max_steps = suggested_max_steps(params)
             else:
                 raise ModelError("empirical mode needs params or max_steps")
         counts = [dict() for _ in range(L)]

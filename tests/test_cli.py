@@ -131,6 +131,10 @@ def test_missing_file_is_usage_error(capsys):
     (["fireworks", "--beat", "--oracle", "diverge:x"],
      "oracle spec 'diverge:x'"),
     (["fireworks", "--seller-k", "-2"], "seller_k must be >= 0"),
+    (["extract", "--oracle", "pair:0:-1/2:1:3/2"],
+     "atom 0 has negative mass -1/2"),
+    (["extract", "--oracle", "pair:0:3/2:1:1/2"],
+     "atom masses sum to 2, more than 1"),
 ])
 def test_malformed_spec_is_usage_error(capsys, argv, spec):
     code, out, err = run_cli(capsys, *argv)
@@ -381,6 +385,15 @@ def test_prefix_exact(one_bit_file, capsys):
     assert code == 0
     assert "cells=0" in out
     assert "interval lo=" in out
+
+
+def test_prefix_exact_of_length_zero(one_bit_file, capsys):
+    code, out, _ = run_cli(capsys, "prefix", "--input", one_bit_file,
+                           "--length", "0", "--mode", "exact")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:2] == ["cells="]
+    assert lines[2].startswith("interval lo=") and len(lines) == 3
 
 
 @pytest.mark.parametrize("guard", ["0", "-5"])

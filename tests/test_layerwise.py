@@ -7,9 +7,9 @@ import pytest
 
 from lll_toolkit.errors import (BudgetRefused, ContractViolation,
                                 ExtractionTimeout, ModelError)
-from lll_toolkit.model import (ConstraintSystem, StreamParams, VariableSpec,
-                               avoiding_assignments, clause_event,
-                               uniform_bit)
+from lll_toolkit.model import (ConstraintSystem, LLLParams, StreamParams,
+                               VariableSpec, avoiding_assignments,
+                               clause_event, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import SATISFIED, run_stream
 from lll_toolkit.families import ChainCnfFamily
@@ -169,6 +169,16 @@ def test_contract_violation_small_r():
         list(islice(extract_from_positive_probability(q, F(1, 10)), 3))
 
 
+@pytest.mark.parametrize("w,message", [((), "q(empty) exceeds 2r = 1/5"),
+                                       ((0, 1), "q(01) exceeds 2r = 1/5")])
+def test_contract_violation_names_the_heavy_prefix(w, message):
+    # one child carries all the mass, so only the 2r watch can object
+    q = TableQOracle({"01": F(1)})
+    with pytest.raises(ContractViolation) as caught:
+        next(extract_from_positive_probability(q, F(1, 10), w=w))
+    assert str(caught.value) == message
+
+
 def test_two_winners_violation():
     # both children carry mass > r: the parent must exceed 2r
     q = TableQOracle({"1": F(1, 2), "0": F(1, 2)})
@@ -207,19 +217,25 @@ def test_extractors_agree_on_point_mass():
     assert a == b
 
 
-def test_extraction_timeout():
-    q = TableQOracle({"0": F(0)})  # no mass anywhere
-    with pytest.raises(ExtractionTimeout):
-        list(islice(extract_positive_branch(q, max_rounds=8), 1))
+def test_positive_branch_records_bounds(chain2_system):
+    # each cell's bound is a lower bound on the mass of the prefix it ends
+    result = compute_assignment_prefix(chain2_system, None, 3, mode="exact")
+    assert len(result.cell_bounds) == 3
+    for i, bound in enumerate(result.cell_bounds):
+        _, hi = approx_output_distribution(chain2_system,
+                                           result.values[:i + 1], F(1, 64))
+        assert 0 < bound <= hi
 
 
-def test_positive_branch_records_bounds():
-    q = TableQOracle({"0": F(1, 2), "1": F(1, 2)})
-    bounds: list = []
-    list(islice(extract_positive_branch(q, bounds_out=bounds), 3))
-    assert len(bounds) == 3
-    assert all(b > 0 for b in bounds)
-
+@pytest.mark.parametrize("atoms,message", [
+    ({"": F(1)}, "atom pattern '' is not a non-empty string of 0s and 1s"),
+    ({"012": F(1, 2)}, "atom pattern '012' is not a non-empty string"),
+    ({"0": F(-1, 2), "1": F(3, 2)}, "atom 0 has negative mass -1/2"),
+    ({"0": F(3, 2), "1": F(1, 2)}, "atom masses sum to 2, more than 1"),
+])
+def test_table_oracle_rejects_bad_atoms(atoms, message):
+    with pytest.raises(ModelError, match=f"^{message}"):
+        TableQOracle(atoms)
 
 
 def _tiny_zero_system():
@@ -266,6 +282,18 @@ def test_extraction_refusal_and_timeout_messages(make_stream, error, message):
 def test_prefix_zero_length(one_bit_system):
     result = compute_assignment_prefix(one_bit_system, None, 0)
     assert result.values == ()
+    assert result.cell_bounds == ()
+    # the empty prefix's interval encloses the mass of every output
+    assert result.interval == approx_output_distribution(one_bit_system, (),
+                                                         F(1, 64))
+    lo, hi = result.interval
+    assert 0 < lo <= hi <= 1 and hi - lo <= F(1, 64)
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_prefix_rejects_an_unknown_mode(one_bit_system, length):
+    with pytest.raises(ModelError, match="unknown mode 'bogus'"):
+        compute_assignment_prefix(one_bit_system, None, length, mode="bogus")
 
 
 def test_prefix_single_event_forces_zero(one_bit_system):
@@ -298,7 +326,7 @@ def test_prefix_extends_to_avoiding_assignment(chain2_system):
 
 
 def test_prefix_empirical_mode(chain3_system):
-    params = StreamParams.constant(F(1, 2), F(1))
+    params = LLLParams.constant(F(1, 2), len(chain3_system.events))
     result = compute_assignment_prefix(chain3_system, params, 3,
                                        mode="empirical", trials=300, seed=1)
     assert len(result.values) == 3
@@ -307,13 +335,11 @@ def test_prefix_empirical_mode(chain3_system):
     assert result.trials == 300
 
 
-def test_prefix_family_target_requires_k():
-    family = chain_family()
-    with pytest.raises(ModelError):
-        compute_assignment_prefix(family, chain_params(), 2)
-    result = compute_assignment_prefix(family, chain_params(), 2,
-                                       mode="exact", active_k=1)
+def test_prefix_of_a_materialized_family():
+    system = chain_family().materialize(1)
+    result = compute_assignment_prefix(system, None, 2, mode="exact")
     assert len(result.values) == 2
+    assert any(a[:2] == result.values for a in avoiding_assignments(system))
 
 
 def test_system_oracle_monotone(one_bit_system):
@@ -347,5 +373,5 @@ def test_capped_coin_guard_refuses_after_its_first_futile_round(bit_guard,
         next(extract_from_positive_probability(oracle, tiny / 2))
     assert max(asked) == rounds
     # at 20 coins the third round finds the one resolved run
-    assert list(extract_positive_branch(SystemQOracle(system, bit_guard=20),
-                                        max_cells=1)) == [0]
+    assert next(extract_positive_branch(SystemQOracle(system,
+                                                      bit_guard=20))) == 0
