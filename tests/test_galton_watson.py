@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import reference_witness
+from lll_toolkit import galton_watson
 from lll_toolkit.errors import ModelError, UnresolvedBranches
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
                                clause_event, expected_steps_bound,
@@ -339,3 +341,63 @@ def test_require_certified_raises_when_bound_is_tight():
     assert not report.certified
     with pytest.raises(UnresolvedBranches):
         check_mt_vs_gw(system, params, 10, require_certified=True)
+
+
+# The comparison report pinned by hashes of its entry lines (canonical line,
+# p_mt, pending, process probability, bound), its per-root process totals,
+# branch count and unresolved mass, for the corpus at its budgets and the
+# 4-clause chain at 18 coins. The hashes were taken before the tree tally
+# priced its trees in integers.
+PINNED_GW_REPORT = {
+    "one_bit": "b988152c0de8117fc26e4eead417d2e7a4ae7105f504c1eaece14c325bd98121",
+    "two_disjoint":
+        "b741d6d9f7491e5d5de89561451e2059ea9d7e5e045aa17392ef238da675c931",
+    "shared_pair":
+        "dae3313f95244cedafe34020ca5f66a92dd11cc3ec85b0bd64d4ec92aef9b0d6",
+    "overlap_triples":
+        "5dae52b338161cfc9d90201e30ac969b6a206c54677d2045fe52e4cce01162d6",
+    "lopsided_bit":
+        "4ecc5ba4b3386b8f55bbf55748a59a15f3fbd0fab1c398c1867601ad3d3c371a",
+    "impossible_plus":
+        "3623d8289643c80e5d4a64208f43d432f3087422ac6fba241564adfa710ddb19",
+    "chain4_202@18":
+        "b7bb7f9ef140bcaa4266ec11a61691b69ce1a724c28a06d26ba6d2ee850d7f21",
+}
+
+
+def _gw_inputs():
+    inputs = {e.name: (e.system, e.params, e.bit_budget)
+              for e in toy_corpus()}
+    inputs["chain4_202@18"] = (ChainCnfFamily(3, 1, 202).materialize(4),
+                               LLLParams.constant(F(1, 2), 4), 18)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GW_REPORT))
+def test_gw_report_is_pinned(name):
+    report = check_mt_vs_gw(*_gw_inputs()[name])
+    lines = [f"{e.tree.canonical_line()} {e.p_mt} {e.pending} "
+             f"{e.gw_probability} {e.bound}" for e in report.entries]
+    lines += [f"root {r} {t}" for r, t in sorted(report.gw_totals.items())]
+    lines.append(f"branches={report.branch_count} "
+                 f"unresolved={report.unresolved_mass}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_GW_REPORT[name]
+
+
+def test_comparison_looks_up_its_census_at_call_time(monkeypatch):
+    # the census_trees benchmark workload captures each comparison's census
+    # by rebinding the module's `census_runs`
+    system, params, budget = _gw_inputs()["shared_pair"]
+    censuses = []
+
+    def capture(*args, **kwargs):
+        censuses.append(census_runs(*args, **kwargs))
+        return censuses[-1]
+
+    monkeypatch.setattr(galton_watson, "census_runs", capture)
+    report = check_mt_vs_gw(system, params, budget)
+    assert len(censuses) == 1
+    assert ([(e.p_mt, e.pending) for e in report.entries]
+            == [(a.p_low, a.pending) for a in censuses[0].appearance_list()])
+    assert report.branch_count == censuses[0].branch_count
