@@ -248,8 +248,8 @@ def _oracle_from_spec(spec: str):
             raise ModelError(
                 f"{what}: expected pair:<bits>:<mass>:<bits>:<mass>")
         w1, p1, w2, p2 = fields
-        return TableQOracle({_bits(what, w1): parse_rational(p1),
-                             _bits(what, w2): parse_rational(p2)})
+        return TableQOracle([(_bits(what, w1), parse_rational(p1)),
+                             (_bits(what, w2), parse_rational(p2))])
     raise ModelError(f"unknown oracle spec {spec!r}")
 
 

@@ -22,7 +22,6 @@ on each coin prefix.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -33,8 +32,9 @@ from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
-from .witness import (WitnessTree, admit_tree, canon_line,
-                      tape_positions_by_vertex, tree_of_events)
+from .witness import (WitnessTree, admit_tree, canon_line, check_root_grew,
+                      label_counts_of_events, tape_positions_by_vertex,
+                      tree_of_events)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
 
@@ -362,26 +362,39 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     during initialization, and the event in flight None for runs stopped by
     the step guard.
 
+    Each reached history's tree is built once, straight from the sequence,
+    and admitted after the trees of its prefixes (`admit_tree`). Its canon
+    gets a small int id the first time it is admitted; the tally keys its
+    masses by id and hashes no canon again.
+
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
     reachable (neighbor-connected to a currently-true event) and the tree
     must contain, label for label, the base tree a hypothetical next
-    resampling of that root would inherit from the run's history. Base
-    trees come from the same per-history memo as the appearing trees, so
-    each event sequence's tree is built once. Mass of runs failing those
-    filters cannot contribute, so it is excluded from `pending`.
+    resampling of that root would inherit from the run's history. Those
+    filters read only the base tree's label multiset and size, so no base
+    tree is built: `label_counts_of_events` scans the history for its
+    labels alone. The hypothetical steps, the one in flight and each
+    root's, still pass the root-multiplicity check of `admit_tree`. That
+    check also keeps out every tree the run has already shown: such a tree
+    has at most as many root labels as the latest one with its root, and
+    the base tree has more. Mass of runs failing the filters cannot
+    contribute, so it is excluded from `pending`.
 
     Surviving charges are further discounted: a tree appearing in an
     extension pins the values of table cells it determines, and any vertex
     all of whose relevant cells lie beyond the run's consumption must
     still hit its forbidden set with fresh coins, contributing an
-    independent factor Pr[A_label]. A tree's charges are summed in units
-    per tuple of such fresh labels, and each tuple's product is taken once.
+    independent factor Pr[A_label]. The runs are grouped by the roots they
+    can reach. A tree's charges are summed in units per consumption vector,
+    each vector's product of fresh factors is taken once as an integer
+    numerator and denominator, and the sum is divided once.
     """
     comp_of = _component_of(system)
-    # history -> (tree of its last step, its canon, canon -> step of each
-    # step's tree, root label -> multiplicity), the bookkeeping of
-    # `admit_tree`
+    ids: dict = {}  # canon -> its id, in order of first admission
+    # history -> (tree of its last step, that tree's id, canon -> step of
+    # each step's tree, root label -> multiplicity); the last two are the
+    # bookkeeping of `admit_tree`
     history_trees: dict = {(): (None, None, {}, {})}
 
     def trees_of(history: tuple[int, ...]) -> tuple:
@@ -390,91 +403,96 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         n = len(history)
         while history[:n] not in history_trees:
             n -= 1
-        _, _, seen, root_counts = history_trees[history[:n]]
+        *_, seen, root_counts = history_trees[history[:n]]
         for k in range(n + 1, len(history) + 1):
             tree = tree_of_events(history[:k], system)
             seen, root_counts = dict(seen), dict(root_counts)
             canon = admit_tree(tree, k, seen, root_counts)
-            history_trees[history[:k]] = (tree, canon, seen, root_counts)
+            history_trees[history[:k]] = (
+                tree, ids.setdefault(canon, len(ids)), seen, root_counts)
         return history_trees[history]
 
     p_low: dict = {}
-    trees_by_canon: dict = {}
+    trees: dict = {}  # id -> the tree of the first reached history with it
     for history, units in reached.items():
-        tree, canon = trees_of(history)[:2]
-        trees_by_canon.setdefault(canon, tree)
-        p_low[canon] = p_low.get(canon, 0) + units
+        tree, tree_id = trees_of(history)[:2]
+        trees.setdefault(tree_id, tree)
+        p_low[tree_id] = p_low.get(tree_id, 0) + units
 
-    # per unresolved run:
-    # (units, {root: (base_counter, min_size)}, appeared canons, consumed_ub)
-    pending_info: list[tuple[int, dict, dict, Optional[list]]] = []
+    # root -> the unresolved runs that can reach it, each as
+    # (units, base label counts, min_size, consumed_ub)
+    by_root: dict = {}
     for (true, history, in_flight), units in cut.items():
         if history is None:
             # cut off during initialization: no filter information
-            bases = {root: (Counter(), 1)
-                     for root in range(len(system.events))}
-            pending_info.append((units, bases, {}, None))
+            for root in range(len(system.events)):
+                by_root.setdefault(root, []).append((units, {}, 1, None))
             continue
+        root_counts = trees_of(history)[3]
+        begun = history
+        if in_flight is not None:
+            # the cut-off resampling completes before anything else an
+            # extension logs
+            begun = history + (in_flight,)
+            n_root = label_counts_of_events(begun, system)[in_flight]
+            check_root_grew(in_flight, n_root, len(begun), root_counts)
+            root_counts = {**root_counts, in_flight: n_root}
         # upper bound on per-variable table consumption: one entry at
         # initialization, one per resample touching the variable, the
         # cut-off resampling in flight included
         consumed_ub = [1] * len(system.variables)
-        begun = history if in_flight is None else history + (in_flight,)
         for e in begun:
             for v in system.events[e].vbl:
                 consumed_ub[v] += 1
-        # the cut-off resampling completes before anything else an
-        # extension logs
+        consumed_ub = tuple(consumed_ub)
         reachable = set().union(*(comp_of[e] for e in true),
                                 comp_of.get(in_flight, ()))
-        bases = {}
         for root in reachable:
-            base = trees_of(begun + (root,))[0]
-            min_size = base.size
+            base = label_counts_of_events(begun + (root,), system)
+            check_root_grew(root, base[root], len(begun) + 1, root_counts)
+            min_size = sum(base.values())
             flippable = (in_flight is not None
                          and root in system.neighbor_sets[in_flight])
             if root not in true and not flippable:
                 # some future neighbor resample must make root true
                 # first, and it would join the tree as well
                 min_size += 1
-            bases[root] = (base.label_counts(), min_size)
-        pending_info.append((units, bases, trees_of(history)[2],
-                             consumed_ub))
+            by_root.setdefault(root, []).append(
+                (units, base, min_size, consumed_ub))
 
     event_probs = [event_probability(ev, system) for ev in system.events]
+    canons = list(ids)
     appearances: dict = {}
-    for canon, tree in trees_by_canon.items():
-        counts = tree.label_counts()
+    for tree_id, tree in trees.items():
+        counts, size = tree.label_counts(), tree.size
         positions = tape_positions_by_vertex(tree, system)
-        # labels of the fresh vertices -> units of the runs charged so
-        fresh_units: dict = {}
-        for units, bases, appeared, consumed_ub in pending_info:
-            if canon in appeared:
+        # consumption vector -> units of the runs charged with it
+        charged: dict = {}
+        for units, base, min_size, consumed_ub in by_root.get(
+                tree.root_label, ()):
+            if size < min_size or any(counts[label] < n
+                                      for label, n in base.items()):
                 continue
-            entry = bases.get(tree.root_label)
-            if entry is None:
-                continue
-            base_counts, min_size = entry
-            if tree.size < min_size:
-                continue
-            if any(counts[label] < n for label, n in base_counts.items()):
-                continue
-            # cell x^(p-1) holds the value that made a vertex's event true;
-            # if the whole before-tuple is beyond the run's consumption it
-            # must still land forbidden, an independent factor Pr[A_label]
-            fresh = () if consumed_ub is None else tuple(
-                tree.labels[v] for v in range(tree.size)
-                if all(p - 1 >= consumed_ub[var]
-                       for var, p in positions[v].items()))
-            fresh_units[fresh] = fresh_units.get(fresh, 0) + units
-        pending = Fraction(0)
-        for fresh, units in fresh_units.items():
-            charge = Fraction(units, total)
-            for label in fresh:
-                charge *= event_probs[label]
-            pending += charge
-        appearances[canon] = TreeAppearance(tree, Fraction(p_low[canon], total),
-                                            pending)
+            charged[consumed_ub] = charged.get(consumed_ub, 0) + units
+        # cell x^(p-1) holds the value that made a vertex's event true;
+        # if the whole before-tuple is beyond the run's consumption it
+        # must still land forbidden, an independent factor Pr[A_label]
+        charges = []  # (units, numerator, denominator)
+        for consumed_ub, units in charged.items():
+            num = den = 1
+            if consumed_ub is not None:
+                for v, row in positions.items():
+                    if all(p - 1 >= consumed_ub[var]
+                           for var, p in row.items()):
+                        prob = event_probs[tree.labels[v]]
+                        num *= prob.numerator
+                        den *= prob.denominator
+            charges.append((units, num, den))
+        unit = lcm(*(den for _, _, den in charges))
+        pending = Fraction(sum(units * num * (unit // den)
+                               for units, num, den in charges), total * unit)
+        appearances[canons[tree_id]] = TreeAppearance(
+            tree, Fraction(p_low[tree_id], total), pending)
     return appearances
 
 

@@ -56,7 +56,10 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
 
     Per vertex: a factor z_l for each neighbor label l attached as a son,
     and (1 - z_l) for each neighbor label not attached. The factors are
-    counted per label first and multiplied as powers in label order.
+    counted per label first: with z_l = a/b, label l spawned s times out of
+    o offers contributes a^s (b - a)^(o - s) over b^o. Numerators and
+    denominators are multiplied as integers, and one `Fraction` is formed
+    at the end.
     """
     if tree.root_label != params.root:
         raise ModelError(
@@ -72,11 +75,12 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
     spawned = Counter(tree.labels[1:])
     offered = Counter(l for label in tree.labels
                       for l in system.neighbor_sets[label])
-    prob = ONE
-    for l in sorted(offered):
-        z = params.z[l]
-        prob *= z ** spawned[l] * (ONE - z) ** (offered[l] - spawned[l])
-    return prob
+    num = den = 1
+    for l, o in offered.items():
+        a, b = params.z[l].numerator, params.z[l].denominator
+        num *= a ** spawned[l] * (b - a) ** (o - spawned[l])
+        den *= b ** o
+    return Fraction(num, den)
 
 
 def gw_sample(params: GWParams, system: ConstraintSystem, tape: Tape,

@@ -201,17 +201,22 @@ class TableQOracle:
 
     `atoms` maps infinite 0/1 branches to masses, each branch given by a
     non-empty pattern repeated forever ("01" is 0101...); q(u) sums the
-    atoms whose branch extends u. Masses are >= 0 and sum to at most 1.
+    atoms whose branch extends u. It is a dict or a sequence of (pattern,
+    mass) pairs, in which the masses of equal patterns add. Masses are
+    >= 0 and sum to at most 1.
     """
 
-    def __init__(self, atoms: dict[str, Fraction]):
-        self.atoms = {p: as_fraction(m) for p, m in atoms.items()}
-        for pattern, mass in self.atoms.items():
+    def __init__(self, atoms):
+        pairs = atoms.items() if isinstance(atoms, dict) else atoms
+        self.atoms: dict[str, Fraction] = {}
+        for pattern, mass in pairs:
+            mass = as_fraction(mass)
             if not pattern or set(pattern) - {"0", "1"}:
                 raise ModelError(f"atom pattern {pattern!r} is not a "
                                  f"non-empty string of 0s and 1s")
             if mass < ZERO:
                 raise ModelError(f"atom {pattern} has negative mass {mass}")
+            self.atoms[pattern] = self.atoms.get(pattern, ZERO) + mass
         total = sum(self.atoms.values(), ZERO)
         if total > ONE:
             raise ModelError(f"atom masses sum to {total}, more than 1")

@@ -152,6 +152,25 @@ def tree_of_events(events: Sequence[int],
     return WitnessTree(tuple(labels), tuple(parents), tuple(steps))
 
 
+def label_counts_of_events(events: Sequence[int],
+                           system: ConstraintSystem) -> dict[int, int]:
+    """The label multiset of `tree_of_events(events, system)`, without the
+    tree: the same reverse scan keeps an earlier event iff it neighbors a
+    label already kept, and builds no vertex."""
+    if not events:
+        raise ModelError("a witness tree needs at least one event")
+    nb = system.neighbor_sets
+    root = events[-1]
+    counts = {root: 1}
+    near = set(nb[root])
+    for t in range(len(events) - 2, -1, -1):
+        s = events[t]
+        if s in near:
+            counts[s] = counts.get(s, 0) + 1
+            near |= nb[s]
+    return counts
+
+
 def build_witness_tree(log: ResampleLog, k: int,
                        system: ConstraintSystem) -> WitnessTree:
     """Tree for step k of a log: `tree_of_events` over its first k events."""
@@ -189,11 +208,21 @@ def admit_tree(tree: WitnessTree, k: int, seen: dict,
     seen[c] = k
     root = tree.root_label
     n_root = tree.labels.count(root)
+    check_root_grew(root, n_root, k, root_counts)
+    root_counts[root] = n_root
+    return c
+
+
+def check_root_grew(root: int, n_root: int, k: int,
+                    root_counts: dict[int, int]) -> None:
+    """Raise EngineError unless step k's tree, rooted at `root` with
+    `n_root` vertices of that label, has more of them than the latest
+    earlier tree rooted there. A tree that passes differs from every
+    earlier tree: from those with its root by that count, from the others
+    by its root."""
     if n_root <= root_counts.get(root, 0):
         raise EngineError(
             f"step {k}: root-label multiplicity did not increase")
-    root_counts[root] = n_root
-    return c
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,10 @@ def test_missing_file_is_usage_error(capsys):
      "atom 0 has negative mass -1/2"),
     (["extract", "--oracle", "pair:0:3/2:1:1/2"],
      "atom masses sum to 2, more than 1"),
+    (["extract", "--oracle", "pair:0:3/4:0:1/2"],
+     "atom masses sum to 5/4, more than 1"),
+    (["extract", "--oracle", "pair:0:1:0:-1/2"],
+     "atom 0 has negative mass -1/2"),
 ])
 def test_malformed_spec_is_usage_error(capsys, argv, spec):
     code, out, err = run_cli(capsys, *argv)
@@ -370,6 +374,15 @@ def test_extract_pair_oracle_heavy_branch(capsys):
                            "pair:1:3/5:0:2/5", "--r", "2/5", "--count", "4")
     assert code == 0
     assert "cells=1111" in out
+
+
+@pytest.mark.parametrize("spec", ["pair:0:1:0:0", "pair:0:1/2:0:1/2"])
+def test_extract_pair_oracle_adds_equal_patterns(capsys, spec):
+    # all the mass sits on branch 000..., once the two atoms' masses add
+    code, out, _ = run_cli(capsys, "extract", "--oracle", spec, "--r", "1/2",
+                           "--count", "4")
+    assert code == 0
+    assert "cells=0000" in out
 
 
 def test_extract_contract_violation(capsys):

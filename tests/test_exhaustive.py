@@ -66,6 +66,20 @@ def test_census_keeps_the_in_run_tree_checks(one_bit_system, monkeypatch,
         exhaustive.census_runs(one_bit_system, 3)
 
 
+@pytest.mark.parametrize("step_guard", [None, 1])
+def test_census_checks_the_root_counts_of_hypothetical_steps(
+        one_bit_system, monkeypatch, step_guard):
+    # at 2 coins every unresolved run has resampled event 0 once. Without
+    # a step guard the run is cut while resampling it again, the in-flight
+    # step 2; with step guard 1 it stops there, and the pending filters
+    # look at resampling it as step 2. A scan that finds the root alone
+    # fails the multiplicity check either way.
+    monkeypatch.setattr(exhaustive, "label_counts_of_events",
+                        lambda events, system: {events[-1]: 1})
+    with pytest.raises(EngineError, match="^step 2: root-label multiplicity"):
+        exhaustive.census_runs(one_bit_system, 2, step_guard)
+
+
 @pytest.mark.parametrize("want_trees", [False, True])
 def test_branch_guard_refuses_past_the_visited_prefix_tree(
         chain2_system, want_trees):
@@ -252,18 +266,26 @@ def test_tree_census_is_pinned(name):
 
 
 def test_each_event_sequence_builds_its_tree_once(monkeypatch):
-    # the appearing trees and the base trees of the pending filters come
-    # from one memo keyed by event sequence
+    # a tree is built for each reached history, once; the pending filters
+    # read their base trees' labels by scan and build none
     built = []
     build = exhaustive.tree_of_events
+    tally = exhaustive._tree_tally
+    reached = []
 
     def recording_build(events, system):
         built.append(tuple(events))
         return build(events, system)
 
+    def recording_tally(system, reached_mass, cut, total):
+        reached.extend(reached_mass)
+        assert any(history for _, history, _ in cut)
+        return tally(system, reached_mass, cut, total)
+
     monkeypatch.setattr(exhaustive, "tree_of_events", recording_build)
+    monkeypatch.setattr(exhaustive, "_tree_tally", recording_tally)
     exhaustive.census_runs(ChainCnfFamily(3, 1, 202).materialize(4), 18)
-    assert built and len(built) == len(set(built))
+    assert built and sorted(built) == sorted(reached)
 
 
 # The output path pinned the same way: the chain's output census at two

@@ -179,11 +179,25 @@ def test_contract_violation_names_the_heavy_prefix(w, message):
     assert str(caught.value) == message
 
 
+class NonAdditiveOracle:
+    """q_n(()) = 2/3 and q_n of each child 1/2, in every round: both
+    children exceed r = 1/3 while the parent stays within 2r, which no
+    additive measure allows."""
+
+    def arity(self, position):
+        return 2
+
+    def guard(self, n):
+        return None
+
+    def lower_bound(self, prefix, n):
+        return F(1, 2) if prefix else F(2, 3)
+
+
 def test_two_winners_violation():
-    # both children carry mass > r: the parent must exceed 2r
-    q = TableQOracle({"1": F(1, 2), "0": F(1, 2)})
-    with pytest.raises(ContractViolation):
-        list(islice(extract_from_positive_probability(q, F(1, 3)), 2))
+    with pytest.raises(ContractViolation) as caught:
+        next(extract_from_positive_probability(NonAdditiveOracle(), F(1, 3)))
+    assert str(caught.value) == "two children exceed r = 1/3 at prefix ()"
 
 
 def test_deterministic_machine_extraction():
@@ -236,6 +250,20 @@ def test_positive_branch_records_bounds(chain2_system):
 def test_table_oracle_rejects_bad_atoms(atoms, message):
     with pytest.raises(ModelError, match=f"^{message}"):
         TableQOracle(atoms)
+
+
+@pytest.mark.parametrize("atoms,message", [
+    ([("0", F(1, 2)), ("0", F(-1, 4))], "atom 0 has negative mass -1/4"),
+    ([("0", F(3, 4)), ("0", F(1, 2))], "atom masses sum to 5/4, more than 1"),
+])
+def test_table_oracle_checks_each_pair_and_their_sum(atoms, message):
+    with pytest.raises(ModelError, match=f"^{message}"):
+        TableQOracle(atoms)
+
+
+def test_table_oracle_adds_the_masses_of_equal_patterns():
+    q = TableQOracle([("0", F(1, 2)), ("1", F(1, 4)), ("0", F(1, 4))])
+    assert q.atoms == {"0": F(3, 4), "1": F(1, 4)}
 
 
 def _tiny_zero_system():

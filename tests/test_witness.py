@@ -17,6 +17,7 @@ from lll_toolkit.engine import (SATISFIED, log_from_event_sequence,
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  crosscheck_tape_positions,
+                                 label_counts_of_events,
                                  reconstruct_tape_positions,
                                  tape_positions_by_vertex,
                                  tree_of_events, tree_probability_bound,
@@ -106,6 +107,20 @@ def test_sequence_builder_matches_the_reference_scan(system, data):
     assert_matches_reference(events, system)
 
 
+@given(systems(), st.data())
+@DIFFERENTIAL
+def test_label_scan_counts_the_labels_of_the_built_tree(system, data):
+    # the census reads the base trees of its pending filters this way: a
+    # history and a root to resample next, every prefix and root here
+    n = len(system.events)
+    events = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=24)))
+    for k in range(len(events) + 1):
+        for root in range(n):
+            sequence = events[:k] + (root,)
+            assert (label_counts_of_events(sequence, system)
+                    == tree_of_events(sequence, system).label_counts())
+
+
 @pytest.mark.parametrize("length", [16, 17, 40])
 def test_one_event_sequence_builds_a_path(one_bit_system, length):
     # each repeat of the event hangs under the latest, deepest vertex
@@ -180,6 +195,8 @@ def test_log_builder_scans_only_the_first_k_events(chain3_system,
 def test_sequence_builder_needs_an_event(one_bit_system):
     with pytest.raises(ModelError, match="at least one event"):
         tree_of_events((), one_bit_system)
+    with pytest.raises(ModelError, match="at least one event"):
+        label_counts_of_events((), one_bit_system)
 
 
 # --- validate_tree ----------------------------------------------------------
