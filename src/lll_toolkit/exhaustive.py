@@ -12,7 +12,7 @@ forward, merging runs in equal states and counting the coin paths that
 reach each one. A witness tree depends only on the sequence of resampled
 events, never on the values drawn, so the census with trees groups states
 by that sequence and builds each distinct history's tree once, straight
-from the sequence, keeping its canon alongside. A state is packed into one
+from the sequence, keeping an int id of its canon. A state is packed into one
 int, each variable's value in a bit field of its own and the coins read
 above them, so a draw is one AND and one addition and an event's truth
 one AND and one set lookup. Only the resolved outputs and the true events

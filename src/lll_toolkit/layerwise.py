@@ -206,7 +206,8 @@ class TableQOracle:
     >= 0 and sum to at most 1.
     """
 
-    def __init__(self, atoms):
+    def __init__(self, atoms: dict[str, Fraction]
+                 | Sequence[tuple[str, Fraction]]):
         pairs = atoms.items() if isinstance(atoms, dict) else atoms
         self.atoms: dict[str, Fraction] = {}
         for pattern, mass in pairs:
