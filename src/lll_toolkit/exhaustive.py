@@ -19,10 +19,15 @@ one AND and one set lookup. Only the resolved outputs and the true events
 of cut runs are ever unpacked.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
+
+A run that ends within b coins is the same run at every larger budget, so
+a census keeps its resolved states by their coins read and the runs its
+step guard stopped by theirs, and reads the census at any lower budget off
+those tables (`RunCensus.at_budget`) instead of exploring again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -157,17 +162,66 @@ class TreeAppearance:
 
 @dataclass
 class RunCensus:
+    """The census of all runs within `bit_budget` coins.
+
+    Besides the masses it keeps two tables. `resolved` maps the packed
+    state of each resolved run, its values and the coins it read (`layout`
+    unpacks one), to the number of coin paths that reach it; `step_cut`
+    maps coins read to the number of paths the step guard stopped. From
+    them `at_budget` reads the census at every lower budget. A census put
+    together from its masses alone has neither table, and no budget.
+    """
+
     appearances: dict  # canon -> TreeAppearance
     resolved_mass: Fraction
     unresolved_mass: Fraction
     branch_count: int
     output_mass: dict  # assignment tuple -> Fraction, resolved branches only
+    bit_budget: Optional[int] = None
+    resolved: dict = field(default_factory=dict)  # packed state -> paths
+    step_cut: dict = field(default_factory=dict)  # coins read -> paths
+    layout: tuple = ()  # (coin shift, ((field mask, offset) per variable))
 
     def __post_init__(self):
         if self.resolved_mass + self.unresolved_mass != 1:
             raise EngineError(
                 f"census masses sum to "
                 f"{self.resolved_mass + self.unresolved_mass}, not 1")
+
+    def at_budget(self, bit_budget: int) -> RunCensus:
+        """The census at `bit_budget` coins, field for field what
+        `census_runs(system, bit_budget, step_guard, want_trees=False)`
+        returns under this census's step guard, for any budget up to this
+        census's own.
+
+        A leaf of the coin-prefix tree at budget b <= B is one of three
+        kinds. A run resolved after c <= b coins: each of its draws ended
+        within those coins, so the census at B follows the same c coin
+        strings to the same state, at the same level. A run the step guard
+        stopped after c <= b coins: the same holds under an explicit guard.
+        The default guard, b + len(variables) + 8 steps, stops a run within
+        b coins only if some resample read no coin. Such a resample redraws
+        point-mass variables alone, leaves the assignment as it was and so
+        repeats forever without a coin; the census at B stops the run in
+        the same state, only at its own guard. (So each resample of a
+        resolved run read a coin, and its at most c <= b steps stay below
+        either default guard.) The coin budget cuts every other path at exactly b
+        coins, one leaf per unit of 2^-b. So the resolved and step-cut
+        entries within b coins are the census at b, and its branch count is
+        their paths plus the units they leave. That count is at most this
+        census's, so no branch guard this census passed can refuse.
+        """
+        if bit_budget < 0:
+            raise ModelError("bit_budget must be >= 0")
+        if self.bit_budget is None or bit_budget > self.bit_budget:
+            raise ModelError(f"cannot read a census at {bit_budget} coins "
+                             f"off one at {self.bit_budget}")
+        shift = self.layout[0]
+        return _census_of_tables(
+            {}, bit_budget,
+            {s: n for s, n in self.resolved.items() if s >> shift <= bit_budget},
+            {c: n for c, n in self.step_cut.items() if c <= bit_budget},
+            self.layout)
 
     def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
         """Resolved mass of outputs whose first cells equal `prefix`,
@@ -204,6 +258,31 @@ def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
     return out
 
 
+def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
+                      step_cut: dict, layout: tuple,
+                      coin_cut: Optional[int] = None) -> RunCensus:
+    """The census at `bit_budget` coins from its tables and the number of
+    paths the coin budget cut, each one leaf of one unit of 2^-bit_budget;
+    by default every path neither resolved nor stopped by the step guard."""
+    shift, unpack = layout
+    total = 1 << bit_budget
+    values_mask = (1 << shift) - 1
+    units: dict = {}  # packed assignment -> units
+    for s, n in resolved.items():
+        a = s & values_mask
+        units[a] = units.get(a, 0) + (n << (bit_budget - (s >> shift)))
+    resolved_units = sum(units.values())
+    stopped = sum(n << (bit_budget - c) for c, n in step_cut.items())
+    if coin_cut is None:
+        coin_cut = total - resolved_units - stopped
+    output_mass = {tuple([(a & f) >> o for f, o in unpack]): Fraction(u, total)
+                   for a, u in units.items()}
+    return RunCensus(appearances, Fraction(resolved_units, total),
+                     Fraction(stopped + coin_cut, total),
+                     sum(resolved.values()) + sum(step_cut.values()) + coin_cut,
+                     output_mass, bit_budget, resolved, step_cut, layout)
+
+
 def census_runs(system: ConstraintSystem, bit_budget: int,
                 step_guard: int | None = None,
                 branch_guard: int = DEFAULT_BRANCH_GUARD,
@@ -216,7 +295,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     in equal states merge into one state carrying the number of coin paths
     that reach it. Masses stay integers in units of 2^-budget until the end.
     The branch count and the guard are those of the prefix tree, whose
-    visited nodes number 2 * leaves - 1.
+    visited nodes number 2 * leaves - 1. The census keeps the path count of
+    each resolved state, its coins included, and of the runs the step guard
+    stopped by their coins; `RunCensus.at_budget` reads every lower budget
+    off these two tables, with no census of its own.
 
     A state is one int: variable v's value sits in a field of
     (range_size - 1).bit_length() bits (none for a range-1 variable), and
@@ -225,8 +307,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     event is the mask of its fields and the set of its forbidden tuples
     packed under it, and the first true event is memoized per packed
     assignment. Unpacked are only the resolved outputs, once each into the
-    assignment tuples that key `output_mass`, and the true-event sets of
-    cut runs.
+    assignment tuples that key `output_mass` (and again by each census read
+    off this one), and the true-event sets of cut runs.
 
     States are grouped by history. With want_trees=True that is the events
     a state has resampled, the one in flight included, as its witness trees
@@ -236,7 +318,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     Unresolved runs are kept by the set of events true when they stop,
     their history and their event in flight, all that the pending filters
     of `_tree_tally` read. With want_trees=False only output masses are
-    collected (used by the output-distribution oracle).
+    collected (used by the output-distribution oracle); a census with trees
+    keeps the same two tables.
     """
     step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     widths = [(var.range_size - 1).bit_length() for var in system.variables]
@@ -254,8 +337,9 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     # reads above) with its number of paths, and the paths the budget cuts
     paths: list = [[None] * (bit_budget + 1) for _ in widths]
     first: dict = {}  # packed assignment -> its minimal-index true event
-    leaves = unresolved = 0
-    resolved: dict = {}  # packed assignment -> units
+    leaves = coin_cut = 0
+    resolved: dict = {}  # packed state -> paths
+    step_cut: dict = {}  # coins read -> paths
     reached: dict = {}  # completed history -> units
     cut: dict = {}  # (true events, completed history, in-flight event) -> units
 
@@ -271,7 +355,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     def draw(states: dict, variables) -> dict:
         """Run every state through draws of `variables`, in order; states
         are grouped by history, which a draw leaves as it is."""
-        nonlocal leaves, unresolved
+        nonlocal leaves, coin_cut
         for v in variables:
             out: dict = {}
             clear, by_coins = ~fields[v], paths[v]
@@ -288,7 +372,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     moves, n_cut = by_coins[coins]
                     if n_cut:
                         leaves += n * n_cut
-                        unresolved += n * n_cut
+                        coin_cut += n * n_cut
                         if want_trees:
                             # no history yet: the cut came during
                             # initialization
@@ -315,15 +399,16 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                 if a not in first:
                     first[a] = min(true_events(a), default=None)
                 event = first[a]
-                units = n << (bit_budget - (s >> coin_shift))
+                coins = s >> coin_shift
+                units = n << (bit_budget - coins)
                 if events:
                     reached[events] = reached.get(events, 0) + units
                 if event is None:
                     leaves += n
-                    resolved[a] = resolved.get(a, 0) + units
+                    resolved[s] = resolved.get(s, 0) + n
                 elif level >= step_guard:
                     leaves += n
-                    unresolved += units
+                    step_cut[coins] = step_cut.get(coins, 0) + n
                     if want_trees:
                         where = (true_events(a), events, None)
                         cut[where] = cut.get(where, 0) + units
@@ -340,14 +425,11 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     merged[s] = merged.get(s, 0) + n
         level += 1
     guard(0)
-    total = 1 << bit_budget
-    appearances = (_tree_tally(system, reached, cut, total) if want_trees
-                   else {})
-    unpack = list(zip(fields, offsets))
-    output_mass = {tuple([(a & f) >> o for f, o in unpack]): Fraction(u, total)
-                   for a, u in resolved.items()}
-    return RunCensus(appearances, Fraction(sum(resolved.values()), total),
-                     Fraction(unresolved, total), leaves, output_mass)
+    appearances = (_tree_tally(system, reached, cut, 1 << bit_budget)
+                   if want_trees else {})
+    return _census_of_tables(appearances, bit_budget, resolved, step_cut,
+                             (coin_shift, tuple(zip(fields, offsets))),
+                             coin_cut)
 
 
 def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,

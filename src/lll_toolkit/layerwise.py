@@ -29,7 +29,7 @@ from .model import (ConstraintSystem, LLLParams, ONE, StreamParams, ZERO,
                     as_fraction, expected_steps_bound)
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
-from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
+from .exhaustive import DEFAULT_BRANCH_GUARD, RunCensus, census_runs
 from .families import InfiniteFamily
 
 DEFAULT_BIT_GUARD = 40
@@ -159,6 +159,8 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     Runs the full computation tree over explicit coins, deepening the coin
     budget until the unresolved mass (which is all that separates hi from
     lo) is small enough; refuses rather than approximate past the guards.
+    The budget starts at `_start_bits(system)`, or at `bit_guard` if that
+    is lower, and doubles up to `bit_guard`: no census reads more coins.
     """
     delta = as_fraction(delta)
     if delta <= ZERO:
@@ -169,10 +171,18 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     for pos, value in enumerate(prefix):
         if not 0 <= value < system.variables[pos].range_size:
             raise ModelError(f"prefix value {value} out of range at cell {pos}")
-    budget = _start_bits(system)
+    return _interval(SystemQOracle(system, bit_guard, branch_guard), prefix,
+                     delta)
+
+
+def _interval(oracle: SystemQOracle, prefix: tuple[int, ...],
+              delta: Fraction) -> tuple[Fraction, Fraction]:
+    """The loop of `approx_output_distribution` over the oracle's censuses:
+    from min(bit_guard, `_start_bits`) coins, doubling up to the guard."""
+    bit_guard = oracle.bit_guard
+    budget = min(bit_guard, _start_bits(oracle.system))
     while True:
-        census = census_runs(system, budget, branch_guard=branch_guard,
-                             want_trees=False)
+        census = oracle._census(budget)
         lo = census.prefix_mass(prefix)
         hi = lo + census.unresolved_mass
         if hi - lo <= delta:
@@ -248,7 +258,9 @@ class SystemQOracle:
 
     q(u) is the probability that the final assignment starts with u;
     q_n(u) is the resolved mass at coin budget `_start_bits(system) + 4n`
-    (at most `bit_guard`), which can only grow with the budget.
+    (at most `bit_guard`), which can only grow with the budget. The oracle
+    keeps one census, its highest, and reads every lower budget off it
+    (`RunCensus.at_budget`).
     """
 
     def __init__(self, system: ConstraintSystem,
@@ -258,7 +270,7 @@ class SystemQOracle:
         self.base_bits = _start_bits(system)
         self.bit_guard = bit_guard
         self.branch_guard = branch_guard
-        self._census_cache: dict[int, object] = {}
+        self._top: Optional[RunCensus] = None
         self._best: dict[tuple[int, ...], Fraction] = {}
 
     def arity(self, position: int) -> int:
@@ -270,12 +282,15 @@ class SystemQOracle:
     def _budget(self, n: int) -> int:
         return min(self.bit_guard, self.base_bits + 4 * n)
 
-    def _census(self, budget: int):
-        if budget not in self._census_cache:
-            self._census_cache[budget] = census_runs(
+    def _census(self, budget: int) -> RunCensus:
+        """The output census at `budget` coins: a new highest census past
+        the one kept, else read off it."""
+        top = self._top
+        if top is None or budget > top.bit_budget:
+            self._top = top = census_runs(
                 self.system, budget, branch_guard=self.branch_guard,
                 want_trees=False)
-        return self._census_cache[budget]
+        return top if budget == top.bit_budget else top.at_budget(budget)
 
     def lower_bound(self, prefix: tuple[int, ...], n: int) -> Fraction:
         prefix = tuple(prefix)
@@ -400,7 +415,10 @@ def compute_assignment_prefix(system: ConstraintSystem,
     the first L cells of the positive branch of the output measure, each
     with the lower bound that certified it, and an interval of width at
     most `delta` around the mass of the whole prefix (at L = 0, around the
-    resolved mass of all outputs). Empirical mode reruns the solver over
+    resolved mass of all outputs). Both come from one `SystemQOracle`: the
+    interval deepens its budget as `approx_output_distribution` does, and
+    each budget at or below the oracle's highest census is read off that
+    census rather than run again. Empirical mode reruns the solver over
     seeded tapes, for `max_steps` steps or else `suggested_max_steps(params)`
     as `lll solve` does, and reports majority values with their stability
     frequencies.
@@ -411,15 +429,14 @@ def compute_assignment_prefix(system: ConstraintSystem,
         raise ModelError("prefix longer than the variable list")
 
     if mode == "exact":
-        if as_fraction(delta) <= ZERO:
+        delta = as_fraction(delta)
+        if delta <= ZERO:
             raise ModelError("delta must be positive")
         oracle = SystemQOracle(system, bit_guard=bit_guard,
                                branch_guard=branch_guard)
         cells = list(islice(_positive_cells(oracle), L))
         values = tuple(cell for cell, _ in cells)
-        interval = approx_output_distribution(system, values, delta,
-                                              bit_guard=bit_guard,
-                                              branch_guard=branch_guard)
+        interval = _interval(oracle, values, delta)
         for i, event in enumerate(system.events):
             if event.vbl[-1] < L and system.is_true(i, values):
                 raise VerificationError(

@@ -10,6 +10,7 @@ import pytest
 
 import lll_toolkit
 from lll_toolkit.cli import dispatch
+from test_layerwise import recorded_censuses
 
 F = Fraction
 
@@ -439,6 +440,26 @@ def test_prefix_refuses_a_coin_guard_that_resolves_no_run(tmp_path, capsys):
     assert out == ""
     assert err == ("refused: no child with positive lower bound within the "
                    "coin guard of 0 coins at prefix ()\n")
+
+
+@pytest.mark.parametrize("guard,budgets,mass", [("4", [4], "1/2"),
+                                                 ("8", [8], "1/8")])
+def test_exact_prefix_reads_no_coin_past_its_bit_guard(tmp_path, capsys,
+                                                       monkeypatch, guard,
+                                                       budgets, mass):
+    # the interval used to start at 8 coins whatever the guard, and at
+    # guard 8 ran the oracle's 8-coin census a second time
+    path = tmp_path / "tiny.cnf"
+    path.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    seen = recorded_censuses(monkeypatch)
+    code, out, err = run_cli(capsys, "prefix", "--input", str(path),
+                             "--length", "3", "--mode", "exact",
+                             "--bit-guard", guard)
+    assert code == 3
+    assert out == ""
+    assert err == (f"refused: cannot reach width 1/64 within {guard} coins "
+                   f"(unresolved mass {mass})\n")
+    assert seen == budgets
 
 
 def test_avoid_subcommand(tmp_path, capsys):

@@ -238,6 +238,8 @@ PINNED_CENSUS = {
         "3b83140b6f727ce9f61b5669ef81fdae7eb905430b2fc8d55494eb38318624db",
     "in_flight@7":
         "6f818a900b589eda37387280b58533247b89dcfe89fbe40e610d261de9efa85b",
+    "coprime_fresh@8":
+        "e5dd422414779e3de60ed42a79dba4999b08433ed618758f7402d873f0ed8924",
 }
 
 
@@ -250,7 +252,20 @@ def _census_inputs():
     inputs["in_flight@7"] = (ConstraintSystem.build(
         [uniform_bit(i) for i in range(3)],
         [clause_event(0, (2,), (0,)), clause_event(1, (0, 1), (0, 0))]), 7)
+    inputs["coprime_fresh@8"] = (coprime_fresh_system(), 8)
     return inputs
+
+
+def coprime_fresh_system():
+    """x0 with law (1/3, 1/6, 1/2) and a uniform bit x1; event 0 forbids
+    (x0, x1) = (1, 0), event 1 also (2, 1), event 2 forbids x1 = 0. The
+    events have probabilities 1/12, 1/3 and 1/2."""
+    return ConstraintSystem.build(
+        [VariableSpec(0, (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
+         uniform_bit(1)],
+        [Event(0, (0, 1), frozenset({(1, 0)})),
+         Event(1, (0, 1), frozenset({(1, 0), (2, 1)})),
+         clause_event(2, (1,), (0,))])
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CENSUS))
@@ -263,6 +278,25 @@ def test_tree_census_is_pinned(name):
                  f"unresolved={census.unresolved_mass}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_CENSUS[name]
+
+
+def test_pending_charges_add_over_the_lcm_of_coprime_denominators(
+        monkeypatch):
+    # at 8 coins trees 1(2(1(2))) and 1(2(2(1))) are each charged from two
+    # consumption vectors, one leaving only a vertex of event 2 to fresh
+    # coins (factor 1/2), the other only one of event 1 (factor 1/3). The
+    # pinned census above sees their sum; over the larger denominator
+    # instead of the lcm, 1/2 would count as 1/3.
+    seen = []
+    lcm = exhaustive.lcm
+
+    def recording_lcm(*denominators):
+        seen.append(sorted(denominators))
+        return lcm(*denominators)
+
+    monkeypatch.setattr(exhaustive, "lcm", recording_lcm)
+    exhaustive.census_runs(coprime_fresh_system(), 8)
+    assert seen.count([1, 1, 1, 2, 3]) == 2
 
 
 def test_each_event_sequence_builds_its_tree_once(monkeypatch):
@@ -320,3 +354,71 @@ def test_exact_prefix_is_pinned():
             f"{' '.join(map(str, result.cell_bounds))} "
             f"{result.interval[0]} {result.interval[1]}")
     assert hashlib.sha256(line.encode()).hexdigest() == PINNED_PREFIX
+
+
+# --- lower budgets read off a census ----------------------------------------
+
+def assert_reads_every_lower_budget(system, budget, step_guard=None,
+                                    branch_guard=exhaustive.DEFAULT_BRANCH_GUARD,
+                                    want_trees=False):
+    census = exhaustive.census_runs(system, budget, step_guard, branch_guard,
+                                    want_trees)
+    for b in range(budget + 1):
+        assert census.at_budget(b) == exhaustive.census_runs(
+            system, b, step_guard, branch_guard, want_trees=False), b
+    return census
+
+
+@pytest.mark.parametrize("name", [e.name for e in toy_corpus()])
+@pytest.mark.parametrize("step_guard", [None, 0, 2])
+def test_a_corpus_census_reads_every_lower_budget(name, step_guard):
+    entry = next(e for e in toy_corpus() if e.name == name)
+    assert_reads_every_lower_budget(entry.system, 16, step_guard,
+                                    want_trees=step_guard == 2)
+
+
+@pytest.mark.parametrize("clauses", [4, 5])
+def test_a_chain_census_reads_every_lower_budget(clauses):
+    chain = ChainCnfFamily(3, 1, 202).materialize(clauses)
+    assert_reads_every_lower_budget(chain, 22)
+
+
+def test_a_looping_census_reads_every_lower_budget():
+    # x1 is fixed at 0, so event 1 holds under every assignment. Runs
+    # resample event 0 while x0 = 1, then event 1 forever without a coin;
+    # the default guard stops them after as many coins as x0 took, a guard
+    # that grows with the budget.
+    system = ConstraintSystem.build(
+        [uniform_bit(0), VariableSpec(1, (Fraction(1), Fraction(0)))],
+        [clause_event(0, (0,), (1,)), clause_event(1, (1,), (0,))])
+    census = assert_reads_every_lower_budget(system, 10)
+    assert sorted(census.step_cut) == list(range(1, 11))
+
+
+@given(wide_systems(), st.integers(0, 12))
+@settings(DIFFERENTIAL, max_examples=100)
+def test_a_wide_census_reads_every_lower_budget(system, budget):
+    # point-mass laws make resamples that read no coin and loop; the
+    # default guard stops them at a step count that grows with the budget
+    for step_guard in (None, 0, 1, 2, 3, 6):
+        assert_reads_every_lower_budget(system, budget, step_guard)
+
+
+def test_a_census_at_its_branch_guard_reads_its_lower_budgets(chain2_system):
+    leaves = exhaustive.census_runs(chain2_system, 12,
+                                    want_trees=False).branch_count
+    census = assert_reads_every_lower_budget(chain2_system, 12,
+                                             branch_guard=2 * leaves - 1)
+    assert census.branch_count == leaves
+
+
+def test_no_census_is_read_past_its_own_budget(chain2_system):
+    census = exhaustive.census_runs(chain2_system, 6, want_trees=False)
+    with pytest.raises(ModelError, match="at 7 coins off one at 6"):
+        census.at_budget(7)
+    with pytest.raises(ModelError, match="bit_budget must be >= 0"):
+        census.at_budget(-1)
+    reference = reference_census.census_runs(chain2_system, 6,
+                                             want_trees=False)
+    with pytest.raises(ModelError, match="off one at None"):
+        reference.at_budget(6)

@@ -13,6 +13,9 @@ from lll_toolkit.model import (ConstraintSystem, LLLParams, StreamParams,
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import SATISFIED, run_stream
 from lll_toolkit.families import ChainCnfFamily
+from lll_toolkit import layerwise
+from lll_toolkit.corpus import toy_corpus
+from lll_toolkit.exhaustive import RunCensus, census_runs
 from lll_toolkit.layerwise import (SystemQOracle, TableQOracle,
                                    approx_output_distribution,
                                    compute_assignment_prefix,
@@ -376,6 +379,63 @@ def test_system_oracle_monotone(one_bit_system):
     assert values == sorted(values)
     assert values[-1] > 0
 
+
+
+def recorded_censuses(monkeypatch) -> list[int]:
+    """The budget of each census `layerwise` runs from here on."""
+    seen = []
+    census_runs = layerwise.census_runs
+
+    def recording_census(system, bit_budget, *args, **kwargs):
+        seen.append(bit_budget)
+        return census_runs(system, bit_budget, *args, **kwargs)
+
+    monkeypatch.setattr(layerwise, "census_runs", recording_census)
+    return seen
+
+
+@pytest.mark.parametrize("system,delta,budgets", [
+    (ChainCnfFamily(3, 1, 202).materialize(4), F(1, 16), [22]),
+    (next(e.system for e in toy_corpus() if e.name == "two_disjoint"),
+     F(1, 32), [12, 16])], ids=["chain4", "two_disjoint"])
+def test_an_exact_prefix_runs_one_census_per_budget_rise(monkeypatch, system,
+                                                         delta, budgets):
+    # the interval reads its lower budgets (18 coins for the chain, 8 for
+    # two_disjoint) off the oracle's highest census
+    seen = recorded_censuses(monkeypatch)
+    compute_assignment_prefix(system, None, len(system.variables),
+                              delta=delta)
+    assert seen == budgets
+
+
+def test_an_exact_prefix_of_many_variables_reads_no_coin_past_the_guard(
+        monkeypatch):
+    # 21 variables put the interval's first budget at 42 coins, past the
+    # default guard of 40; x0 = 0 is the one output, at every budget
+    system = ConstraintSystem.build(
+        [uniform_bit(0)] + [VariableSpec(i, (F(1),)) for i in range(1, 21)],
+        [clause_event(0, (0,), (1,))])
+    seen = recorded_censuses(monkeypatch)
+    result = compute_assignment_prefix(system, None, 1)
+    assert seen == [40]
+    assert result.interval == (1 - F(1, 2 ** 40), 1)
+
+
+def test_system_oracle_keeps_one_census(monkeypatch, chain2_system):
+    # round n reads 10 + 4n coins: a census runs only when a round passes
+    # the highest budget so far, and the oracle holds that census alone
+    seen = recorded_censuses(monkeypatch)
+    oracle = SystemQOracle(chain2_system)
+    for n in (2, 1, 3, 1, 2, 3):
+        oracle.lower_bound((0,), n)
+    assert seen == [18, 22]
+    kept = [value for value in vars(oracle).values()
+            if isinstance(value, RunCensus)
+            or isinstance(value, dict) and any(
+                isinstance(v, RunCensus) for v in value.values())]
+    assert kept == [oracle._census(22)]
+    assert oracle._census(14) == census_runs(chain2_system, 14,
+                                             want_trees=False)
 
 
 @pytest.mark.parametrize("bit_guard,rounds", [(0, 1), (12, 1), (16, 2)])
