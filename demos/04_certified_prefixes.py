@@ -8,8 +8,7 @@ returns a prefix carrying proven-positive mass bounds.
 from fractions import Fraction as F
 
 from lll_toolkit import (ChainCnfFamily, ConstraintSystem, StreamParams,
-                         approx_output_distribution,
-                         avoiding_assignments, clause_event,
+                         SystemQOracle, avoiding_assignments, clause_event,
                          compute_assignment_prefix, stability_horizon,
                          uniform_bit)
 
@@ -28,9 +27,12 @@ events = [clause_event(0, (0, 1, 2), (1, 1, 1)),
           clause_event(1, (2, 3, 4), (0, 0, 0))]
 system = ConstraintSystem.build(variables, events)
 
+# one oracle serves every interval: it keeps its highest census and reads
+# the lower budgets off it
+oracle = SystemQOracle(system)
 print("\noutput-distribution intervals for the two-clause system:")
 for prefix in ((0,), (1,), (1, 1)):
-    lo, hi = approx_output_distribution(system, prefix, F(1, 64))
+    lo, hi = oracle.interval(prefix, F(1, 64))
     print(f"  Pr[output starts with {prefix}] in [{lo}, {hi}]")
 
 result = compute_assignment_prefix(system, None, 5, mode="exact",

@@ -14,9 +14,10 @@ events, never on the values drawn, so the census with trees groups states
 by that sequence and builds each distinct history's tree once, straight
 from the sequence, keeping an int id of its canon. A state is packed into one
 int, each variable's value in a bit field of its own and the coins read
-above them, so a draw is one AND and one addition and an event's truth
-one AND and one set lookup. Only the resolved outputs and the true events
-of cut runs are ever unpacked.
+above them: a resample is one AND and one addition per entry of a joint
+table of its redraws, and an event's truth one AND and one set lookup.
+Masses stay integer units per packed assignment; only the true events of
+cut runs are ever unpacked, and the resolved outputs once read.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 
@@ -168,25 +169,37 @@ class RunCensus:
     state of each resolved run, its values and the coins it read (`layout`
     unpacks one), to the number of coin paths that reach it; `step_cut`
     maps coins read to the number of paths the step guard stopped. From
-    them `at_budget` reads the census at every lower budget. A census put
-    together from its masses alone has neither table, and no budget.
+    them `at_budget` reads the census at every lower budget. `units` maps
+    each resolved packed assignment to its units of 2^-bit_budget, which
+    `prefix_mass` sums and `output_mass` turns into `Fraction`s when first
+    read. A census put together from its `masses` alone has none of these.
     """
 
     appearances: dict  # canon -> TreeAppearance
     resolved_mass: Fraction
     unresolved_mass: Fraction
     branch_count: int
-    output_mass: dict  # assignment tuple -> Fraction, resolved branches only
+    masses: Optional[dict] = field(default=None, compare=False, repr=False)
     bit_budget: Optional[int] = None
     resolved: dict = field(default_factory=dict)  # packed state -> paths
     step_cut: dict = field(default_factory=dict)  # coins read -> paths
     layout: tuple = ()  # (coin shift, ((field mask, offset) per variable))
+    units: dict = field(default_factory=dict)  # packed assignment -> units
 
     def __post_init__(self):
         if self.resolved_mass + self.unresolved_mass != 1:
             raise EngineError(
                 f"census masses sum to "
                 f"{self.resolved_mass + self.unresolved_mass}, not 1")
+
+    @property
+    def output_mass(self) -> dict:
+        """Assignment tuple -> Fraction, resolved runs only."""
+        if self.masses is None:
+            self.masses = {tuple([(a & f) >> o for f, o in self.layout[1]]):
+                           Fraction(u, 1 << self.bit_budget)
+                           for a, u in self.units.items()}
+        return self.masses
 
     def at_budget(self, bit_budget: int) -> RunCensus:
         """The census at `bit_budget` coins, field for field what
@@ -224,14 +237,19 @@ class RunCensus:
             self.layout)
 
     def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
-        """Resolved mass of outputs whose first cells equal `prefix`,
-        summed as integers over the lcm of their denominators."""
-        n = len(prefix)
-        weights = [weight for assignment, weight in self.output_mass.items()
-                   if assignment[:n] == prefix]
-        unit = lcm(*(weight.denominator for weight in weights))
-        return Fraction(sum(weight.numerator * (unit // weight.denominator)
-                            for weight in weights), unit)
+        """Resolved mass of outputs whose first cells equal `prefix`: the
+        units of the packed assignments that match it under one mask,
+        divided once."""
+        if self.bit_budget is None:
+            raise ModelError("a census of its masses alone has no units")
+        unpack = self.layout[1][:len(prefix)]
+        if len(unpack) < len(prefix) or any(
+                not 0 <= x <= f >> o for x, (f, o) in zip(prefix, unpack)):
+            return Fraction(0)  # no output has a value there
+        mask = sum(f for f, _ in unpack)
+        packed = sum(x << o for x, (_, o) in zip(prefix, unpack))
+        return Fraction(sum(u for a, u in self.units.items()
+                            if a & mask == packed), 1 << self.bit_budget)
 
     def appearance_list(self) -> list[TreeAppearance]:
         """Appearances by falling p_low, then by canonical line, each line
@@ -264,7 +282,7 @@ def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
     """The census at `bit_budget` coins from its tables and the number of
     paths the coin budget cut, each one leaf of one unit of 2^-bit_budget;
     by default every path neither resolved nor stopped by the step guard."""
-    shift, unpack = layout
+    shift = layout[0]
     total = 1 << bit_budget
     values_mask = (1 << shift) - 1
     units: dict = {}  # packed assignment -> units
@@ -275,12 +293,10 @@ def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
     stopped = sum(n << (bit_budget - c) for c, n in step_cut.items())
     if coin_cut is None:
         coin_cut = total - resolved_units - stopped
-    output_mass = {tuple([(a & f) >> o for f, o in unpack]): Fraction(u, total)
-                   for a, u in units.items()}
     return RunCensus(appearances, Fraction(resolved_units, total),
                      Fraction(stopped + coin_cut, total),
                      sum(resolved.values()) + sum(step_cut.values()) + coin_cut,
-                     output_mass, bit_budget, resolved, step_cut, layout)
+                     None, bit_budget, resolved, step_cut, layout, units)
 
 
 def census_runs(system: ConstraintSystem, bit_budget: int,
@@ -302,24 +318,27 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
 
     A state is one int: variable v's value sits in a field of
     (range_size - 1).bit_length() bits (none for a range-1 variable), and
-    the number of coins read sits above all the fields. A draw clears the
-    variable's field and adds a precomputed value-and-coins addend; each
-    event is the mask of its fields and the set of its forbidden tuples
-    packed under it, and the first true event is memoized per packed
-    assignment. Unpacked are only the resolved outputs, once each into the
-    assignment tuples that key `output_mass` (and again by each census read
-    off this one), and the true-event sets of cut runs.
+    the number of coins read sits above all the fields. Each event is the
+    mask of its fields and the set of its forbidden tuples packed under it,
+    and the first true event is memoized per packed assignment. A resample
+    of event e after c coins is one table, built from each variable's draws
+    when first needed: the addends (values in e's fields, coins above) of
+    every redraw of vbl(e) with their paths, and the paths the budget cuts.
+    A state clears e's fields and adds each addend. Initialization is that
+    table over every variable. The guard counts each pending path as a
+    leaf, once per state and once per variable while a table is built.
 
     States are grouped by history. With want_trees=True that is the events
     a state has resampled, the one in flight included, as its witness trees
     depend on nothing else; otherwise every state shares the empty one. A
     state that has just completed a resample carries the mass of every
     leaf below it, so the tree of its last step appears with that mass.
-    Unresolved runs are kept by the set of events true when they stop,
-    their history and their event in flight, all that the pending filters
-    of `_tree_tally` read. With want_trees=False only output masses are
-    collected (used by the output-distribution oracle); a census with trees
-    keeps the same two tables.
+    Unresolved runs are kept by the events true when they stop (a cut
+    mid-table at `(s & keep) + add`), their history and their event in
+    flight, all that the pending filters of `_tree_tally` read. With
+    want_trees=False only output masses are collected (used by the
+    output-distribution oracle); a census with trees keeps the same two
+    tables.
     """
     step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     widths = [(var.range_size - 1).bit_length() for var in system.variables]
@@ -336,7 +355,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     # the addend to the cleared state (the value in v's field, the coins it
     # reads above) with its number of paths, and the paths the budget cuts
     paths: list = [[None] * (bit_budget + 1) for _ in widths]
+    # tables[e][coins]: the same for a redraw of every variable of event e
+    tables: list = [[None] * (bit_budget + 1) for _ in system.events]
     first: dict = {}  # packed assignment -> its minimal-index true event
+    room = (branch_guard + 1) // 2  # the most leaves the guard admits
     leaves = coin_cut = 0
     resolved: dict = {}  # packed state -> paths
     step_cut: dict = {}  # coins read -> paths
@@ -347,52 +369,45 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         return frozenset(e for e, (mask, patterns) in enumerate(event_bits)
                          if a & mask in patterns)
 
-    def guard(pending: int) -> None:
-        # every pending path ends in at least one leaf
-        if 2 * (leaves + pending) - 1 > branch_guard:
-            _refuse(branch_guard)
-
-    def draw(states: dict, variables) -> dict:
-        """Run every state through draws of `variables`, in order; states
-        are grouped by history, which a draw leaves as it is."""
-        nonlocal leaves, coin_cut
+    def table(variables, coins: int) -> tuple:
+        """A redraw of `variables`, in order, after `coins` coins: its
+        moves, their paths, the paths cut and each cut's (keep, add)."""
+        moves, n_cut, cuts, keep = {0: 1}, 0, {}, values_mask
         for v in variables:
             out: dict = {}
-            clear, by_coins = ~fields[v], paths[v]
-            for events, group in states.items():
-                drawn = out[events] = {}
-                for s, n in group.items():
-                    coins = s >> coin_shift
-                    if by_coins[coins] is None:
-                        settled, n_cut = _draw_paths(system.samplers[v],
-                                                     bit_budget - coins)
-                        by_coins[coins] = (
-                            [((value << offsets[v]) + (used << coin_shift), k)
-                             for (value, used), k in settled.items()], n_cut)
-                    moves, n_cut = by_coins[coins]
-                    if n_cut:
-                        leaves += n * n_cut
-                        coin_cut += n * n_cut
-                        if want_trees:
-                            # no history yet: the cut came during
-                            # initialization
-                            where = ((true_events(s & values_mask),
-                                      events[:-1], events[-1])
-                                     if events else (None, None, None))
-                            cut[where] = cut.get(where, 0) + n * n_cut
-                    s &= clear
-                    for move, k in moves:
-                        t = s + move
-                        drawn[t] = drawn.get(t, 0) + n * k
-            states = out
-            guard(sum(sum(group.values()) for group in states.values()))
-        return states
+            for a, n in moves.items():
+                at = coins + (a >> coin_shift)
+                if paths[v][at] is None:
+                    settled, k_cut = _draw_paths(system.samplers[v],
+                                                 bit_budget - at)
+                    paths[v][at] = (
+                        [((value << offsets[v]) + (used << coin_shift), k)
+                         for (value, used), k in settled.items()], k_cut)
+                drawn, k_cut = paths[v][at]
+                if k_cut:
+                    n_cut += n * k_cut
+                    where = keep, a & values_mask
+                    cuts[where] = cuts.get(where, 0) + n * k_cut
+                for move, k in drawn:
+                    out[a + move] = out.get(a + move, 0) + n * k
+            moves = out
+            keep &= ~fields[v]
+            if leaves + sum(moves.values()) > room:
+                _refuse(branch_guard)
+        return (list(moves.items()), sum(moves.values()), n_cut,
+                list(cuts.items()))
 
     # initialization draws every variable, in order, over placeholder zeros
-    frontier = draw({(): {0: 1}}, range(len(widths)))
+    moves, _, leaves, _ = table(range(len(widths)), 0)
+    coin_cut = leaves
+    if leaves and want_trees:  # cut with no history to filter by
+        cut[None, None, None] = leaves
+    frontier = {(): dict(moves)}
+    clears = [~mask for mask, _ in event_bits]
     level = 0
     while frontier:
-        by_event: dict = {}
+        following: dict = {}
+        pending = 0  # paths sent to the next level
         for events, group in frontier.items():
             for s, n in group.items():
                 a = s & values_mask
@@ -413,18 +428,31 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                         where = (true_events(a), events, None)
                         cut[where] = cut.get(where, 0) + units
                 else:
-                    history = events + (event,) if want_trees else events
-                    by_event.setdefault(event, {}).setdefault(
-                        history, {})[s] = n
-        frontier = {}
-        for event, states in by_event.items():
-            for events, group in draw(states,
-                                      system.events[event].vbl).items():
-                merged = frontier.setdefault(events, {})
-                for s, n in group.items():
-                    merged[s] = merged.get(s, 0) + n
+                    entry = tables[event][coins]
+                    if entry is None:
+                        entry = tables[event][coins] = table(
+                            system.events[event].vbl, coins)
+                    moves, reach, n_cut, cuts = entry
+                    leaves += n * n_cut
+                    coin_cut += n * n_cut
+                    if want_trees:
+                        for (keep, add), k in cuts:
+                            where = (true_events((s & keep) + add), events,
+                                     event)
+                            cut[where] = cut.get(where, 0) + n * k
+                    pending += n * reach
+                    if leaves + pending > room:
+                        _refuse(branch_guard)
+                    drawn = following.setdefault(
+                        events + (event,) if want_trees else events, {})
+                    s &= clears[event]
+                    for move, k in moves:
+                        t = s + move
+                        drawn[t] = drawn.get(t, 0) + n * k
+        frontier = following
         level += 1
-    guard(0)
+    if leaves > room:
+        _refuse(branch_guard)
     appearances = (_tree_tally(system, reached, cut, 1 << bit_budget)
                    if want_trees else {})
     return _census_of_tables(appearances, bit_budget, resolved, step_cut,

@@ -171,27 +171,8 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     for pos, value in enumerate(prefix):
         if not 0 <= value < system.variables[pos].range_size:
             raise ModelError(f"prefix value {value} out of range at cell {pos}")
-    return _interval(SystemQOracle(system, bit_guard, branch_guard), prefix,
-                     delta)
-
-
-def _interval(oracle: SystemQOracle, prefix: tuple[int, ...],
-              delta: Fraction) -> tuple[Fraction, Fraction]:
-    """The loop of `approx_output_distribution` over the oracle's censuses:
-    from min(bit_guard, `_start_bits`) coins, doubling up to the guard."""
-    bit_guard = oracle.bit_guard
-    budget = min(bit_guard, _start_bits(oracle.system))
-    while True:
-        census = oracle._census(budget)
-        lo = census.prefix_mass(prefix)
-        hi = lo + census.unresolved_mass
-        if hi - lo <= delta:
-            return lo, hi
-        if budget >= bit_guard:
-            raise BudgetRefused(
-                f"cannot reach width {delta} within {bit_guard} coins "
-                f"(unresolved mass {census.unresolved_mass})")
-        budget = min(bit_guard, budget * 2)
+    return SystemQOracle(system, bit_guard, branch_guard).interval(prefix,
+                                                                   delta)
 
 
 class QOracle(Protocol):
@@ -260,7 +241,7 @@ class SystemQOracle:
     q_n(u) is the resolved mass at coin budget `_start_bits(system) + 4n`
     (at most `bit_guard`), which can only grow with the budget. The oracle
     keeps one census, its highest, and reads every lower budget off it
-    (`RunCensus.at_budget`).
+    (`RunCensus.at_budget`), for its lower bounds and intervals alike.
     """
 
     def __init__(self, system: ConstraintSystem,
@@ -298,6 +279,24 @@ class SystemQOracle:
         best = max(self._best.get(prefix, ZERO), lo)
         self._best[prefix] = best
         return best
+
+    def interval(self, prefix: tuple[int, ...],
+                 delta: Fraction) -> tuple[Fraction, Fraction]:
+        """The interval of `approx_output_distribution` off this oracle's
+        censuses: from min(bit_guard, `_start_bits`) coins, doubling up to
+        the guard."""
+        budget = min(self.bit_guard, self.base_bits)
+        while True:
+            census = self._census(budget)
+            lo = census.prefix_mass(prefix)
+            hi = lo + census.unresolved_mass
+            if hi - lo <= delta:
+                return lo, hi
+            if budget >= self.bit_guard:
+                raise BudgetRefused(
+                    f"cannot reach width {delta} within {self.bit_guard} "
+                    f"coins (unresolved mass {census.unresolved_mass})")
+            budget = min(self.bit_guard, budget * 2)
 
 
 # futile rounds at one prefix after which extraction gives up
@@ -436,7 +435,7 @@ def compute_assignment_prefix(system: ConstraintSystem,
                                branch_guard=branch_guard)
         cells = list(islice(_positive_cells(oracle), L))
         values = tuple(cell for cell, _ in cells)
-        interval = _interval(oracle, values, delta)
+        interval = oracle.interval(values, delta)
         for i, event in enumerate(system.events):
             if event.vbl[-1] < L and system.is_true(i, values):
                 raise VerificationError(

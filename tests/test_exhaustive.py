@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -360,12 +361,23 @@ def test_exact_prefix_is_pinned():
 
 def assert_reads_every_lower_budget(system, budget, step_guard=None,
                                     branch_guard=exhaustive.DEFAULT_BRANCH_GUARD,
-                                    want_trees=False):
+                                    want_trees=False, prefix_cells=None):
+    """Each lower budget read off the census equals a census run at it:
+    field for field, in its output masses, and in the prefix mass of every
+    prefix of an output up to `prefix_cells` cells long (by default every
+    prefix)."""
     census = exhaustive.census_runs(system, budget, step_guard, branch_guard,
                                     want_trees)
+    cells = len(system.variables) if prefix_cells is None else prefix_cells
     for b in range(budget + 1):
-        assert census.at_budget(b) == exhaustive.census_runs(
-            system, b, step_guard, branch_guard, want_trees=False), b
+        read = census.at_budget(b)
+        fresh = exhaustive.census_runs(system, b, step_guard, branch_guard,
+                                       want_trees=False)
+        assert read == fresh, b
+        assert read.output_mass == fresh.output_mass, b
+        prefixes = {a[:k] for a in fresh.output_mass for k in range(cells + 1)}
+        assert all(read.prefix_mass(p) == fresh.prefix_mass(p)
+                   for p in prefixes), b
     return census
 
 
@@ -379,8 +391,10 @@ def test_a_corpus_census_reads_every_lower_budget(name, step_guard):
 
 @pytest.mark.parametrize("clauses", [4, 5])
 def test_a_chain_census_reads_every_lower_budget(clauses):
+    # the chains have up to 2,334 prefixes of outputs; those of at most 4
+    # cells keep the test quick
     chain = ChainCnfFamily(3, 1, 202).materialize(clauses)
-    assert_reads_every_lower_budget(chain, 22)
+    assert_reads_every_lower_budget(chain, 22, prefix_cells=4)
 
 
 def test_a_looping_census_reads_every_lower_budget():
@@ -402,6 +416,39 @@ def test_a_wide_census_reads_every_lower_budget(system, budget):
     # default guard stops them at a step count that grows with the budget
     for step_guard in (None, 0, 1, 2, 3, 6):
         assert_reads_every_lower_budget(system, budget, step_guard)
+
+
+@given(wide_systems(), st.integers(0, 10), st.integers(0, 3))
+@settings(DIFFERENTIAL, max_examples=100)
+def test_integer_prefix_mass_is_the_direct_sum(system, budget, extra):
+    # every prefix whose cells run one past each range: a value past a
+    # range-5 field's last value is a dead code, one past a range-1, 2 or 4
+    # field's does not fit in it; one cell more than the system has matches
+    # nothing
+    fresh = exhaustive.census_runs(system, budget, want_trees=False)
+    read = exhaustive.census_runs(system, budget + extra).at_budget(budget)
+    sizes = [var.range_size + 1 for var in system.variables]
+    prefixes = [p for k in range(len(sizes) + 1)
+                for p in product(*map(range, sizes[:k]))]
+    prefixes.append((0,) * (len(sizes) + 1))
+    for census in (fresh, read):
+        for prefix in prefixes:
+            direct = sum((m for a, m in census.output_mass.items()
+                          if a[:len(prefix)] == prefix), Fraction(0))
+            assert census.prefix_mass(prefix) == direct, prefix
+        assert census.prefix_mass(()) == census.resolved_mass
+
+
+@pytest.mark.parametrize("want_trees", [False, True])
+def test_branch_guard_refuses_a_wide_initialization_early(want_trees):
+    # 30 free bits: initialization alone has 2^22 leaves at 22 coins. The
+    # guard must stop it while its table is built, at 18 bits, not after.
+    system = ConstraintSystem.build([uniform_bit(i) for i in range(30)], [])
+    start = perf_counter()
+    with pytest.raises(BudgetRefused, match="branch guard"):
+        exhaustive.census_runs(system, 22, branch_guard=1 << 18,
+                               want_trees=want_trees)
+    assert perf_counter() - start < 1
 
 
 def test_a_census_at_its_branch_guard_reads_its_lower_budgets(chain2_system):
