@@ -375,7 +375,8 @@ def assert_reads_every_lower_budget(system, budget, step_guard=None,
                                        want_trees=False)
         assert read == fresh, b
         assert read.output_mass == fresh.output_mass, b
-        prefixes = {a[:k] for a in fresh.output_mass for k in range(cells + 1)}
+        prefixes = {a[:k] for a in fresh.output_mass
+                    for k in range(cells + 1)}
         assert all(read.prefix_mass(p) == fresh.prefix_mass(p)
                    for p in prefixes), b
     return census
