@@ -35,7 +35,7 @@ from .fireworks import (ConstantOracle, DivergeAtOracle, GameConfig,
 from .exhaustive import check_tree_lemma
 from .corpus import toy_corpus
 from .formats import (format_rational, log_from_text, log_to_text,
-                      parse_rational, read_dimacs, read_system)
+                      parse_rational, read_dimacs, read_patterns, read_system)
 
 OK, FAIL, USAGE, REFUSED = 0, 1, 2, 3
 
@@ -173,7 +173,7 @@ def _family_from_args(args):
             raise ModelError(
                 f"family spec {spec!r}: min length {min_len!r} is not an integer")
         with open(path) as handle:
-            patterns = [line.strip() for line in handle if line.strip()]
+            patterns = read_patterns(handle.read())
         return ForbiddenSubstringFamily(patterns, gamma, int(min_len))
     raise ModelError(f"unknown family spec {spec!r}")
 
@@ -296,7 +296,7 @@ def _cmd_prefix(args) -> int:
 
 def _cmd_avoid(args) -> int:
     with open(args.forbidden) as handle:
-        patterns = [line.strip() for line in handle if line.strip()]
+        patterns = read_patterns(handle.read())
     result = build_avoiding_sequence(
         patterns, parse_rational(args.gamma), args.length, mode=args.mode,
         alpha=parse_rational(args.alpha),

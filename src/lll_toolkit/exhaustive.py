@@ -16,8 +16,8 @@ from the sequence, keeping an int id of its canon. A state is packed into one
 int, each variable's value in a bit field of its own and the coins read
 above them: a resample is one AND and one addition per entry of a joint
 table of its redraws, and an event's truth one AND and one set lookup.
-Masses stay integer units per packed assignment; only the true events of
-cut runs are ever unpacked, and the resolved outputs once read.
+Each packed assignment's events are tested once; masses stay integer units
+per packed assignment, and only the resolved outputs are unpacked, once read.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 
@@ -28,8 +28,9 @@ those tables (`RunCensus.at_budget`) instead of exploring again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Iterator, Optional
@@ -163,28 +164,26 @@ class TreeAppearance:
 
 @dataclass
 class RunCensus:
-    """The census of all runs within `bit_budget` coins.
+    """The census of all runs within `bit_budget` coins, from its tables.
 
-    Besides the masses it keeps two tables. `resolved` maps the packed
-    state of each resolved run, its values and the coins it read (`layout`
-    unpacks one), to the number of coin paths that reach it; `step_cut`
-    maps coins read to the number of paths the step guard stopped. From
-    them `at_budget` reads the census at every lower budget. `units` maps
-    each resolved packed assignment to its units of 2^-bit_budget, which
-    `prefix_mass` sums and `output_mass` turns into `Fraction`s when first
-    read. A census put together from its `masses` alone has none of these.
+    `resolved` maps the packed state of each resolved run, its values and
+    the coins it read (`layout` unpacks one), to the number of coin paths
+    that reach it; `step_cut` maps coins read to the number of paths the
+    step guard stopped. From them `at_budget` reads the census at every
+    lower budget. `units` maps each resolved packed assignment to its units
+    of 2^-bit_budget, which `prefix_mass` sums and `output_mass` turns into
+    `Fraction`s when first read.
     """
 
     appearances: dict  # canon -> TreeAppearance
     resolved_mass: Fraction
     unresolved_mass: Fraction
     branch_count: int
-    masses: Optional[dict] = field(default=None, compare=False, repr=False)
-    bit_budget: Optional[int] = None
-    resolved: dict = field(default_factory=dict)  # packed state -> paths
-    step_cut: dict = field(default_factory=dict)  # coins read -> paths
-    layout: tuple = ()  # (coin shift, ((field mask, offset) per variable))
-    units: dict = field(default_factory=dict)  # packed assignment -> units
+    bit_budget: int
+    resolved: dict  # packed state -> paths
+    step_cut: dict  # coins read -> paths
+    layout: tuple  # (coin shift, ((field mask, offset) per variable))
+    units: dict  # packed assignment -> units
 
     def __post_init__(self):
         if self.resolved_mass + self.unresolved_mass != 1:
@@ -192,14 +191,12 @@ class RunCensus:
                 f"census masses sum to "
                 f"{self.resolved_mass + self.unresolved_mass}, not 1")
 
-    @property
+    @cached_property
     def output_mass(self) -> dict:
         """Assignment tuple -> Fraction, resolved runs only."""
-        if self.masses is None:
-            self.masses = {tuple([(a & f) >> o for f, o in self.layout[1]]):
-                           Fraction(u, 1 << self.bit_budget)
-                           for a, u in self.units.items()}
-        return self.masses
+        return {tuple([(a & f) >> o for f, o in self.layout[1]]):
+                Fraction(u, 1 << self.bit_budget)
+                for a, u in self.units.items()}
 
     def at_budget(self, bit_budget: int) -> RunCensus:
         """The census at `bit_budget` coins, field for field what
@@ -226,7 +223,7 @@ class RunCensus:
         """
         if bit_budget < 0:
             raise ModelError("bit_budget must be >= 0")
-        if self.bit_budget is None or bit_budget > self.bit_budget:
+        if bit_budget > self.bit_budget:
             raise ModelError(f"cannot read a census at {bit_budget} coins "
                              f"off one at {self.bit_budget}")
         shift = self.layout[0]
@@ -240,8 +237,6 @@ class RunCensus:
         """Resolved mass of outputs whose first cells equal `prefix`: the
         units of the packed assignments that match it under one mask,
         divided once."""
-        if self.bit_budget is None:
-            raise ModelError("a census of its masses alone has no units")
         unpack = self.layout[1][:len(prefix)]
         if len(unpack) < len(prefix) or any(
                 not 0 <= x <= f >> o for x, (f, o) in zip(prefix, unpack)):
@@ -278,10 +273,10 @@ def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
 
 def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
                       step_cut: dict, layout: tuple,
-                      coin_cut: Optional[int] = None) -> RunCensus:
-    """The census at `bit_budget` coins from its tables and the number of
-    paths the coin budget cut, each one leaf of one unit of 2^-bit_budget;
-    by default every path neither resolved nor stopped by the step guard."""
+                      leaves: Optional[int] = None) -> RunCensus:
+    """The census at `bit_budget` coins from its tables and its number of
+    leaves; each leaf neither resolved nor step-cut is a path the coin budget
+    cut, of one unit of 2^-bit_budget (by default, every unit left over)."""
     shift = layout[0]
     total = 1 << bit_budget
     values_mask = (1 << shift) - 1
@@ -291,12 +286,12 @@ def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
         units[a] = units.get(a, 0) + (n << (bit_budget - (s >> shift)))
     resolved_units = sum(units.values())
     stopped = sum(n << (bit_budget - c) for c, n in step_cut.items())
-    if coin_cut is None:
-        coin_cut = total - resolved_units - stopped
+    paths = sum(resolved.values()) + sum(step_cut.values())
+    if leaves is None:
+        leaves = paths + total - resolved_units - stopped
     return RunCensus(appearances, Fraction(resolved_units, total),
-                     Fraction(stopped + coin_cut, total),
-                     sum(resolved.values()) + sum(step_cut.values()) + coin_cut,
-                     None, bit_budget, resolved, step_cut, layout, units)
+                     Fraction(stopped + leaves - paths, total), leaves,
+                     bit_budget, resolved, step_cut, layout, units)
 
 
 def census_runs(system: ConstraintSystem, bit_budget: int,
@@ -320,59 +315,61 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     (range_size - 1).bit_length() bits (none for a range-1 variable), and
     the number of coins read sits above all the fields. Each event is the
     mask of its fields and the set of its forbidden tuples packed under it,
-    and the first true event is memoized per packed assignment. A resample
-    of event e after c coins is one table, built from each variable's draws
-    when first needed: the addends (values in e's fields, coins above) of
-    every redraw of vbl(e) with their paths, and the paths the budget cuts.
-    A state clears e's fields and adds each addend. Initialization is that
-    table over every variable. The guard counts each pending path as a
-    leaf, once per state and once per variable while a table is built.
+    and each packed assignment's least true event and true events are
+    memoized. A resample of event e after c coins is one table, built from
+    each variable's draws when first needed: the addends (values in e's
+    fields, coins above) of every redraw of vbl(e) with their paths, and the
+    paths the budget cuts. A state clears e's fields and adds each addend.
+    Initialization is that table over every variable. The guard counts each
+    pending path as a leaf, once per state and once per variable while a
+    table is built.
 
     States are grouped by history. With want_trees=True that is the events
     a state has resampled, the one in flight included, as its witness trees
     depend on nothing else; otherwise every state shares the empty one. A
     state that has just completed a resample carries the mass of every
     leaf below it, so the tree of its last step appears with that mass.
-    Unresolved runs are kept by the events true when they stop (a cut
-    mid-table at `(s & keep) + add`), their history and their event in
-    flight, all that the pending filters of `_tree_tally` read. With
-    want_trees=False only output masses are collected (used by the
-    output-distribution oracle); a census with trees keeps the same two
-    tables.
+    Unresolved runs are kept by the true events of the state before the
+    step they stopped in, their history and their event in flight, all
+    that the pending filters of `_tree_tally` read; in the table of e that
+    state is the pre-resample one, e least among its true events. A partial
+    redraw of vbl(e) can change only events sharing a variable with e, all
+    in neighbor_sets[e] (e included) and in e's component, and the tally
+    reads the true set only through the union of components, to which it
+    adds e's, and through `root in true or root in neighbor_sets[e]`: both
+    keys give the same appearances. With want_trees=False only output
+    masses are collected (used by the output-distribution oracle); a census
+    with trees keeps the same two tables.
     """
     step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     widths = [(var.range_size - 1).bit_length() for var in system.variables]
     *offsets, coin_shift = accumulate(widths, initial=0)
     fields = [((1 << w) - 1) << o for w, o in zip(widths, offsets)]
     values_mask = (1 << coin_shift) - 1
-    # each event as the mask of its variables' fields and its forbidden
-    # tuples packed under that mask
-    event_bits = [(sum(fields[v] for v in ev.vbl),
+    # each event as its index, the mask of its variables' fields and its
+    # forbidden tuples packed under that mask
+    event_bits = [(e, sum(fields[v] for v in ev.vbl),
                    frozenset(sum(x << offsets[v] for v, x in zip(ev.vbl, t))
                              for t in ev.forbidden))
-                  for ev in system.events]
+                  for e, ev in enumerate(system.events)]
     # paths[v][coins]: the moves of a draw of v after `coins` coins, each
     # the addend to the cleared state (the value in v's field, the coins it
     # reads above) with its number of paths, and the paths the budget cuts
     paths: list = [[None] * (bit_budget + 1) for _ in widths]
     # tables[e][coins]: the same for a redraw of every variable of event e
     tables: list = [[None] * (bit_budget + 1) for _ in system.events]
-    first: dict = {}  # packed assignment -> its minimal-index true event
+    first: dict = {}  # packed assignment -> (least true event, true events)
     room = (branch_guard + 1) // 2  # the most leaves the guard admits
-    leaves = coin_cut = 0
+    leaves = 0
     resolved: dict = {}  # packed state -> paths
     step_cut: dict = {}  # coins read -> paths
     reached: dict = {}  # completed history -> units
     cut: dict = {}  # (true events, completed history, in-flight event) -> units
 
-    def true_events(a: int) -> frozenset:
-        return frozenset(e for e, (mask, patterns) in enumerate(event_bits)
-                         if a & mask in patterns)
-
     def table(variables, coins: int) -> tuple:
         """A redraw of `variables`, in order, after `coins` coins: its
-        moves, their paths, the paths cut and each cut's (keep, add)."""
-        moves, n_cut, cuts, keep = {0: 1}, 0, {}, values_mask
+        moves, their paths and the paths cut."""
+        moves, n_cut = {0: 1}, 0
         for v in variables:
             out: dict = {}
             for a, n in moves.items():
@@ -384,26 +381,20 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                         [((value << offsets[v]) + (used << coin_shift), k)
                          for (value, used), k in settled.items()], k_cut)
                 drawn, k_cut = paths[v][at]
-                if k_cut:
-                    n_cut += n * k_cut
-                    where = keep, a & values_mask
-                    cuts[where] = cuts.get(where, 0) + n * k_cut
+                n_cut += n * k_cut
                 for move, k in drawn:
                     out[a + move] = out.get(a + move, 0) + n * k
             moves = out
-            keep &= ~fields[v]
             if leaves + sum(moves.values()) > room:
                 _refuse(branch_guard)
-        return (list(moves.items()), sum(moves.values()), n_cut,
-                list(cuts.items()))
+        return list(moves.items()), sum(moves.values()), n_cut
 
     # initialization draws every variable, in order, over placeholder zeros
-    moves, _, leaves, _ = table(range(len(widths)), 0)
-    coin_cut = leaves
+    moves, _, leaves = table(range(len(widths)), 0)
     if leaves and want_trees:  # cut with no history to filter by
         cut[None, None, None] = leaves
     frontier = {(): dict(moves)}
-    clears = [~mask for mask, _ in event_bits]
+    clears = [~mask for _, mask, _ in event_bits]
     level = 0
     while frontier:
         following: dict = {}
@@ -412,8 +403,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             for s, n in group.items():
                 a = s & values_mask
                 if a not in first:
-                    first[a] = min(true_events(a), default=None)
-                event = first[a]
+                    true = frozenset(e for e, mask, patterns in event_bits
+                                     if a & mask in patterns)
+                    first[a] = min(true, default=None), true
+                event, true = first[a]
                 coins = s >> coin_shift
                 units = n << (bit_budget - coins)
                 if events:
@@ -425,21 +418,18 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     leaves += n
                     step_cut[coins] = step_cut.get(coins, 0) + n
                     if want_trees:
-                        where = (true_events(a), events, None)
+                        where = true, events, None
                         cut[where] = cut.get(where, 0) + units
                 else:
                     entry = tables[event][coins]
                     if entry is None:
                         entry = tables[event][coins] = table(
                             system.events[event].vbl, coins)
-                    moves, reach, n_cut, cuts = entry
+                    moves, reach, n_cut = entry
                     leaves += n * n_cut
-                    coin_cut += n * n_cut
-                    if want_trees:
-                        for (keep, add), k in cuts:
-                            where = (true_events((s & keep) + add), events,
-                                     event)
-                            cut[where] = cut.get(where, 0) + n * k
+                    if want_trees and n_cut:
+                        where = true, events, event
+                        cut[where] = cut.get(where, 0) + n * n_cut
                     pending += n * reach
                     if leaves + pending > room:
                         _refuse(branch_guard)
@@ -457,7 +447,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                    if want_trees else {})
     return _census_of_tables(appearances, bit_budget, resolved, step_cut,
                              (coin_shift, tuple(zip(fields, offsets))),
-                             coin_cut)
+                             leaves)
 
 
 def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
@@ -468,9 +458,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     `reached` maps each resample history (the events resampled, in order)
     to the mass of runs that complete it; the tree of its last step appears
     with that mass. `cut` maps (true events, history, event in flight) of
-    the unresolved runs to their mass; the key is all None for runs cut
-    during initialization, and the event in flight None for runs stopped by
-    the step guard.
+    the unresolved runs, true before their last step or amid its redraw
+    (see `census_runs`), to their mass; the key is all None for runs cut
+    during initialization and the in-flight event None for step-guard cuts.
 
     Each reached history's tree is built once, straight from the sequence,
     and admitted after the trees of its prefixes (`admit_tree`). Its canon

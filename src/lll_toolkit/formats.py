@@ -1,4 +1,4 @@
-"""File formats: DIMACS CNF, the line-oriented system format, and log dumps.
+"""File formats: DIMACS CNF, the system format, pattern files and log dumps.
 
 The system format, one directive per line (`#` comments allowed):
 
@@ -190,6 +190,15 @@ def write_system(system: ConstraintSystem,
             lines.append(f"z {i} {format_rational(z)}")
         lines.append(f"alpha {format_rational(params.alpha)}")
     return "\n".join(lines) + "\n"
+
+
+def read_patterns(text: str) -> list[str]:
+    """A pattern file: one 0/1 string per line, blank lines skipped."""
+    lines = [line.strip() for line in text.splitlines()]
+    for number, line in enumerate(lines, start=1):
+        if line.strip("01"):
+            raise FormatError(number, f"pattern {line!r} is not a bit string")
+    return [line for line in lines if line]
 
 
 def log_to_text(log: ResampleLog) -> str:

@@ -317,13 +317,9 @@ def check_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:
     return _condition_entries(system, params, params.alpha)
 
 
-def expected_steps_bound(z: Sequence[Fraction], k: int | None = None) -> Fraction:
-    """Sum of z_i/(1-z_i) over the first k events (all of them by default)."""
-    total = ZERO
-    for zi in list(z)[:k]:
-        zi = as_fraction(zi)
-        total += zi / (ONE - zi)
-    return total
+def expected_steps_bound(z: Sequence[Fraction]) -> Fraction:
+    """Sum of z_i/(1-z_i) over the events."""
+    return sum((zi / (ONE - zi) for zi in map(as_fraction, z)), ZERO)
 
 
 _ENUM_GUARD = 1 << 22

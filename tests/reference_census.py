@@ -8,6 +8,7 @@ differential tests check it against this module.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from lll_toolkit import exhaustive
@@ -16,12 +17,28 @@ from lll_toolkit.exhaustive import (DEFAULT_BRANCH_GUARD, RunCensus,
 from lll_toolkit.model import ConstraintSystem
 
 
+@dataclass(frozen=True)
+class ReferenceCensus:
+    """The fields of a `RunCensus` that adding up branches gives."""
+
+    appearances: dict  # canon -> TreeAppearance
+    resolved_mass: Fraction
+    unresolved_mass: Fraction
+    branch_count: int
+    output_mass: dict  # assignment tuple -> Fraction
+
+    appearance_list = RunCensus.appearance_list
+
+
 def census_runs(system: ConstraintSystem, bit_budget: int,
                 step_guard: int | None = None,
                 branch_guard: int = DEFAULT_BRANCH_GUARD,
-                want_trees: bool = True) -> RunCensus:
+                want_trees: bool = True) -> ReferenceCensus:
     """The census over the re-executed branches; the tree tally is the
-    library's own, fed with tables built from each branch's record."""
+    library's own, fed with tables built from each branch's record. A run
+    cut inside a resample is keyed by the events true under its partly
+    redrawn assignment, where `exhaustive.census_runs` takes the assignment
+    before that resample, so the differential tests compare both keys."""
     total = 1 << bit_budget
     resolved_mass = Fraction(0)
     unresolved_mass = Fraction(0)
@@ -50,5 +67,5 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             cut[where] = cut.get(where, 0) + units
     appearances = (exhaustive._tree_tally(system, reached, cut, total)
                    if want_trees else {})
-    return RunCensus(appearances, resolved_mass, unresolved_mass,
-                     branch_count, output_mass)
+    return ReferenceCensus(appearances, resolved_mass, unresolved_mass,
+                           branch_count, output_mass)

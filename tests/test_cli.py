@@ -484,6 +484,22 @@ def test_avoid_rejects_a_negative_length(tmp_path, capsys):
     assert err.startswith("error: length -5")
 
 
+@pytest.mark.parametrize("argv", [
+    ["avoid", "--forbidden", "{patterns}", "--gamma", "1/2", "--length", "8"],
+    ["stream", "--family", "substrings:{patterns}:1/2:1", "--k", "3",
+     "--max-steps", "5"],
+])
+def test_a_pattern_file_names_the_line_of_a_bad_pattern(tmp_path, capsys,
+                                                        argv):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("0000\n\n01x1\n")
+    code, out, err = run_cli(
+        capsys, *(arg.format(patterns=patterns) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: pattern '01x1' is not a bit string\n"
+
+
 def test_exact_avoid_refuses_a_window_past_the_branch_guard(tmp_path,
                                                             capsys):
     # every pattern is shorter than M = 22, so the 30-bit window has no

@@ -300,6 +300,74 @@ def test_pending_charges_add_over_the_lcm_of_coprime_denominators(
     assert seen.count([1, 1, 1, 2, 3]) == 2
 
 
+def cut_keys(system, budget, step_guard=None):
+    """The keys of the `cut` table the tree census hands to its tally."""
+    seen = []
+    tally = exhaustive._tree_tally
+
+    def recording_tally(system, reached, cut, total):
+        seen.extend(cut)
+        return tally(system, reached, cut, total)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exhaustive, "_tree_tally", recording_tally)
+        exhaustive.census_runs(system, budget, step_guard)
+    return seen
+
+
+def assert_cuts_keyed_before_their_step(keys):
+    # a run cut inside a resample is keyed by the assignment before it,
+    # under which the event in flight is true; one the step guard stopped,
+    # by an assignment under which some event is true
+    for true, history, in_flight in keys:
+        if history is None:
+            assert true is None and in_flight is None  # cut initializing
+        elif in_flight is None:
+            assert true, history
+        else:
+            assert in_flight in true, (true, history, in_flight)
+
+
+def partial_redraw_system():
+    """x0 fixed at 0, a uniform bit x1, x2 with law (2/3, 1/3), and one
+    event forbidding (0, 0, 0). Some runs are cut while redrawing x2 with
+    x1 already redrawn to 1, where no event is true."""
+    return ConstraintSystem.build(
+        [VariableSpec(0, (Fraction(1),)), uniform_bit(1),
+         VariableSpec(2, (Fraction(2, 3), Fraction(1, 3)))],
+        [Event(0, (0, 1, 2), frozenset({(0, 0, 0)}))])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CENSUS) + ["partial_redraw@6"])
+def test_cut_runs_are_keyed_by_the_state_before_their_step(name):
+    inputs = {**_census_inputs(), "partial_redraw@6": (partial_redraw_system(),
+                                                       6)}
+    system, budget = inputs[name]
+    keys = cut_keys(system, budget)
+    assert keys
+    assert_cuts_keyed_before_their_step(keys)
+
+
+def test_both_cut_keys_give_the_same_pending_mass():
+    # the reference keys its cut runs by the partly redrawn assignment, in
+    # which no event need be true; tree 0(0) still gets pending 7/64 only
+    # because the tally reaches the in-flight event's component
+    system = partial_redraw_system()
+    census = exhaustive.census_runs(system, 6)
+    reference = reference_census.census_runs(system, 6)
+    assert census.appearance_list() == reference.appearance_list()
+    pending = {a.tree.canonical_line(): a.pending
+               for a in census.appearance_list()}
+    assert pending == {"0": Fraction(1, 32), "0(0)": Fraction(7, 64)}
+
+
+@given(wide_systems(), st.integers(3, 12), STEP_GUARDS)
+@settings(DIFFERENTIAL, max_examples=100)
+def test_wide_census_cuts_are_keyed_by_the_state_before_their_step(
+        system, budget, step_guard):
+    assert_cuts_keyed_before_their_step(cut_keys(system, budget, step_guard))
+
+
 def test_each_event_sequence_builds_its_tree_once(monkeypatch):
     # a tree is built for each reached history, once; the pending filters
     # read their base trees' labels by scan and build none
@@ -466,7 +534,3 @@ def test_no_census_is_read_past_its_own_budget(chain2_system):
         census.at_budget(7)
     with pytest.raises(ModelError, match="bit_budget must be >= 0"):
         census.at_budget(-1)
-    reference = reference_census.census_runs(chain2_system, 6,
-                                             want_trees=False)
-    with pytest.raises(ModelError, match="off one at None"):
-        reference.at_budget(6)
