@@ -329,6 +329,13 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     depend on nothing else; otherwise every state shares the empty one. A
     state that has just completed a resample carries the mass of every
     leaf below it, so the tree of its last step appears with that mass.
+    That mass is credited when the resample is drawn: a table also keeps
+    the units of its moves that land within the budget, and a state drawn
+    through it adds its paths times those units to its history extended by
+    the event, the mass the next level's states of that history carry. A
+    group keeps its next-level groups and its cut runs by event and forms
+    each longer key once per event, when the group ends; no step of a
+    single state hashes a history.
     Unresolved runs are kept by the true events of the state before the
     step they stopped in, their history and their event in flight, all
     that the pending filters of `_tree_tally` read; in the table of e that
@@ -368,7 +375,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
 
     def table(variables, coins: int) -> tuple:
         """A redraw of `variables`, in order, after `coins` coins: its
-        moves, their paths and the paths cut."""
+        moves, their paths, the paths cut and the units of the paths that
+        land within the budget."""
         moves, n_cut = {0: 1}, 0
         for v in variables:
             out: dict = {}
@@ -387,10 +395,12 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             moves = out
             if leaves + sum(moves.values()) > room:
                 _refuse(branch_guard)
-        return list(moves.items()), sum(moves.values()), n_cut
+        landed = sum(k << (bit_budget - coins - (a >> coin_shift))
+                     for a, k in moves.items())
+        return list(moves.items()), sum(moves.values()), n_cut, landed
 
     # initialization draws every variable, in order, over placeholder zeros
-    moves, _, leaves = table(range(len(widths)), 0)
+    moves, _, leaves, _ = table(range(len(widths)), 0)
     if leaves and want_trees:  # cut with no history to filter by
         cut[None, None, None] = leaves
     frontier = {(): dict(moves)}
@@ -400,6 +410,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         following: dict = {}
         pending = 0  # paths sent to the next level
         for events, group in frontier.items():
+            # with trees: event -> its next-level states and the units that
+            # land there, and (true events, event in flight) -> units cut
+            nexts: dict = {}
+            group_cut: dict = {}
             for s, n in group.items():
                 a = s & values_mask
                 if a not in first:
@@ -408,9 +422,6 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     first[a] = min(true, default=None), true
                 event, true = first[a]
                 coins = s >> coin_shift
-                units = n << (bit_budget - coins)
-                if events:
-                    reached[events] = reached.get(events, 0) + units
                 if event is None:
                     leaves += n
                     resolved[s] = resolved.get(s, 0) + n
@@ -418,27 +429,42 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     leaves += n
                     step_cut[coins] = step_cut.get(coins, 0) + n
                     if want_trees:
-                        where = true, events, None
-                        cut[where] = cut.get(where, 0) + units
+                        where = true, None
+                        group_cut[where] = (group_cut.get(where, 0)
+                                            + (n << (bit_budget - coins)))
                 else:
                     entry = tables[event][coins]
                     if entry is None:
                         entry = tables[event][coins] = table(
                             system.events[event].vbl, coins)
-                    moves, reach, n_cut = entry
+                    moves, reach, n_cut, landed = entry
                     leaves += n * n_cut
-                    if want_trees and n_cut:
-                        where = true, events, event
-                        cut[where] = cut.get(where, 0) + n * n_cut
                     pending += n * reach
                     if leaves + pending > room:
                         _refuse(branch_guard)
-                    drawn = following.setdefault(
-                        events + (event,) if want_trees else events, {})
+                    if want_trees:
+                        if n_cut:
+                            where = true, event
+                            group_cut[where] = (group_cut.get(where, 0)
+                                                + n * n_cut)
+                        step = nexts.get(event)
+                        if step is None:
+                            step = nexts[event] = [{}, 0]
+                        step[1] += n * landed
+                        drawn = step[0]
+                    else:
+                        drawn = following.setdefault(events, {})
                     s &= clears[event]
                     for move, k in moves:
                         t = s + move
                         drawn[t] = drawn.get(t, 0) + n * k
+            for event, (drawn, units) in nexts.items():
+                if units:
+                    history = events + (event,)
+                    following[history] = drawn
+                    reached[history] = units
+            for (true, event), units in group_cut.items():
+                cut[true, events, event] = units
         frontier = following
         level += 1
     if leaves > room:
