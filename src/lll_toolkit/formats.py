@@ -105,13 +105,32 @@ def read_dimacs(text: str) -> ConstraintSystem:
     return ConstraintSystem.build(variables, events)
 
 
+def _gap(lines: dict, kind: str, count: int) -> Optional[tuple]:
+    """The least index below `count` that no `kind` directive gives, and
+    the line of the `kind` directive with the least index past it (None
+    when there is none), or None when no index is missing."""
+    for gap in range(count):
+        if (kind, gap) not in lines:
+            past = [(i, line) for (k, i), line in lines.items()
+                    if k == kind and i > gap]
+            return gap, min(past)[1] if past else None
+    return None
+
+
 def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
     """Parse the line-oriented system format; params are returned when any
-    z/alpha directives are present."""
+    z/alpha directives are present.
+
+    Each `var`, `event` and `z` index, and `alpha`, may be given on one
+    line only. Every error names a line. A missing index names the line of
+    the least index past it; a missing z with none past it names its
+    event's line. An event that does not fit its variables names its line.
+    """
     variables: dict[int, VariableSpec] = {}
     events: dict[int, Event] = {}
     z_values: dict[int, Fraction] = {}
     alpha: Optional[Fraction] = None
+    lines: dict = {}  # (directive, index or None for alpha) -> its line
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,8 +138,15 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind not in ("var", "event", "z", "alpha"):
+                raise ModelError(f"unknown directive {kind!r}")
+            index = None if kind == "alpha" else int(parts[1])
+            if (kind, index) in lines:
+                name = kind if index is None else f"{kind} {index}"
+                raise ModelError(f"{name} is already given on line "
+                                 f"{lines[kind, index]}")
+            lines[kind, index] = number
             if kind == "var":
-                index = int(parts[1])
                 n = int(parts[2])
                 probs = [parse_rational(tok) for tok in parts[3:]]
                 if len(probs) != n:
@@ -128,7 +154,6 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
                         f"expected {n} probabilities, got {len(probs)}")
                 variables[index] = VariableSpec(index, tuple(probs))
             elif kind == "event":
-                index = int(parts[1])
                 if parts[2] != "vbl":
                     raise ModelError("expected 'vbl'")
                 cut = parts.index("forbid")
@@ -149,26 +174,38 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
                         current.append(int(tok))
                 events[index] = Event(index, vbl, frozenset(tuples))
             elif kind == "z":
-                z_values[int(parts[1])] = parse_rational(parts[2])
-            elif kind == "alpha":
-                alpha = parse_rational(parts[1])
+                z_values[index] = parse_rational(parts[2])
             else:
-                raise ModelError(f"unknown directive {kind!r}")
-        except FormatError:
-            raise
+                alpha = parse_rational(parts[1])
         except (ModelError, ValueError, IndexError) as exc:
             raise FormatError(number, str(exc)) from None
-    var_list = [variables[i] for i in sorted(variables)]
-    event_list = [events[i] for i in sorted(events)]
-    if sorted(variables) != list(range(len(variables))):
-        raise FormatError(1, "variable indices must be 0..n-1")
-    if sorted(events) != list(range(len(events))):
-        raise FormatError(1, "event indices must be 0..m-1")
+    for kind, count, what in (
+            ("var", len(variables), "variable indices must be 0..n-1"),
+            ("event", len(events), "event indices must be 0..m-1")):
+        missing = _gap(lines, kind, count)
+        if missing:
+            gap, line = missing
+            raise FormatError(line, f"{what}, and no line gives {kind} {gap}")
+    var_list = [variables[i] for i in range(len(variables))]
+    event_list = [events[i] for i in range(len(events))]
+    for ev in event_list:
+        try:
+            ev.check_fits(var_list)
+        except ModelError as exc:
+            raise FormatError(lines["event", ev.index], str(exc)) from None
     system = ConstraintSystem.build(var_list, event_list)
     params = None
     if z_values or alpha is not None:
-        if sorted(z_values) != list(range(len(event_list))):
-            raise FormatError(1, "z directives must cover events 0..m-1")
+        what = "z directives must cover events 0..m-1"
+        for i in z_values:
+            if not 0 <= i < len(event_list):
+                raise FormatError(lines["z", i],
+                                  f"{what}, and there is no event {i}")
+        missing = _gap(lines, "z", len(event_list))
+        if missing:
+            gap, line = missing
+            raise FormatError(line or lines["event", gap],
+                              f"{what}, and no line gives z {gap}")
         params = LLLParams(tuple(z_values[i] for i in sorted(z_values)),
                            alpha if alpha is not None else Fraction(1))
     return system, params

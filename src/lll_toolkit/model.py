@@ -93,6 +93,19 @@ class Event:
                 return (assignment[v],)
         object.__setattr__(self, "values", values)
 
+    def check_fits(self, variables: Sequence[VariableSpec]) -> None:
+        """Refuse a variable that `variables` lacks, or a forbidden value
+        outside its variable's range."""
+        for v in self.vbl:
+            if v >= len(variables):
+                raise ModelError(
+                    f"event {self.index} uses unknown variable {v}")
+        n_range = tuple(variables[v].range_size for v in self.vbl)
+        for t in self.forbidden:
+            if any(not 0 <= x < r for x, r in zip(t, n_range)):
+                raise ModelError(
+                    f"event {self.index}: tuple {t} out of variable range")
+
 
 def clause_event(index: int, vbl: Sequence[int], falsifying: Sequence[int]) -> Event:
     """A CNF-clause-style event forbidding exactly one assignment of `vbl`."""
@@ -121,16 +134,9 @@ class ConstraintSystem:
         for pos, ev in enumerate(events):
             if ev.index != pos:
                 raise ModelError(f"event at position {pos} has index {ev.index}")
+            ev.check_fits(variables)
             for v in ev.vbl:
-                if v >= len(variables):
-                    raise ModelError(
-                        f"event {ev.index} uses unknown variable {v}")
                 incidence.setdefault(v, []).append(ev.index)
-            n_range = tuple(variables[v].range_size for v in ev.vbl)
-            for t in ev.forbidden:
-                if any(not 0 <= x < r for x, r in zip(t, n_range)):
-                    raise ModelError(
-                        f"event {ev.index}: tuple {t} out of variable range")
         var_to_events = {v: tuple(ixs) for v, ixs in incidence.items()}
         neighbor_sets = []
         for ev in events:

@@ -105,3 +105,52 @@ def test_log_text_errors():
         log_from_text("step 1 event 0 draws 0:1:0\n")  # missing init
     with pytest.raises(FormatError):
         log_from_text("init 0\nwhat 1\n")
+
+
+ONE_EVENT = "var 0 2 1/2 1/2\nevent 0 vbl 0 forbid 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("var 0 2 1/2 1/2\nvar 0 2 1/3 2/3\nevent 0 vbl 0 forbid 1\n",
+     "line 2: var 0 is already given on line 1"),
+    (ONE_EVENT + "event 0 vbl 0 forbid 0\n",
+     "line 3: event 0 is already given on line 2"),
+    (ONE_EVENT + "z 0 1/2\n# again\nz 0 1/3\n",
+     "line 5: z 0 is already given on line 3"),
+    (ONE_EVENT + "alpha 1\nz 0 1/2\nalpha 1/2\n",
+     "line 5: alpha is already given on line 3"),
+])
+def test_a_repeated_directive_names_its_first_line(text, message):
+    # a second directive for the same index would silently replace the first
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_system(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a gap is named at the directive with the least index past it
+    ("var 0 2 1/2 1/2\nvar 2 2 1/2 1/2\nevent 0 vbl 0 forbid 1\n", 2,
+     "variable indices must be 0..n-1, and no line gives var 1"),
+    ("var 3 2 1/2 1/2\nvar 0 2 1/2 1/2\nvar 2 2 1/2 1/2\n"
+     "event 0 vbl 0 forbid 1\n", 3,
+     "variable indices must be 0..n-1, and no line gives var 1"),
+    (ONE_EVENT + "event 3 vbl 0 forbid 0\nevent 2 vbl 0 forbid 0\n", 4,
+     "event indices must be 0..m-1, and no line gives event 1"),
+    (ONE_EVENT + "event 1 vbl 0 forbid 0\nevent 2 vbl 0 forbid 0\n"
+     "z 0 1/2\nz 2 1/2\n", 6,
+     "z directives must cover events 0..m-1, and no line gives z 1"),
+    # a missing z with none past it: the line of its event
+    (ONE_EVENT + "event 1 vbl 0 forbid 0\nz 0 1/2\n", 3,
+     "z directives must cover events 0..m-1, and no line gives z 1"),
+    (ONE_EVENT + "alpha 1/2\n", 2,
+     "z directives must cover events 0..m-1, and no line gives z 0"),
+    (ONE_EVENT + "z 0 1/2\nz 7 1/2\n", 4,
+     "z directives must cover events 0..m-1, and there is no event 7"),
+    # an event that does not fit its variables: the event's line
+    ("var 0 2 1/2 1/2\n# no variable 5\nevent 0 vbl 5 forbid 1\n", 3,
+     "event 0 uses unknown variable 5"),
+    (ONE_EVENT + "event 1 vbl 0 forbid 2\n", 3,
+     r"event 1: tuple \(2,\) out of variable range"),
+])
+def test_whole_file_errors_name_the_line_they_concern(text, line, message):
+    with pytest.raises(FormatError, match=f"^line {line}: {message}$"):
+        read_system(text)
