@@ -175,6 +175,40 @@ def test_module_runs_as_a_script():
     assert proc.stdout.startswith("usage: lll check")
 
 
+def test_the_package_runs_as_the_cli(m3_file, capsys):
+    # `python -m lll_toolkit` runs the CLI from a checkout, with the bytes
+    # and exit code of `dispatch`
+    src = str(Path(lll_toolkit.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lll_toolkit", "check", "--input", m3_file],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(
+        capsys, "check", "--input", m3_file)
+    assert proc.stdout.startswith("manifest ")
+
+
+@pytest.mark.parametrize("text, message", [
+    # the second law would silently replace the first
+    ("var 0 2 1/2 1/2\nvar 0 2 1/3 2/3\nevent 0 vbl 0 forbid 1\nz 0 1/2\n",
+     "error: line 2: var 0 is already given on line 1\n"),
+    (ONE_BIT + "event 0 vbl 0 forbid 0\nz 0 1/2\n",
+     "error: line 3: event 0 is already given on line 2\n"),
+    ("var 0 2 1/2 1/2\nvar 2 2 1/2 1/2\nevent 0 vbl 0 forbid 1\nz 0 1/2\n",
+     "error: line 2: variable indices must be 0..n-1, and no line gives "
+     "var 1\n"),
+    ("var 0 2 1/2 1/2\nevent 0 vbl 5 forbid 1\nz 0 1/2\n",
+     "error: line 2: event 0 uses unknown variable 5\n"),
+])
+def test_check_names_the_line_of_a_bad_system(tmp_path, capsys, text,
+                                              message):
+    path = tmp_path / "bad.system"
+    path.write_text(text)
+    assert run_cli(capsys, "check", "--input", str(path)) == (2, "", message)
+
+
 def test_solve_deterministic_replay(m3_file, capsys):
     code, out1, _ = run_cli(capsys, "solve", "--input", m3_file,
                             "--seed", "7")
