@@ -375,8 +375,8 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
 
     def table(variables, coins: int) -> tuple:
         """A redraw of `variables`, in order, after `coins` coins: its
-        moves, their paths, the paths cut and the units of the paths that
-        land within the budget."""
+        moves, their paths, the paths cut and, with trees, the units of
+        the paths that land within the budget."""
         moves, n_cut = {0: 1}, 0
         for v in variables:
             out: dict = {}
@@ -396,7 +396,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
             if leaves + sum(moves.values()) > room:
                 _refuse(branch_guard)
         landed = sum(k << (bit_budget - coins - (a >> coin_shift))
-                     for a, k in moves.items())
+                     for a, k in moves.items()) if want_trees else 0
         return list(moves.items()), sum(moves.values()), n_cut, landed
 
     # initialization draws every variable, in order, over placeholder zeros

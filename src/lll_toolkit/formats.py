@@ -124,7 +124,8 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
     Each `var`, `event` and `z` index, and `alpha`, may be given on one
     line only. Every error names a line. A missing index names the line of
     the least index past it; a missing z with none past it names its
-    event's line. An event that does not fit its variables names its line.
+    event's line. An event that does not fit its variables, and a z or
+    alpha out of range, name their own line.
     """
     variables: dict[int, VariableSpec] = {}
     events: dict[int, Event] = {}
@@ -175,8 +176,10 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
                 events[index] = Event(index, vbl, frozenset(tuples))
             elif kind == "z":
                 z_values[index] = parse_rational(parts[2])
+                LLLParams((z_values[index],))  # refuses a z outside (0, 1)
             else:
                 alpha = parse_rational(parts[1])
+                LLLParams((), alpha)  # refuses an alpha outside (0, 1]
         except (ModelError, ValueError, IndexError) as exc:
             raise FormatError(number, str(exc)) from None
     for kind, count, what in (

@@ -100,11 +100,12 @@ class Event:
             if v >= len(variables):
                 raise ModelError(
                     f"event {self.index} uses unknown variable {v}")
-        n_range = tuple(variables[v].range_size for v in self.vbl)
+        n_range = [variables[v].range_size for v in self.vbl]
         for t in self.forbidden:
-            if any(not 0 <= x < r for x, r in zip(t, n_range)):
-                raise ModelError(
-                    f"event {self.index}: tuple {t} out of variable range")
+            for x, r in zip(t, n_range):
+                if not 0 <= x < r:
+                    raise ModelError(f"event {self.index}: tuple {t} out of "
+                                     f"variable range")
 
 
 def clause_event(index: int, vbl: Sequence[int], falsifying: Sequence[int]) -> Event:

@@ -163,14 +163,18 @@ def test_family_error_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
-def test_module_runs_as_a_script():
+def run_module(module, *argv):
+    """`python -m module argv...` with this checkout's package on the path."""
     src = str(Path(lll_toolkit.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lll_toolkit.cli", "check", "--help"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_runs_as_a_script():
+    proc = run_module("lll_toolkit.cli", "check", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: lll check")
 
@@ -178,13 +182,7 @@ def test_module_runs_as_a_script():
 def test_the_package_runs_as_the_cli(m3_file, capsys):
     # `python -m lll_toolkit` runs the CLI from a checkout, with the bytes
     # and exit code of `dispatch`
-    src = str(Path(lll_toolkit.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lll_toolkit", "check", "--input", m3_file],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = run_module("lll_toolkit", "check", "--input", m3_file)
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(
         capsys, "check", "--input", m3_file)
     assert proc.stdout.startswith("manifest ")

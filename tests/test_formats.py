@@ -150,6 +150,10 @@ def test_a_repeated_directive_names_its_first_line(text, message):
      "event 0 uses unknown variable 5"),
     (ONE_EVENT + "event 1 vbl 0 forbid 2\n", 3,
      r"event 1: tuple \(2,\) out of variable range"),
+    # a value out of range: its own line
+    (ONE_EVENT + "z 0 1/2\nalpha 0\n", 4, r"alpha must lie in \(0, 1\]"),
+    (ONE_EVENT + "event 1 vbl 0 forbid 0\nz 1 1/2\nz 0 1\n", 5,
+     "every z must lie strictly between 0 and 1"),
 ])
 def test_whole_file_errors_name_the_line_they_concern(text, line, message):
     with pytest.raises(FormatError, match=f"^line {line}: {message}$"):
