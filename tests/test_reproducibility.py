@@ -15,6 +15,7 @@ import lll_toolkit
 from lll_toolkit.cli import dispatch
 from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
+from lll_toolkit.errors import TapeExhausted
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.formats import read_system
 from lll_toolkit.tape import Tape
@@ -99,3 +100,30 @@ def test_tape_hex_replay_is_byte_identical(tmp_path, capsys):
     assert out == EXPECTED_STDOUT.format(input=system_file,
                                          version=lll_toolkit.__version__)
     assert log_file.read_text() == EXPECTED_LOG
+
+
+
+# the cuts of every explicit coin string of 6 to 11 coins that runs out
+# inside a resample of the two-clause chain (x2 is shared): 125 of them
+MID_RESAMPLE_CUTS = (
+    125, "655b6ffe8eb192459014ab86d8c120e29b45f9d2313e3a96b1fa2633951c3d19")
+
+
+def test_cuts_inside_a_resample_are_pinned():
+    system = ChainCnfFamily(3, 1, 202).materialize(2)
+    cuts, lines = 0, []
+    for length in range(6, 12):
+        for number in range(1 << length):
+            bits = format(number, f"0{length}b")
+            try:
+                run_finite(system, Tape(bits=bits), 100)
+            except TapeExhausted as cut:
+                if cut.in_flight_event is None:
+                    continue
+                cuts += 1
+                log = cut.partial_log
+                lines.append(f"{bits} {cut.partial_assignment} "
+                             f"{cut.in_flight_event} {log.initial}")
+                lines += [f"{bits} {s.number} {s.event} {s.draws}"
+                          for s in log.steps]
+    assert (cuts, _sha(lines)) == MID_RESAMPLE_CUTS
