@@ -65,21 +65,25 @@ def run_finite(system: ConstraintSystem, tape: Tape,
 
     The initial assignment comes from one `Tape.draw_initial`, which draws
     every x^0 of an all-fair system on a fresh seeded tape in one packed
-    pass. Truth tracking is incremental: after a resample only events
-    sharing a changed variable are rechecked, with a lazy min-heap over true
+    pass, and each resample from one `Tape.redraw`, which draws the fair
+    variables of the event on a seeded tape in one packed pass too, with
+    the stream keys the initial pass kept. Truth tracking is incremental:
+    after resampling event i only `neighbor_sets[i]`, the events sharing
+    one of its variables, are rechecked, with a lazy min-heap over true
     events standing in for a full rescan (differentially tested against
-    one).
+    one). The recheck order does not matter: each event's push depends on
+    its own truth only, and the heap's pops on the multiset of pushes.
     """
     if max_steps < 0:
         raise ModelError("max_steps must be >= 0")
     n_events = len(system.events)
-    samplers = system.samplers
-    draw = tape.draw
+    samplers, fair = system.samplers, system.fair
+    redraw = tape.redraw
     assignment: list[int] = []
     steps: list[Step] = []
     initial = None
     try:
-        tape.draw_initial(samplers, assignment, system.fair)
+        tape.draw_initial(samplers, assignment, fair)
         initial = tuple(assignment)
 
         is_true = [system.is_true(i, assignment) for i in range(n_events)]
@@ -93,18 +97,9 @@ def run_finite(system: ConstraintSystem, tape: Tape,
             if len(steps) >= max_steps:
                 log = ResampleLog(initial, tuple(steps))
                 return RunResult(BUDGET_EXCEEDED, tuple(assignment), log)
-            ev = system.events[i]
-            draws = []
-            for v in ev.vbl:
-                position = tape.consumed_count(v)
-                value = draw(v, samplers[v])
-                assignment[v] = value
-                draws.append((v, position, value))
-            steps.append(Step(len(steps) + 1, i, tuple(draws)))
-            dirty: set[int] = set()
-            for v in ev.vbl:
-                dirty.update(system.var_to_events[v])
-            for j in sorted(dirty):
+            draws = redraw(system.events[i].vbl, samplers, assignment, fair)
+            steps.append(Step(len(steps) + 1, i, draws))
+            for j in system.neighbor_sets[i]:
                 now = system.is_true(j, assignment)
                 # j's heap entry survives unless j was the event just popped;
                 # events turning true get a fresh entry, stale entries are
@@ -189,9 +184,9 @@ def stable_times(log: ResampleLog,
     logged run never reaches that state.
 
     One validating walk over the log, as `replay` does. A lazy min-heap
-    holds the true events, rechecked only where a step redrew a variable;
-    when the least true index rises to m, every entry k <= m still empty
-    takes the current step count.
+    holds the true events, rechecked only in the neighbour set of each
+    step's event; when the least true index rises to m, every entry k <= m
+    still empty takes the current step count.
     """
     n_events = len(system.events)
     times: list[Optional[int]] = [None] * (n_events + 1)
@@ -204,8 +199,8 @@ def stable_times(log: ResampleLog,
             heap = [i for i in range(n_events) if is_true[i]]
             heapq.heapify(heap)
         else:
-            for j in {j for v, _, _ in step.draws
-                      for j in system.var_to_events[v]}:
+            # the walk checked that the step redrew exactly vbl(event)
+            for j in system.neighbor_sets[step.event]:
                 now = system.is_true(j, assignment)
                 # an event turning true gets a fresh entry; stale entries
                 # are dropped when they reach the top

@@ -117,6 +117,13 @@ def _gap(lines: dict, kind: str, count: int) -> Optional[tuple]:
     return None
 
 
+def _need(parts: list[str], count: int, name: str, what: str) -> None:
+    """Refuse a directive of fewer than `count` fields: `name` (its kind
+    and index) is missing `what`."""
+    if len(parts) < count:
+        raise ModelError(f"{name} is missing {what}")
+
+
 def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
     """Parse the line-oriented system format; params are returned when any
     z/alpha directives are present.
@@ -141,13 +148,16 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
         try:
             if kind not in ("var", "event", "z", "alpha"):
                 raise ModelError(f"unknown directive {kind!r}")
+            _need(parts, 2, kind, "its value" if kind == "alpha"
+                  else "its index")
             index = None if kind == "alpha" else int(parts[1])
+            name = kind if index is None else f"{kind} {index}"
             if (kind, index) in lines:
-                name = kind if index is None else f"{kind} {index}"
                 raise ModelError(f"{name} is already given on line "
                                  f"{lines[kind, index]}")
             lines[kind, index] = number
             if kind == "var":
+                _need(parts, 3, name, "its range")
                 n = int(parts[2])
                 probs = [parse_rational(tok) for tok in parts[3:]]
                 if len(probs) != n:
@@ -155,8 +165,11 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
                         f"expected {n} probabilities, got {len(probs)}")
                 variables[index] = VariableSpec(index, tuple(probs))
             elif kind == "event":
+                _need(parts, 3, name, "'vbl'")
                 if parts[2] != "vbl":
                     raise ModelError("expected 'vbl'")
+                if "forbid" not in parts:
+                    raise ModelError(f"{name} is missing 'forbid'")
                 cut = parts.index("forbid")
                 vbl = tuple(int(tok) for tok in parts[3:cut])
                 tail = parts[cut + 1:]
@@ -175,6 +188,7 @@ def read_system(text: str) -> tuple[ConstraintSystem, Optional[LLLParams]]:
                         current.append(int(tok))
                 events[index] = Event(index, vbl, frozenset(tuples))
             elif kind == "z":
+                _need(parts, 3, name, "its value")
                 z_values[index] = parse_rational(parts[2])
                 LLLParams((z_values[index],))  # refuses a z outside (0, 1)
             else:

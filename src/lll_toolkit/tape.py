@@ -23,7 +23,12 @@ draw costs one round for its key plus one per 64-coin block.
 `Tape.draw_initial` draws x^0 of every stream of an all-fair system on a
 fresh seeded tape at once: its three rounds per stream (stream key, draw
 key, coin block) run as three passes of `_mix64` over one integer that
-holds a 64-bit lane per stream.
+holds a 64-bit lane per stream. It keeps the stream keys of that pass, so
+no later draw recomputes them. `Tape.redraw` draws the next value of each
+stream of a sequence (the variables of one resampled event): on a seeded
+tape with fair laws the draws are independent lanes too, and their draw
+key and coin block rounds run as two passes over one integer, through the
+same lane routine as the initial pass.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from struct import unpack
 from typing import Optional, Sequence, Union
 
 from .errors import ModelError, TapeExhausted
@@ -131,6 +137,16 @@ def _lanes(n: int) -> tuple[int, int, int]:
     return ones, streams * _STREAM, ones * _MASK64
 
 
+def _fair_values(keys: int, n: int) -> bytes:
+    """The fair-bit values of n draws whose draw keys (stream key plus
+    position * _DRAW) fill the n 128-bit lanes of `keys`, one byte each:
+    the top bit of each draw's first coin block, after a pass of `_mix64`
+    for the draw key and one for the block."""
+    mask = _lanes(n)[2]
+    top = _mix64(_mix64(keys, mask), mask) >> 63
+    return top.to_bytes(16 * n, "little")[::16]
+
+
 class Tape:
     """A single-owner source of pre-drawn random values.
 
@@ -212,13 +228,57 @@ class Tape:
                 out.append(self.draw(v, sampler))
             return
         ones, offsets, mask = _lanes(n)
-        # stream keys; the x^0 key adds 0 * _DRAW; the first coin is the
-        # top bit of the coin block
+        # the stream keys, kept for later draws; x^0's draw key adds
+        # 0 * _DRAW to its stream key
         keys = _mix64(self._seed_key * ones + offsets, mask)
-        top = _mix64(_mix64(keys, mask), mask) >> 63
-        out.extend(top.to_bytes(16 * n, "little")[::16])
+        self._stream_keys = dict(enumerate(
+            unpack(f"<{2 * n}Q", keys.to_bytes(16 * n, "little"))[::2]))
+        out.extend(_fair_values(keys, n))
         self._consumed = dict.fromkeys(range(n), 1)
         self.bits_consumed += n
+
+    def redraw(self, streams: Sequence[int], samplers: Sequence[Sampler],
+               assignment: list, fair: Optional[bool] = None
+               ) -> tuple[tuple[int, int, int], ...]:
+        """Draw the next value of each stream of `streams` in order, stream v
+        per `samplers[v]`, into `assignment[v]`, and return each draw's
+        (stream, position, value): the values and tape state of
+        `tape.draw(v, samplers[v])` for v in order. `fair` is whether every
+        sampler is the fair bit, for callers that know it already.
+
+        A seeded tape draws fair bits as one lane each of one integer, in
+        two passes of `_mix64` over the draw keys, with the stream keys it
+        keeps. Any other tape or law draws one value at a time and writes
+        it to `assignment` at once, so a cut explicit tape leaves the values
+        drawn so far there.
+        """
+        consumed = self._consumed
+        if fair is None:
+            fair = all(samplers[v].fair for v in streams)
+        if not fair or self.bits is not None:
+            draws = []
+            for v in streams:
+                position = consumed.get(v, 0)
+                assignment[v] = value = self.draw(v, samplers[v])
+                draws.append((v, position, value))
+            return tuple(draws)
+        stream_keys = self._stream_keys
+        positions = []
+        keys = shift = 0
+        for v in streams:
+            index = consumed.get(v, 0)
+            consumed[v] = index + 1
+            key = stream_keys.get(v)
+            if key is None:
+                key = stream_keys[v] = _mix64(self._seed_key + v * _STREAM)
+            keys |= (key + index * _DRAW) << shift
+            shift += 128
+            positions.append(index)
+        values = _fair_values(keys, len(positions))
+        self.bits_consumed += len(positions)
+        for v, value in zip(streams, values):
+            assignment[v] = value
+        return tuple(zip(streams, positions, values))
 
     def _invert_bits(self, sampler: Sampler) -> int:
         """Invert the next coins of the explicit string; running out of them

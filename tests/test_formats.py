@@ -158,3 +158,13 @@ def test_a_repeated_directive_names_its_first_line(text, message):
 def test_whole_file_errors_name_the_line_they_concern(text, line, message):
     with pytest.raises(FormatError, match=f"^line {line}: {message}$"):
         read_system(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (ONE_EVENT + "alpha\n", "line 3: alpha is missing its value"),
+    (ONE_EVENT + "z 0\n", "line 3: z 0 is missing its value"),
+    ("var 0 2 1/2 1/2\nevent 0 vbl 0\n", "line 2: event 0 is missing 'forbid'"),
+])
+def test_a_directive_short_of_a_field_names_what_is_missing(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_system(text)

@@ -378,3 +378,114 @@ def test_run_cut_during_initialization_keeps_the_values_drawn():
     assert cut.value.partial_assignment == (1, 0)
     assert cut.value.partial_log is None
     assert cut.value.in_flight_event is None
+
+
+# --- the packed resample draw --------------------------------------------
+
+SEEDS = [-2 ** 64 - 3, -1, 0, 2 ** 64, 2 ** 70 + 5]
+
+
+def _check_redraw(laws, kwargs, initial, before, rounds, tell_fair):
+    """`Tape.redraw` of each round's streams against the per-draw loop on a
+    twin tape: the draws, the assignment written (also when the tape runs
+    out inside a round), and the tape state. With `initial`, the tape
+    draws x^0 of every stream with `draw_initial` first, and the twin with
+    the per-draw loop, so it computes every stream key itself."""
+    samplers = [sampler_for(law) for law in laws]
+    tape, ref = CountingTape(**kwargs), Tape(**kwargs)
+    got, want = [None] * len(laws), [None] * len(laws)
+    if initial:
+        drawn: list[int] = []
+        try:
+            tape.draw_initial(samplers, drawn)
+        except TapeExhausted:
+            return
+        got[:] = drawn
+        want[:] = [ref.draw(v, sampler) for v, sampler in enumerate(samplers)]
+    for stream, law in before:
+        assert _outcome(tape, stream, law) == _outcome(ref, stream, law)
+    for streams in rounds:
+        tape.draws = 0
+        expected, cut = [], False
+        try:
+            for v in streams:
+                position = ref.consumed_count(v)
+                want[v] = ref.draw(v, samplers[v])
+                expected.append((v, position, want[v]))
+        except TapeExhausted:
+            cut = True
+        fair = all(samplers[v].fair for v in streams)
+        with pytest.raises(TapeExhausted) if cut else nullcontext():
+            draws = tape.redraw(streams, samplers, got,
+                                fair if tell_fair else None)
+            assert draws == tuple(expected)
+        assert got == want
+        assert tape.consumed == ref.consumed
+        assert [tape.consumed_count(v) for v in streams] \
+            == [ref.consumed_count(v) for v in streams]
+        assert tape.bits_consumed == ref.bits_consumed
+        assert tape.bit_cursor == ref.bit_cursor
+        packed = "seed" in kwargs and fair
+        assert tape.draws == (0 if packed else len(expected) + cut)
+        if cut:
+            return
+
+
+@st.composite
+def redraws(draw):
+    """The arguments of `_check_redraw`: laws by stream, Tape keyword
+    arguments, whether `draw_initial` runs first, scalar draws made before,
+    the streams of each redraw, and whether the caller passes `fair`."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        laws = [FAIR] * n
+    else:
+        cycle = draw(st.lists(st.sampled_from(INITIAL_LAWS), min_size=1,
+                              max_size=4))
+        laws = [cycle[v % len(cycle)] for v in range(n)]
+    if draw(st.booleans()):
+        kwargs = {"seed": draw(st.one_of(st.sampled_from(SEEDS),
+                                         st.integers(-2 ** 70, 2 ** 70)))}
+    else:
+        # coin strings that run out in some rounds, not in others
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        length = draw(st.integers(0, 3 * n + 6))
+        kwargs = {"bits": "".join(rng.choice("01") for _ in range(length))}
+    before = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.sampled_from(INITIAL_LAWS)),
+                           max_size=3))
+    rounds = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True,
+                                    max_size=min(n, 5)),
+                           min_size=1, max_size=4))
+    return (laws, kwargs, draw(st.booleans()), before, rounds,
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(redraws())
+def test_redraw_matches_the_per_draw_loop(case):
+    _check_redraw(*case)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("initial", [False, True], ids=["cold", "kept"])
+def test_packed_redraw_matches_the_per_draw_loop(seed, initial):
+    # stream keys kept by the initial pass, or computed and kept by redraw
+    rounds = [[], [3], [0, 1, 2], [2, 4, 6, 8, 9], [9, 0, 5], [1, 2, 3, 4, 5]]
+    _check_redraw([FAIR] * 10, {"seed": seed}, initial, [], rounds, True)
+    _check_redraw([FAIR] * 10, {"seed": seed}, initial, [(4, FAIR)],
+                  rounds, False)
+
+
+def test_a_redraw_cut_inside_a_resample_keeps_the_values_drawn():
+    # x1 redraws 0 from the last coin, x2 (thirds) cannot settle on none
+    laws = [FAIR, FAIR, (F(1, 3), F(2, 3))]
+    tape = Tape(bits="010")
+    assignment: list[int] = []
+    tape.draw_initial([sampler_for(law) for law in laws[:2]], assignment)
+    assert assignment == [0, 1]
+    assignment.append(None)
+    with pytest.raises(TapeExhausted):
+        tape.redraw((1, 2), [sampler_for(law) for law in laws], assignment)
+    assert assignment == [0, 0, None]
+    assert tape.consumed == {0: 1, 1: 2}
