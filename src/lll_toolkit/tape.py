@@ -190,13 +190,13 @@ class Tape:
         else:
             key = self._stream_keys.get(stream)
             if key is None:
-                key = _mix64(self._seed_key + stream * _STREAM)
-                self._stream_keys[stream] = key
-            key = _mix64(key + index * _DRAW)
+                key = self._new_stream_key(stream)
+            key += index * _DRAW
             if sampler.fair:
-                value = _mix64(key) >> 63
+                value = _fair_values(key, 1)[0]
                 self.bits_consumed += 1
             else:
+                key = _mix64(key)
                 a = d = 0
                 while (value := sampler.settle(a, d)) is None:
                     if not d & 63:
@@ -270,7 +270,7 @@ class Tape:
             consumed[v] = index + 1
             key = stream_keys.get(v)
             if key is None:
-                key = stream_keys[v] = _mix64(self._seed_key + v * _STREAM)
+                key = self._new_stream_key(v)
             keys |= (key + index * _DRAW) << shift
             shift += 128
             positions.append(index)
@@ -279,6 +279,12 @@ class Tape:
         for v, value in zip(streams, values):
             assignment[v] = value
         return tuple(zip(streams, positions, values))
+
+    def _new_stream_key(self, stream: int) -> int:
+        """Compute and keep the key of a stream no draw has keyed yet."""
+        key = self._stream_keys[stream] = _mix64(
+            self._seed_key + stream * _STREAM)
+        return key
 
     def _invert_bits(self, sampler: Sampler) -> int:
         """Invert the next coins of the explicit string; running out of them
