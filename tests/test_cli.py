@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -581,6 +582,65 @@ def test_selftest(capsys):
     assert code == 0
     assert "selftest=pass" in out
     assert out.count("ok=true") == 6
+
+
+# sha256 of "exit code, stdout, stderr" of commands whose code paths share
+# the witness-tree and branching-process layers, with each input file's path
+# written as its name in braces
+PINNED_RUNS = {
+    "selftest": ("selftest",),
+    "gw-sample-root1": ("gw", "--input", "{m3}", "--sample", "--root", "1",
+                        "--seed", "4", "--samples", "6"),
+    "gw-sample-root2": ("gw", "--input", "{m3}", "--sample", "--root", "2",
+                        "--seed", "9", "--samples", "6", "--depth-budget",
+                        "2"),
+    "gw-sample-bad-root": ("gw", "--input", "{m3}", "--sample", "--root",
+                           "7"),
+    "avoid-empirical": ("avoid", "--forbidden", "{patterns}", "--gamma",
+                        "1/2", "--length", "40", "--seed", "3"),
+    "avoid-exact": ("avoid", "--forbidden", "{patterns}", "--gamma", "1/2",
+                    "--length", "10", "--mode", "exact"),
+    "fireworks-beat-identity": ("fireworks", "--beat", "--oracle",
+                                "identity", "--epsilon", "1/4", "--seed",
+                                "2"),
+    "fireworks-beat-diverge": ("fireworks", "--beat", "--oracle",
+                               "diverge:1,3", "--epsilon", "1/8", "--seed",
+                               "5"),
+}
+PINNED_RUN_DIGESTS = {
+    "avoid-empirical":
+        "c594edfc5bc254272443fe4613701e95821744f7bef0138eb530524d820a71f1",
+    "avoid-exact":
+        "a3afbf0daeeb4a93531a8f977b5b0e77c05a827e25ea23a371e8577ad876694d",
+    "fireworks-beat-diverge":
+        "4128bf57b6a404874da3a4e60d49a90baa5c4a2f60edb03d68c8d19c352ded1f",
+    "fireworks-beat-identity":
+        "ce232ece536acb6a58a2011f2a09dc6aef694bbeec689071f2441c26df08a803",
+    "gw-sample-bad-root":
+        "8422307e0794c00168e06be4b0540a6529a29a3be59a4c266b414697edffcc42",
+    "gw-sample-root1":
+        "bf0254790e8df3c097c98dfddfe6a885d6e3088adb810a8e63725d2b24a1f950",
+    "gw-sample-root2":
+        "5e6aee5d0819c0dc73d905e2defce9da8cdbb062ffe91a3ed16caada80228166",
+    "selftest":
+        "67b2fb76093104256c47fd0428d9566daa25112857a83487f00b952bcc0dd6b2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_command_output_is_pinned(m3_file, tmp_path, capsys, name):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("".join(f"{c * m}\n" for m in [*range(2, 13),
+                                                         *range(22, 31)]
+                                for c in "01"))
+    files = {"m3": m3_file, "patterns": str(patterns)}
+    code, out, err = run_cli(capsys, *(arg.format(**files)
+                                       for arg in PINNED_RUNS[name]))
+    text = f"{code}\n{out}\n{err}"
+    for key, path in files.items():
+        text = text.replace(path, "{%s}" % key)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == PINNED_RUN_DIGESTS[name]), text
 
 
 # event 0 shares a variable with each of events 1 and 2 (two proper
