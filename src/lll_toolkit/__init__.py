@@ -22,8 +22,7 @@ from .witness import (WitnessTree, build_witness_tree,
                       tree_of_events, tree_probability_bound, trees_for_run,
                       validate_tree)
 from .exhaustive import census_runs, check_tree_lemma, enumerate_runs
-from .galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
-                            gw_tree_probability)
+from .galton_watson import check_mt_vs_gw, gw_sample, gw_tree_probability
 from .layerwise import (PrefixResult, StabilityCertificate, SystemQOracle,
                         TableQOracle, approx_output_distribution,
                         compute_assignment_prefix,

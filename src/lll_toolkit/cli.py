@@ -23,7 +23,7 @@ from .tape import Tape
 from .engine import (SATISFIED, replay, run_finite, run_stream, stable_times,
                      suggested_max_steps)
 from .witness import build_witness_tree
-from .galton_watson import GWParams, check_mt_vs_gw, gw_sample
+from .galton_watson import check_mt_vs_gw, gw_sample
 from .layerwise import (PREFIX_BRANCH_GUARD, TableQOracle,
                         compute_assignment_prefix,
                         extract_from_positive_probability,
@@ -206,9 +206,9 @@ def _cmd_gw(args) -> int:
     if args.sample:
         if args.samples < 1:
             raise ModelError(f"--samples {args.samples}: must be >= 1")
-        gw_params = GWParams.from_lll(params, args.root)
         tape = _tape_from_args(args)
-        trees = [gw_sample(gw_params, system, tape, args.depth_budget)
+        trees = [gw_sample(params, args.root, system, tape,
+                           args.depth_budget)
                  for _ in range(args.samples)]
         _emit_manifest(args)
         for i, tree in enumerate(trees):
@@ -351,14 +351,13 @@ def _cmd_selftest(args) -> int:
     _emit_manifest(args)
     all_ok = True
     for entry in toy_corpus():
-        params = entry.params
-        cond = check_lll(entry.system, params)
         lemma = check_tree_lemma(entry.system, entry.bit_budget)
-        gw = check_mt_vs_gw(entry.system, params, entry.bit_budget)
-        ok = (cond.holds and lemma.certified and gw.certified
+        gw = check_mt_vs_gw(entry.system, entry.params, entry.bit_budget)
+        ok = (gw.condition.holds and lemma.certified and gw.certified
               and gw.gw_totals_ok)
         all_ok = all_ok and ok
-        print(f"system={entry.name} condition={str(cond.holds).lower()} "
+        print(f"system={entry.name} "
+              f"condition={str(gw.condition.holds).lower()} "
               f"lemma={str(lemma.certified).lower()} "
               f"gw={str(gw.certified).lower()} ok={str(ok).lower()}")
     print(f"selftest={'pass' if all_ok else 'fail'}")
@@ -497,10 +496,7 @@ def dispatch(argv) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except BudgetRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return REFUSED
-    except UnresolvedBranches as exc:
+    except (BudgetRefused, UnresolvedBranches) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSED
     except (VerificationError, ContractViolation, ExtractionTimeout,

@@ -282,13 +282,13 @@ class AvoidResult:
 
 def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
                             mode: str = "empirical", alpha=Fraction(99, 100),
-                            seed: int = 0, max_steps: int | None = None,
-                            delta=Fraction(1, 64)) -> AvoidResult:
+                            seed: int = 0) -> AvoidResult:
     """A bit prefix of the requested length avoiding all long-enough patterns.
 
     Computes (beta, M), builds the occurrence family for patterns of length
     >= M, solves the events inside the window, and scans the result with the
-    independent substring verifier before returning it.
+    independent substring verifier before returning it. The solver stops at
+    `suggested_max_steps`; the exact prefix is certified to width 1/64.
     """
     if length < 0:
         raise ModelError(f"length {length}: must be >= 0")
@@ -303,13 +303,12 @@ def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
     system = ConstraintSystem.build(variables, events)
 
     condition = None
+    cap = 1
     if events:
         z = tuple(clause_weight(bm.beta, len(ev.vbl)) for ev in events)
         params = LLLParams(z, alpha)
         condition = check_computable_lll(system, params)
-        cap = max_steps if max_steps is not None else suggested_max_steps(params)
-    else:
-        cap = max_steps if max_steps is not None else 1
+        cap = suggested_max_steps(params)
 
     if mode == "empirical":
         result = run_finite(system, Tape(seed=seed), cap)
@@ -321,7 +320,7 @@ def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
     elif mode == "exact":
         from .layerwise import PREFIX_BRANCH_GUARD, compute_assignment_prefix
         prefix = compute_assignment_prefix(system, None, length,
-                                           mode="exact", delta=delta,
+                                           mode="exact", delta=Fraction(1, 64),
                                            branch_guard=PREFIX_BRANCH_GUARD)
         bits = "".join(str(v) for v in prefix.values)
         resamples = 0

@@ -518,10 +518,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     """
     comp_of = _component_of(system)
     ids: dict = {}  # canon -> its id, in order of first admission
-    # history -> (tree of its last step, that tree's id, canon -> step of
-    # each step's tree, root label -> multiplicity); the last two are the
-    # bookkeeping of `admit_tree`
-    history_trees: dict = {(): (None, None, {}, {})}
+    # history -> (tree of its last step, that tree's id, root label ->
+    # multiplicity); the last is the bookkeeping of `admit_tree`
+    history_trees: dict = {(): (None, None, {})}
 
     def trees_of(history: tuple[int, ...]) -> tuple:
         """The entry of `history`, extending the longest memoized prefix by
@@ -529,13 +528,13 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         n = len(history)
         while history[:n] not in history_trees:
             n -= 1
-        *_, seen, root_counts = history_trees[history[:n]]
+        root_counts = history_trees[history[:n]][2]
         for k in range(n + 1, len(history) + 1):
             tree = tree_of_events(history[:k], system)
-            seen, root_counts = dict(seen), dict(root_counts)
-            canon = admit_tree(tree, k, seen, root_counts)
+            root_counts = dict(root_counts)
+            admit_tree(tree, k, root_counts)
             history_trees[history[:k]] = (
-                tree, ids.setdefault(canon, len(ids)), seen, root_counts)
+                tree, ids.setdefault(tree.canon(), len(ids)), root_counts)
         return history_trees[history]
 
     p_low: dict = {}
@@ -554,7 +553,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             for root in range(len(system.events)):
                 by_root.setdefault(root, []).append((units, {}, 1, None))
             continue
-        root_counts = trees_of(history)[3]
+        root_counts = trees_of(history)[2]
         begun = history
         if in_flight is not None:
             # the cut-off resampling completes before anything else an
@@ -653,11 +652,10 @@ class LemmaReport:
         return all(e.certified for e in self.entries)
 
 
-def check_tree_lemma(system: ConstraintSystem, bit_budget: int,
-                     branch_guard: int = DEFAULT_BRANCH_GUARD) -> LemmaReport:
+def check_tree_lemma(system: ConstraintSystem, bit_budget: int) -> LemmaReport:
     """Exact check that every appearing tree obeys the label-product bound."""
     from .witness import tree_probability_bound
-    census = census_runs(system, bit_budget, branch_guard=branch_guard)
+    census = census_runs(system, bit_budget)
     entries = tuple(
         LemmaEntry(a.tree, a.p_low, a.pending,
                    tree_probability_bound(a.tree, system))

@@ -93,7 +93,7 @@ def sequential_take_distribution(n: int) -> tuple[Fraction, ...]:
     """Take-time law of the stepwise strategy: take the first firework with
     probability 1/n, else test, then take the next with 1/(n-1), and so on.
 
-    Equals the uniform law on 0..n-1; the equality is asserted exactly.
+    Equals the uniform law on 0..n-1 exactly; ACCEPT-09 checks that.
     """
     if n < 1:
         raise ModelError("n must be >= 1")
@@ -149,6 +149,7 @@ class DivergeAtOracle:
 TOOK = "took_good"            # some g(u) = f(u) + 1 is set
 STALLED_TAKE = "stalled_take"  # took a firework that has not halted yet
 STALLED_TEST = "stalled_test"  # testing a computation that has not halted yet
+MAX_BUDGET = 1 << 16  # the largest budget a probe is run with
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ class BeatResult:
 
 
 def beat_with_k(oracle: FnOracle, k: int,
-                max_budget: int = 1 << 16) -> BeatResult:
+                max_budget: int = MAX_BUDGET) -> BeatResult:
     """Deterministic take/test protocol for a fixed test count k.
 
     Testing the firework at position v probes f(v) with doubling budgets,
@@ -211,8 +212,7 @@ def beat_with_k(oracle: FnOracle, k: int,
         tests += 1
 
 
-def beat_function(oracle: FnOracle, epsilon, tape: Tape,
-                  max_budget: int = 1 << 16) -> BeatResult:
+def beat_function(oracle: FnOracle, epsilon, tape: Tape) -> BeatResult:
     """Beat a (total) oracle with probability at least 1 - epsilon.
 
     epsilon is reduced to 1/n with n = ceil(1/epsilon); k is drawn uniformly
@@ -220,7 +220,7 @@ def beat_function(oracle: FnOracle, epsilon, tape: Tape,
     """
     n = epsilon_to_n(epsilon)
     k = tape.draw(0, _uniform(n))
-    return beat_with_k(oracle, k, max_budget)
+    return beat_with_k(oracle, k)
 
 
 def epsilon_to_n(epsilon) -> int:
@@ -256,8 +256,8 @@ class BeatManyResult:
         return 0
 
 
-def beat_many(oracles: Sequence[FnOracle], epsilon, tape: Tape,
-              max_budget: int = 1 << 16) -> BeatManyResult:
+def beat_many(oracles: Sequence[FnOracle], epsilon,
+              tape: Tape) -> BeatManyResult:
     """One row per oracle: row i gets error share epsilon * 2^-(i+1), so the
     shares sum to at most epsilon over all rows.
 
@@ -274,7 +274,7 @@ def beat_many(oracles: Sequence[FnOracle], epsilon, tape: Tape,
         ks.append(tape.draw(i, _uniform(n_i)))
     rows: list[Optional[BeatResult]] = [None] * len(oracles)
     budget = 1
-    while budget <= max_budget:
+    while budget <= MAX_BUDGET:
         for i, oracle in enumerate(oracles):
             if rows[i] is not None and rows[i].status == TOOK:
                 continue

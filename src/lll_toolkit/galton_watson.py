@@ -2,8 +2,8 @@
 
 A spawning process rooted at one event grows a tree: every vertex labeled j
 independently attaches a son labeled l, for each neighbor l of j, with
-probability z_l. The law of that process dominates witness-tree appearance:
-for a tree T with root i,
+probability z_l, the weight the system's `LLLParams` gives event l. The law
+of that process dominates witness-tree appearance: for a tree T with root i,
 
     Pr[T appears during a run] <= z_i/(1-z_i) * alpha^size(T) * Pr[process yields T]
 
@@ -20,37 +20,13 @@ from typing import Optional
 
 from .errors import ModelError, UnresolvedBranches
 from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
-                    as_fraction, check_lll)
+                    check_lll)
 from .tape import Tape
 from .witness import WitnessTree, validate_tree
-from .exhaustive import DEFAULT_BRANCH_GUARD, census_runs
+from .exhaustive import census_runs
 
 
-@dataclass(frozen=True)
-class GWParams:
-    """Spawn weights and root for the branching process."""
-
-    root: int
-    z: tuple[Fraction, ...]
-    alpha: Fraction = ONE
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(as_fraction(x) for x in self.z))
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if any(not ZERO < x < ONE for x in self.z):
-            raise ModelError("every z must lie strictly between 0 and 1")
-        if not 0 <= self.root < len(self.z):
-            raise ModelError(
-                f"root {self.root} is not an event in 0..{len(self.z) - 1}")
-        if not ZERO < self.alpha <= ONE:
-            raise ModelError("alpha must lie in (0, 1]")
-
-    @classmethod
-    def from_lll(cls, params: LLLParams, root: int) -> "GWParams":
-        return cls(root, params.z, params.alpha)
-
-
-def gw_tree_probability(tree: WitnessTree, params: GWParams,
+def gw_tree_probability(tree: WitnessTree, params: LLLParams,
                         system: ConstraintSystem) -> Fraction:
     """Exact probability that the spawning process yields exactly this tree.
 
@@ -61,9 +37,6 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
     denominators are multiplied as integers, and one `Fraction` is formed
     at the end.
     """
-    if tree.root_label != params.root:
-        raise ModelError(
-            f"tree root {tree.root_label} does not match params.root {params.root}")
     check = validate_tree(tree, system)
     if not check.valid:
         raise ModelError("; ".join(check.violations))
@@ -83,16 +56,19 @@ def gw_tree_probability(tree: WitnessTree, params: GWParams,
     return Fraction(num, den)
 
 
-def gw_sample(params: GWParams, system: ConstraintSystem, tape: Tape,
-              depth_budget: int) -> Optional[WitnessTree]:
-    """Sample one tree, breadth-first, spawning neighbors in label order.
+def gw_sample(params: LLLParams, root: int, system: ConstraintSystem,
+              tape: Tape, depth_budget: int) -> Optional[WitnessTree]:
+    """Sample one tree from `root`, breadth-first, spawning in label order.
 
     Returns None when a vertex at the depth budget spawns a son (the branch
     is treated as non-terminating at desk scale).
     """
+    if not 0 <= root < len(params.z):
+        raise ModelError(
+            f"root {root} is not an event in 0..{len(params.z) - 1}")
     if depth_budget < 0:
         raise ModelError("depth_budget must be >= 0")
-    labels = [params.root]
+    labels = [root]
     parents = [-1]
     depths = [0]
     frontier = [0]
@@ -155,7 +131,6 @@ class GWComparisonReport:
 
 def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
                    bit_budget: int,
-                   branch_guard: int = DEFAULT_BRANCH_GUARD,
                    require_certified: bool = False) -> GWComparisonReport:
     """Compare exact appearance probabilities against the process bound.
 
@@ -165,16 +140,13 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     checked first and reported alongside.
     """
     condition = check_lll(system, params)
-    census = census_runs(system, bit_budget, branch_guard=branch_guard)
+    census = census_runs(system, bit_budget)
     entries = []
     gw_totals: dict[int, Fraction] = {}
-    gw_params: dict[int, GWParams] = {}
     for appearance in census.appearance_list():
         tree = appearance.tree
         root = tree.root_label
-        if root not in gw_params:
-            gw_params[root] = GWParams.from_lll(params, root)
-        gw_p = gw_tree_probability(tree, gw_params[root], system)
+        gw_p = gw_tree_probability(tree, params, system)
         zi = params.z[root]
         bound = zi / (ONE - zi) * params.alpha ** tree.size * gw_p
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p

@@ -184,33 +184,24 @@ def trees_for_run(log: ResampleLog,
     """One tree per resampling; asserts the in-run distinctness guarantees."""
     trees = [build_witness_tree(log, k, system)
              for k in range(1, len(log.steps) + 1)]
-    seen: dict = {}
     root_counts: dict[int, int] = {}
     for k, tree in enumerate(trees, start=1):
-        admit_tree(tree, k, seen, root_counts)
+        admit_tree(tree, k, root_counts)
     return trees
 
 
-def admit_tree(tree: WitnessTree, k: int, seen: dict,
-               root_counts: dict[int, int]):
-    """Record step k's tree after the trees of steps 1..k-1; returns its
-    canon.
+def admit_tree(tree: WitnessTree, k: int, root_counts: dict[int, int]) -> None:
+    """Record step k's tree after the trees of steps 1..k-1.
 
-    `seen` maps each earlier tree's canon to its step, and `root_counts`
-    each root label to its multiplicity in the latest tree rooted there.
-    Raises EngineError if the tree repeats an earlier one, or if its root
-    label occurs no more often than in the latest tree with that root.
+    `root_counts` maps each root label to its multiplicity in the latest
+    tree rooted there. Raises EngineError if the tree's root label occurs
+    no more often than there (`check_root_grew`), which also refuses a
+    tree that repeats an earlier one.
     """
-    c = tree.canon()
-    if c in seen:
-        raise EngineError(
-            f"steps {seen[c]} and {k} produced identical witness trees")
-    seen[c] = k
     root = tree.root_label
     n_root = tree.labels.count(root)
     check_root_grew(root, n_root, k, root_counts)
     root_counts[root] = n_root
-    return c
 
 
 def check_root_grew(root: int, n_root: int, k: int,

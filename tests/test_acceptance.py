@@ -15,8 +15,7 @@ from lll_toolkit.tape import Tape
 from lll_toolkit.engine import SATISFIED, log_from_event_sequence, run_finite, run_stream
 from lll_toolkit.witness import WitnessTree, build_witness_tree
 from lll_toolkit.exhaustive import check_tree_lemma
-from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw,
-                                       gw_tree_probability)
+from lll_toolkit.galton_watson import check_mt_vs_gw, gw_tree_probability
 from lll_toolkit.layerwise import (TableQOracle, compute_assignment_prefix,
                                    extract_from_positive_probability,
                                    extract_positive_branch, stability_horizon)
@@ -67,7 +66,7 @@ def test_02_gw_formula_goldens():
               clause_event(1, (0,), (1,)),
               clause_event(2, (1,), (1,))]
     system = ConstraintSystem.build(variables, events)
-    params = GWParams(0, (F(1, 2),) * 3)
+    params = LLLParams((F(1, 2),) * 3)
     singleton = gw_tree_probability(WitnessTree((0,), (-1,)), params, system)
     two_vertex = gw_tree_probability(WitnessTree((0, 1), (-1, 0)), params,
                                      system)

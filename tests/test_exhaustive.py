@@ -20,7 +20,7 @@ from lll_toolkit.model import (ConstraintSystem, Event, VariableSpec,
                                clause_event, uniform_bit)
 from lll_toolkit.tape import Tape
 from test_properties import systems
-from test_witness import BROKEN_BUILDS, broken_build
+from test_witness import BROKEN_BUILD_MESSAGE, BROKEN_BUILDS, broken_build
 
 DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
                         deadline=None)
@@ -55,15 +55,15 @@ def test_census_losing_mass_is_a_typed_error(chain2_system, monkeypatch):
         exhaustive.census_runs(chain2_system, 4, want_trees=False)
 
 
-@pytest.mark.parametrize("message", sorted(BROKEN_BUILDS))
+@pytest.mark.parametrize("case", sorted(BROKEN_BUILDS))
 def test_census_keeps_the_in_run_tree_checks(one_bit_system, monkeypatch,
-                                             message):
+                                             case):
     # the census builds each history's trees one step at a time; a history
     # of two resamples must still fail the check of its second tree
-    build = broken_build(message)
+    build = broken_build(case)
     monkeypatch.setattr(exhaustive, "tree_of_events",
                         lambda events, system: build(None, len(events), system))
-    with pytest.raises(EngineError, match=message):
+    with pytest.raises(EngineError, match=BROKEN_BUILD_MESSAGE):
         exhaustive.census_runs(one_bit_system, 3)
 
 

@@ -16,7 +16,7 @@ from lll_toolkit.tape import Tape
 from lll_toolkit.exhaustive import census_runs
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import WitnessTree, validate_tree
-from lll_toolkit.galton_watson import (GWParams, check_mt_vs_gw, gw_sample,
+from lll_toolkit.galton_watson import (check_mt_vs_gw, gw_sample,
                                        gw_tree_probability)
 from lll_toolkit.corpus import toy_corpus
 
@@ -35,7 +35,7 @@ def star_system():
 
 def test_singleton_probability_formula():
     system = star_system()
-    params = GWParams(0, (F(1, 2),) * 3)
+    params = LLLParams((F(1, 2),) * 3)
     tree = WitnessTree((0,), (-1,))
     # no son for each of the three neighbor labels
     assert gw_tree_probability(tree, params, system) == F(1, 8)
@@ -43,22 +43,15 @@ def test_singleton_probability_formula():
 
 def test_root_plus_son_probability_formula():
     system = star_system()
-    params = GWParams(0, (F(1, 2),) * 3)
+    params = LLLParams((F(1, 2),) * 3)
     tree = WitnessTree((0, 1), (-1, 0))
     # root: spawn 1, skip 0 and 2; son 1 (neighbors {0,1}): spawn nothing
     assert gw_tree_probability(tree, params, system) == F(1, 32)
 
 
-def test_probability_rejects_root_mismatch():
-    system = star_system()
-    params = GWParams(1, (F(1, 2),) * 3)
-    with pytest.raises(ModelError):
-        gw_tree_probability(WitnessTree((0,), (-1,)), params, system)
-
-
 def test_probability_rejects_invalid_tree():
     system = star_system()
-    params = GWParams(0, (F(1, 2),) * 3)
+    params = LLLParams((F(1, 2),) * 3)
     bad = WitnessTree((0, 1, 1), (-1, 0, 0))  # duplicate son labels
     with pytest.raises(ModelError):
         gw_tree_probability(bad, params, system)
@@ -66,12 +59,15 @@ def test_probability_rejects_invalid_tree():
 
 def test_params_validation():
     with pytest.raises(ModelError):
-        GWParams(0, (F(1),))  # z = 1 disallowed
+        LLLParams((F(1),))  # z = 1 disallowed
     with pytest.raises(ModelError):
-        GWParams(0, (F(1, 2),), F(0))
-    for root in (-1, 1):
-        with pytest.raises(ModelError, match="root"):
-            GWParams(root, (F(1, 2),))
+        LLLParams((F(1, 2),), F(0))
+    params = LLLParams((F(1, 2),) * 3)
+    for root in (-1, 3):
+        # the root is refused before the depth budget
+        with pytest.raises(ModelError,
+                           match=f"^root {root} is not an event in 0..2$"):
+            gw_sample(params, root, star_system(), Tape(seed=0), -1)
 
 
 # --- expected steps bound ---------------------------------------------------
@@ -87,20 +83,20 @@ def test_expected_steps_bound_values():
 
 def test_depth_budget_zero_singleton_or_overflow():
     system = star_system()
-    params = GWParams(0, (F(1, 2),) * 3)
+    params = LLLParams((F(1, 2),) * 3)
     for seed in range(40):
-        tree = gw_sample(params, system, Tape(seed=seed), 0)
+        tree = gw_sample(params, 0, system, Tape(seed=seed), 0)
         assert tree is None or tree.size == 1
 
 
 def test_small_z_mostly_singletons():
     system = star_system()
     z = F(1, 1000)
-    params = GWParams(0, (z,) * 3)
+    params = LLLParams((z,) * 3)
     n = 2000
     singletons = 0
     for seed in range(n):
-        tree = gw_sample(params, system, Tape(seed=seed), 6)
+        tree = gw_sample(params, 0, system, Tape(seed=seed), 6)
         if tree is not None and tree.size == 1:
             singletons += 1
     expect = (1 - z) ** 3
@@ -112,17 +108,18 @@ def test_small_z_mostly_singletons():
 
 def test_sample_replay_deterministic():
     system = star_system()
-    params = GWParams(0, (F(1, 3),) * 3)
-    a = gw_sample(params, system, Tape(seed=77), 8)
-    b = gw_sample(params, system, Tape(seed=77), 8)
+    params = LLLParams((F(1, 3),) * 3)
+    a = gw_sample(params, 0, system, Tape(seed=77), 8)
+    b = gw_sample(params, 0, system, Tape(seed=77), 8)
     assert (a is None and b is None) or a == b
 
 
 def exact_gw_enumeration(params, system, max_depth, spawn_order):
     """Exact finite-tree law by enumerating spawn decisions level by level.
 
-    Returns {canon: probability} for trees that complete within max_depth;
-    the remaining mass belongs to deeper or infinite trees.
+    Returns {canon: probability} for the trees rooted at event 0 that
+    complete within max_depth; the remaining mass belongs to deeper or
+    infinite trees.
     """
     out: dict = {}
 
@@ -156,13 +153,13 @@ def exact_gw_enumeration(params, system, max_depth, spawn_order):
                     new_frontier.append(len(new_labels) - 1)
             expand(new_labels, new_parents, new_depths, new_frontier, p)
 
-    expand([params.root], [-1], [0], [0], F(1))
+    expand([0], [-1], [0], [0], F(1))
     return out
 
 
 def test_spawn_order_invariance_exact():
     system = star_system()
-    params = GWParams(0, (F(1, 3), F(1, 2), F(1, 4)))
+    params = LLLParams((F(1, 3), F(1, 2), F(1, 4)))
     asc = exact_gw_enumeration(params, system, 2, "asc")
     desc = exact_gw_enumeration(params, system, 2, "desc")
     assert asc == desc
@@ -170,12 +167,12 @@ def test_spawn_order_invariance_exact():
 
 def test_sampling_matches_exact_law():
     system = star_system()
-    params = GWParams(0, (F(1, 3),) * 3)
+    params = LLLParams((F(1, 3),) * 3)
     exact = exact_gw_enumeration(params, system, 2, "asc")
     n = 4000
     counts: dict = {}
     for seed in range(n):
-        tree = gw_sample(params, system, Tape(seed=seed), 2)
+        tree = gw_sample(params, 0, system, Tape(seed=seed), 2)
         if tree is None:
             continue
         counts[tree.canon()] = counts.get(tree.canon(), 0) + 1
@@ -192,7 +189,7 @@ def test_gw_probability_matches_enumeration():
     # (same-depth cousins with neighboring labels); gw_tree_probability is
     # contracted to legal trees only, so compare on those
     system = star_system()
-    params = GWParams(0, (F(1, 3), F(1, 2), F(1, 4)))
+    params = LLLParams((F(1, 3), F(1, 2), F(1, 4)))
     exact = exact_gw_enumeration(params, system, 2, "asc")
     compared = 0
     for canon, p in exact.items():
@@ -214,9 +211,9 @@ def test_exponent_form_matches_the_per_vertex_product_on_samples():
     for system in (star_system(), ChainCnfFamily(3, 1, 5).materialize(3)):
         z = uneven_z(system)
         for root in range(len(system.events)):
-            params = GWParams(root, z)
+            params = LLLParams(z)
             for seed in range(60):
-                tree = gw_sample(params, system, Tape(seed=seed), 3)
+                tree = gw_sample(params, root, system, Tape(seed=seed), 3)
                 if tree is None or not validate_tree(tree, system).valid:
                     continue
                 assert (gw_tree_probability(tree, params, system)
@@ -234,7 +231,7 @@ def test_exponent_form_matches_the_per_vertex_product_on_census_trees():
         z = uneven_z(system)
         for appearance in census_runs(system, budget).appearance_list():
             tree = appearance.tree
-            params = GWParams(tree.root_label, z)
+            params = LLLParams(z)
             assert (gw_tree_probability(tree, params, system)
                     == reference_witness.gw_tree_probability(tree, z, system))
             compared += 1

@@ -256,28 +256,54 @@ def test_root_label_multiplicity_increases(paper_example_system):
     assert len(set(counts)) == len(counts)
 
 
-# Tree builders that break one in-run guarantee at step 2: a repeated tree,
+def test_the_root_count_check_refuses_every_repeat(chain3_system,
+                                                   paper_example_system):
+    # admitting any earlier tree again, right after the latest step or
+    # later, fails on its root count: a repeat needs no check of its own
+    runs = [(system, run_finite(system, Tape(seed=seed), 100).log)
+            for system in (chain3_system, paper_example_system)
+            for seed in range(20)]
+    runs.append((paper_example_system, log_from_event_sequence(
+        paper_example_system, [2, 3, 2, 1, 2])))
+    refused = 0
+    for system, log in runs:
+        trees = trees_for_run(log, system)
+        root_counts: dict = {}
+        for j, tree in enumerate(trees, start=1):
+            witness.admit_tree(tree, j, root_counts)
+            for earlier in trees[:j]:
+                with pytest.raises(EngineError, match=(
+                        f"^step {j + 1}: root-label multiplicity did not "
+                        "increase$")):
+                    witness.admit_tree(earlier, j + 1, dict(root_counts))
+                refused += 1
+    assert refused > 200
+
+
+# Tree builders that break the in-run guarantee at step 2: a repeated tree,
 # or a root label no more frequent than in the step-1 tree with that root.
+# The root-count check refuses both.
 BROKEN_BUILDS = {
-    "steps 1 and 2 produced identical witness trees":
+    "step 2 repeats the tree of step 1":
         (WitnessTree((0,), (-1,)), WitnessTree((0,), (-1,))),
     "step 2: root-label multiplicity did not increase":
         (WitnessTree((0, 0), (-1, 0)), WitnessTree((0,), (-1,))),
 }
+BROKEN_BUILD_MESSAGE = "^step 2: root-label multiplicity did not increase$"
 
 
-def broken_build(message):
+def broken_build(case):
     def build(log, k, system):
-        return BROKEN_BUILDS[message][min(k, 2) - 1]
+        return BROKEN_BUILDS[case][min(k, 2) - 1]
     return build
 
 
-@pytest.mark.parametrize("message", sorted(BROKEN_BUILDS))
+@pytest.mark.parametrize("case", sorted(BROKEN_BUILDS))
 def test_broken_in_run_guarantee_is_an_engine_error(one_bit_system,
-                                                    monkeypatch, message):
-    monkeypatch.setattr(witness, "build_witness_tree", broken_build(message))
+                                                    monkeypatch, case):
+    monkeypatch.setattr(witness, "build_witness_tree", broken_build(case))
     result = run_finite(one_bit_system, Tape(bits="110"), 10)
-    with pytest.raises(EngineError, match=message):
+    with pytest.raises(EngineError, match=BROKEN_BUILD_MESSAGE):
         trees_for_run(result.log, one_bit_system)
 
 
