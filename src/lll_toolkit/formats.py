@@ -60,10 +60,11 @@ def read_dimacs(text: str) -> ConstraintSystem:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(number, f"bad problem line {line!r}")
             try:
-                n_vars = int(parts[2])
-                int(parts[3])
+                n_vars, n_clauses = int(parts[2]), int(parts[3])
             except ValueError:
-                raise FormatError(number, f"bad problem line {line!r}") from None
+                n_vars = n_clauses = -1
+            if n_vars < 0 or n_clauses < 0:
+                raise FormatError(number, f"bad problem line {line!r}")
             continue
         if n_vars is None:
             raise FormatError(number, "clause before the problem line")
@@ -263,7 +264,14 @@ def log_to_text(log: ResampleLog) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a step line or a draw short of a field lacks, by how many it has
+_STEP_FIELDS = ("its number", "'event'", "its event", "'draws'", "its draws")
+_DRAW_FIELDS = ("its position", "its value")
+
+
 def log_from_text(text: str) -> ResampleLog:
+    """Parse `log_to_text`'s format. Each step line must carry its position
+    in the log as its number; a short line or draw names what it lacks."""
     initial: Optional[tuple[int, ...]] = None
     steps = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -275,12 +283,22 @@ def log_from_text(text: str) -> ResampleLog:
             if parts[0] == "init":
                 initial = tuple(int(tok) for tok in parts[1:])
             elif parts[0] == "step":
+                name = " ".join(parts[:2])
+                _need(parts, 6, name, _STEP_FIELDS[min(len(parts), 5) - 1])
                 if parts[2] != "event" or parts[4] != "draws":
                     raise ModelError("bad step line")
+                if int(parts[1]) != len(steps) + 1:
+                    raise ModelError(
+                        f"{name} is the log's step {len(steps) + 1}")
                 draws = []
                 for item in parts[5].split(","):
-                    v, p, x = item.split(":")
-                    draws.append((int(v), int(p), int(x)))
+                    fields = item.split(":")
+                    if len(fields) > 3:
+                        raise ModelError(f"{name} draw {item} has more than "
+                                         "variable:position:value")
+                    _need(fields, 3, f"{name} draw {item}",
+                          _DRAW_FIELDS[min(len(fields), 2) - 1])
+                    draws.append(tuple(map(int, fields)))
                 steps.append(Step(int(parts[1]), int(parts[3]), tuple(draws)))
             else:
                 raise ModelError(f"unknown directive {parts[0]!r}")

@@ -168,3 +168,26 @@ def test_whole_file_errors_name_the_line_they_concern(text, line, message):
 def test_a_directive_short_of_a_field_names_what_is_missing(text, message):
     with pytest.raises(FormatError, match=f"^{message}$"):
         read_system(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("step 1 event\n", "line 2: step 1 is missing its event"),
+    ("step 1\n", "line 2: step 1 is missing 'event'"),
+    ("step 1 event 0 draws\n", "line 2: step 1 is missing its draws"),
+    ("step 1 event 0 draws 0:1\n",
+     "line 2: step 1 draw 0:1 is missing its value"),
+    # a step's number restates its position in the log
+    ("step 5 event 0 draws 0:1:0\n", "line 2: step 5 is the log's step 1"),
+    ("step 1 event 0 draws 0:1:0\nstep 1 event 0 draws 0:2:0\n",
+     "line 3: step 1 is the log's step 2"),
+])
+def test_a_bad_step_line_names_the_field_at_fault(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        log_from_text("init 0\n" + text)
+
+
+@pytest.mark.parametrize("problem", ["p cnf -3 0", "p cnf 2 -1"])
+def test_dimacs_refuses_a_negative_count(problem):
+    with pytest.raises(FormatError,
+                       match=f"^line 1: bad problem line '{problem}'$"):
+        read_dimacs(problem + "\n")
