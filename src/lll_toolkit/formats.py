@@ -284,7 +284,9 @@ def log_from_text(text: str) -> ResampleLog:
                 initial = tuple(int(tok) for tok in parts[1:])
             elif parts[0] == "step":
                 name = " ".join(parts[:2])
-                _need(parts, 6, name, _STEP_FIELDS[min(len(parts), 5) - 1])
+                if len(parts) < 6:
+                    raise ModelError(
+                        f"{name} is missing {_STEP_FIELDS[len(parts) - 1]}")
                 if parts[2] != "event" or parts[4] != "draws":
                     raise ModelError("bad step line")
                 if int(parts[1]) != len(steps) + 1:
@@ -293,11 +295,12 @@ def log_from_text(text: str) -> ResampleLog:
                 draws = []
                 for item in parts[5].split(","):
                     fields = item.split(":")
+                    if len(fields) < 3:
+                        raise ModelError(f"{name} draw {item} is missing "
+                                         f"{_DRAW_FIELDS[len(fields) - 1]}")
                     if len(fields) > 3:
                         raise ModelError(f"{name} draw {item} has more than "
                                          "variable:position:value")
-                    _need(fields, 3, f"{name} draw {item}",
-                          _DRAW_FIELDS[min(len(fields), 2) - 1])
                     draws.append(tuple(map(int, fields)))
                 steps.append(Step(int(parts[1]), int(parts[3]), tuple(draws)))
             else:

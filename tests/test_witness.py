@@ -260,9 +260,10 @@ def test_the_root_count_check_refuses_every_repeat(chain3_system,
                                                    paper_example_system):
     # admitting any earlier tree again, right after the latest step or
     # later, fails on its root count: a repeat needs no check of its own
+    systems = (chain3_system, ChainCnfFamily(3, 1, 5).materialize(8),
+               paper_example_system)
     runs = [(system, run_finite(system, Tape(seed=seed), 100).log)
-            for system in (chain3_system, paper_example_system)
-            for seed in range(20)]
+            for system in systems for seed in range(100)]
     runs.append((paper_example_system, log_from_event_sequence(
         paper_example_system, [2, 3, 2, 1, 2])))
     refused = 0
@@ -277,7 +278,7 @@ def test_the_root_count_check_refuses_every_repeat(chain3_system,
                         "increase$")):
                     witness.admit_tree(earlier, j + 1, dict(root_counts))
                 refused += 1
-    assert refused > 200
+    assert refused > 1000
 
 
 # Tree builders that break the in-run guarantee at step 2: a repeated tree,
