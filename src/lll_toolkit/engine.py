@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, LLLParams, expected_steps_bound
@@ -19,8 +19,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One resampling: which event fired and what each of its variables drew.
 
     `draws` holds (variable, tape position, value) in increasing variable
@@ -67,17 +66,17 @@ def run_finite(system: ConstraintSystem, tape: Tape,
     every x^0 of an all-fair system on a fresh seeded tape in one packed
     pass, and each resample from one `Tape.redraw`, which draws the fair
     variables of the event on a seeded tape in one packed pass too, with
-    the stream keys the initial pass kept. Truth tracking is incremental:
-    after resampling event i only `neighbor_sets[i]`, the events sharing
-    one of its variables, are rechecked, with a lazy min-heap over true
-    events standing in for a full rescan (differentially tested against
-    one). The recheck order does not matter: each event's push depends on
-    its own truth only, and the heap's pops on the multiset of pushes.
+    the stream keys the initial pass kept. Truth, read off `system.checks`,
+    is tracked incrementally: after resampling event i only
+    `neighbor_sets[i]`, the events sharing one of its variables, are
+    rechecked, with a lazy min-heap over true events standing in for a full
+    rescan (differentially tested against one). The recheck order does not
+    matter: each event's push depends on its own truth only, and the heap's
+    pops on the multiset of pushes.
     """
     if max_steps < 0:
         raise ModelError("max_steps must be >= 0")
-    n_events = len(system.events)
-    samplers, fair = system.samplers, system.fair
+    samplers, fair, checks = system.samplers, system.fair, system.checks
     redraw = tape.redraw
     assignment: list[int] = []
     steps: list[Step] = []
@@ -86,8 +85,9 @@ def run_finite(system: ConstraintSystem, tape: Tape,
         tape.draw_initial(samplers, assignment, fair)
         initial = tuple(assignment)
 
-        is_true = [system.is_true(i, assignment) for i in range(n_events)]
-        heap = [i for i in range(n_events) if is_true[i]]
+        is_true = [values(assignment) in forbidden
+                   for values, forbidden in checks]
+        heap = [i for i, now in enumerate(is_true) if now]
         heapq.heapify(heap)
 
         while heap:
@@ -100,7 +100,8 @@ def run_finite(system: ConstraintSystem, tape: Tape,
             draws = redraw(system.events[i].vbl, samplers, assignment, fair)
             steps.append(Step(len(steps) + 1, i, draws))
             for j in system.neighbor_sets[i]:
-                now = system.is_true(j, assignment)
+                values, forbidden = checks[j]
+                now = values(assignment) in forbidden
                 # j's heap entry survives unless j was the event just popped;
                 # events turning true get a fresh entry, stale entries are
                 # skipped.
@@ -188,20 +189,22 @@ def stable_times(log: ResampleLog,
     step's event; when the least true index rises to m, every entry k <= m
     still empty takes the current step count.
     """
-    n_events = len(system.events)
+    n_events, checks = len(system.events), system.checks
     times: list[Optional[int]] = [None] * (n_events + 1)
     filled = 0  # entries 0..filled-1 are set; stable times rise with k
     is_true: list[bool] = []
     heap: list[int] = []
     for t, (step, assignment) in enumerate(_walk(system, log)):
         if step is None:
-            is_true = [system.is_true(i, assignment) for i in range(n_events)]
-            heap = [i for i in range(n_events) if is_true[i]]
+            is_true = [values(assignment) in forbidden
+                       for values, forbidden in checks]
+            heap = [i for i, now in enumerate(is_true) if now]
             heapq.heapify(heap)
         else:
             # the walk checked that the step redrew exactly vbl(event)
             for j in system.neighbor_sets[step.event]:
-                now = system.is_true(j, assignment)
+                values, forbidden = checks[j]
+                now = values(assignment) in forbidden
                 # an event turning true gets a fresh entry; stale entries
                 # are dropped when they reach the top
                 if now and not is_true[j]:

@@ -46,7 +46,8 @@ def read_dimacs(text: str) -> ConstraintSystem:
     """A DIMACS CNF as a system over uniform bits.
 
     Clause (l1 .. lk) becomes one event forbidding the unique assignment
-    falsifying every literal; value 1 means the variable is set true.
+    falsifying every literal; value 1 means the variable is set true. The
+    clauses, tautologies included, must number as the problem line says.
     """
     n_vars = None
     clauses: list[list[int]] = []
@@ -65,6 +66,7 @@ def read_dimacs(text: str) -> ConstraintSystem:
                 n_vars = n_clauses = -1
             if n_vars < 0 or n_clauses < 0:
                 raise FormatError(number, f"bad problem line {line!r}")
+            problem_line = number
             continue
         if n_vars is None:
             raise FormatError(number, "clause before the problem line")
@@ -78,6 +80,9 @@ def read_dimacs(text: str) -> ConstraintSystem:
                     clauses.append(pending)
                     pending = []
             else:
+                if not pending and len(clauses) == n_clauses:
+                    raise FormatError(number, f"clause {n_clauses + 1} is "
+                                      "past the problem line's count")
                 if abs(lit) > n_vars:
                     raise FormatError(
                         number, f"literal {lit} out of range 1..{n_vars}")
@@ -86,6 +91,9 @@ def read_dimacs(text: str) -> ConstraintSystem:
         clauses.append(pending)
     if n_vars is None:
         raise FormatError(1, "missing problem line")
+    if len(clauses) < n_clauses:
+        raise FormatError(problem_line, f"the problem line declares "
+                          f"{n_clauses} clauses, the file has {len(clauses)}")
     variables = [uniform_bit(i) for i in range(n_vars)]
     events = []
     for index, clause in enumerate(clauses):
@@ -271,8 +279,10 @@ _DRAW_FIELDS = ("its position", "its value")
 
 def log_from_text(text: str) -> ResampleLog:
     """Parse `log_to_text`'s format. Each step line must carry its position
-    in the log as its number; a short line or draw names what it lacks."""
+    in the log as its number; a short line or draw names what it lacks.
+    The one `init` line comes before every step."""
     initial: Optional[tuple[int, ...]] = None
+    lead = None  # (line, why) of the first init or step, which bars an init
     steps = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -281,6 +291,9 @@ def log_from_text(text: str) -> ResampleLog:
         parts = line.split()
         try:
             if parts[0] == "init":
+                if lead:
+                    raise ModelError(f"init {lead[1]} on line {lead[0]}")
+                lead = number, "is already given"
                 initial = tuple(int(tok) for tok in parts[1:])
             elif parts[0] == "step":
                 name = " ".join(parts[:2])
@@ -303,6 +316,7 @@ def log_from_text(text: str) -> ResampleLog:
                                          "variable:position:value")
                     draws.append(tuple(map(int, fields)))
                 steps.append(Step(int(parts[1]), int(parts[3]), tuple(draws)))
+                lead = lead or (number, "comes after step 1")
             else:
                 raise ModelError(f"unknown directive {parts[0]!r}")
         except (ValueError, IndexError, ModelError) as exc:

@@ -61,8 +61,6 @@ class Event:
     """An undesirable event: a set of forbidden value tuples over some variables.
 
     `vbl` is strictly increasing; each forbidden tuple is aligned with it.
-    `values(assignment)` reads the tuple of `vbl`'s values, the form the
-    forbidden tuples have.
     """
 
     index: int
@@ -84,14 +82,6 @@ class Event:
             if len(t) != len(vbl):
                 raise ModelError(
                     f"event {self.index}: tuple {t} has wrong arity")
-        if len(vbl) > 1:
-            values = itemgetter(*vbl)
-        else:
-            v, = vbl
-
-            def values(assignment):
-                return (assignment[v],)
-        object.__setattr__(self, "values", values)
 
     def check_fits(self, variables: Sequence[VariableSpec]) -> None:
         """Refuse a variable that `variables` lacks, or a forbidden value
@@ -158,12 +148,19 @@ class ConstraintSystem:
         """Whether every variable is a fair bit (checked at first use)."""
         return all(s.fair for s in self.samplers)
 
-    def is_true(self, event_index: int, assignment: Sequence[int]) -> bool:
-        ev = self.events[event_index]
-        return ev.values(assignment) in ev.forbidden
+    @cached_property
+    def checks(self) -> tuple[tuple[Callable, frozenset], ...]:
+        """Each event's (values getter, forbidden set), by index (compiled at
+        first use): event i is true under `a` when `values(a) in forbidden`.
+        The getter of a one-variable event reads its value bare, not as a
+        1-tuple, so its forbidden set holds bare values."""
+        return tuple((itemgetter(*ev.vbl), ev.forbidden if len(ev.vbl) > 1
+                      else frozenset(t for t, in ev.forbidden))
+                     for ev in self.events)
 
-    def true_events(self, assignment: Sequence[int]) -> list[int]:
-        return [i for i in range(len(self.events)) if self.is_true(i, assignment)]
+    def is_true(self, event_index: int, assignment: Sequence[int]) -> bool:
+        values, forbidden = self.checks[event_index]
+        return values(assignment) in forbidden
 
     def assignments(self) -> Iterator[tuple[int, ...]]:
         """Every full assignment, lexicographic in variable-index order."""

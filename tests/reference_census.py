@@ -15,6 +15,7 @@ from lll_toolkit import exhaustive
 from lll_toolkit.exhaustive import (DEFAULT_BRANCH_GUARD, RunCensus,
                                     enumerate_runs)
 from lll_toolkit.model import ConstraintSystem
+from reference_engine import true_events
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         else:
             unresolved_mass += branch.weight
             where = ((None, None, None) if history is None else
-                     (frozenset(system.true_events(branch.assignment)),
+                     (frozenset(true_events(system, branch.assignment)),
                       history, branch.in_flight_event))
             cut[where] = cut.get(where, 0) + units
     appearances = (exhaustive._tree_tally(system, reached, cut, total)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -15,29 +16,11 @@ from lll_toolkit.engine import (BUDGET_EXCEEDED, SATISFIED, ResampleLog,
                                 log_from_event_sequence, replay, run_finite,
                                 run_stream, stable_times, suggested_max_steps)
 from lll_toolkit.families import ChainCnfFamily, FiniteFamily
+from lll_toolkit.formats import log_from_text, log_to_text
+from reference_engine import naive_run
 
 
 F = Fraction
-
-
-def naive_run(system, tape, max_steps):
-    """Reference engine: full rescan each iteration, same tape semantics."""
-    assignment = [tape.draw(v.index, v.distribution)
-                  for v in system.variables]
-    steps = 0
-    events = []
-    while True:
-        true_events = [i for i in range(len(system.events))
-                       if system.is_true(i, assignment)]
-        if not true_events:
-            return SATISFIED, tuple(assignment), events
-        if steps >= max_steps:
-            return BUDGET_EXCEEDED, tuple(assignment), events
-        i = min(true_events)
-        for v in system.events[i].vbl:
-            assignment[v] = tape.draw(v, system.variables[v].distribution)
-        events.append(i)
-        steps += 1
 
 
 def test_zero_events_satisfied_immediately():
@@ -127,10 +110,29 @@ def test_replay_rejects_an_event_outside_the_system(chain3_system, event):
 def test_differential_against_naive_engine(seed):
     system = ChainCnfFamily(3, 1, seed).materialize(5)
     fast = run_finite(system, Tape(seed=seed), 50)
-    status, assignment, events = naive_run(system, Tape(seed=seed), 50)
+    status, assignment, log, _ = naive_run(system, Tape(seed=seed), 50)
     assert fast.status == status
     assert fast.assignment == assignment
-    assert fast.log.events() == tuple(events)
+    assert fast.log == log
+
+
+def test_step_is_a_frozen_record_of_three_named_fields(chain3_system):
+    step = Step(2, 1, ((2, 1, 0), (3, 1, 1), (4, 1, 1)))
+    assert list(inspect.signature(Step).parameters) == [
+        "number", "event", "draws"]
+    assert (step.number, step.event) == (2, 1)
+    assert repr(step) == ("Step(number=2, event=1, "
+                          "draws=((2, 1, 0), (3, 1, 1), (4, 1, 1)))")
+    with pytest.raises(AttributeError):
+        step.event = 0
+    twin = Step(2, 1, ((2, 1, 0), (3, 1, 1), (4, 1, 1)))
+    assert twin == step and hash(twin) == hash(step)
+    assert twin != Step(2, 0, twin.draws)
+    log = run_finite(chain3_system, Tape(seed=6), 100).log
+    assert len(log.steps) == 2
+    back = log_from_text(log_to_text(log))
+    assert back == log
+    assert all(type(s) is Step for s in back.steps)
 
 
 def test_replay_determinism(chain3_system):

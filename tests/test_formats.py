@@ -191,3 +191,37 @@ def test_dimacs_refuses_a_negative_count(problem):
     with pytest.raises(FormatError,
                        match=f"^line 1: bad problem line '{problem}'$"):
         read_dimacs(problem + "\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # a second init would replace the first; one after the steps would
+    # give them an initial state they never started from
+    ("init 0 1\ninit 1\nstep 1 event 0 draws 0:1:0\n",
+     "line 2: init is already given on line 1"),
+    ("init 0\nstep 1 event 0 draws 0:1:0\n\ninit 1\n",
+     "line 4: init is already given on line 1"),
+    ("\nstep 1 event 0 draws 0:1:0\ninit 1\n",
+     "line 3: init comes after step 1 on line 2"),
+])
+def test_a_misplaced_init_names_the_line_before_it(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        log_from_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # too few clauses: the problem line; a tautology counts as a clause
+    ("p cnf 2 5\n1 0\n", "line 1: the problem line declares 5 clauses, "
+     "the file has 1"),
+    ("c two of three\np cnf 2 3\n1 -1 0\n2 0\n",
+     "line 2: the problem line declares 3 clauses, the file has 2"),
+    # too many: the line where the first surplus clause starts
+    ("p cnf 2 1\n1 0\n2 0\n",
+     "line 3: clause 2 is past the problem line's count"),
+    ("p cnf 2 1\n1\n-2 0 2\n",
+     "line 3: clause 2 is past the problem line's count"),
+    ("p cnf 2 0\n1 0\n",
+     "line 2: clause 1 is past the problem line's count"),
+])
+def test_dimacs_clauses_must_number_as_declared(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_dimacs(text)

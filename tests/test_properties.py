@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lll_toolkit.engine import (ResampleLog, Step, first_k_stable_time,
-                                run_finite, stable_times)
-from lll_toolkit.errors import ModelError
+from lll_toolkit.engine import (EXHAUSTED, ResampleLog, Step,
+                                first_k_stable_time, run_finite,
+                                stable_times)
+from lll_toolkit.errors import ModelError, TapeExhausted
 from lll_toolkit.exhaustive import census_runs
 from lll_toolkit.model import (ConditionEntry, ConditionReport,
                                ConstraintSystem, Event, LLLParams,
@@ -24,6 +25,7 @@ from lll_toolkit.model import (ConditionEntry, ConditionReport,
 from lll_toolkit.tape import Tape
 from lll_toolkit.witness import (WitnessTree, reconstruct_tape_positions,
                                  trees_for_run, validate_tree)
+from reference_engine import naive_run, true_events
 
 F = Fraction
 
@@ -77,10 +79,57 @@ def test_prefix_mass_is_the_direct_sum(system, data):
 @PROPERTY
 def test_avoiding_probability_sums_the_avoiding_assignments(system):
     avoiders = avoiding_assignments(system)
-    naive = [a for a in system.assignments() if not system.true_events(a)]
+    naive = [a for a in system.assignments() if not true_events(system, a)]
     assert avoiders == naive
     assert avoiding_probability(system) == sum(
         (system.assignment_probability(a) for a in naive), F(0))
+
+
+@given(systems(point_masses=True))
+@PROPERTY
+def test_compiled_checks_are_the_naive_truth(system):
+    assert len(system.checks) == len(system.events)
+    for a in system.assignments():
+        naive = true_events(system, a)
+        assert [i for i, (values, forbidden) in enumerate(system.checks)
+                if values(a) in forbidden] == naive
+        assert [i for i in range(len(system.events))
+                if system.is_true(i, a)] == naive
+
+
+def outcome(system, tape, max_steps):
+    """`run_finite` in `naive_run`'s terms: (status, assignment, log,
+    in-flight event), with a cut tape's partial log and assignment."""
+    try:
+        result = run_finite(system, tape, max_steps)
+    except TapeExhausted as exc:
+        return (EXHAUSTED, exc.partial_assignment, exc.partial_log,
+                exc.in_flight_event)
+    return result.status, result.assignment, result.log, None
+
+
+@given(systems(point_masses=True), st.data())
+@settings(PROPERTY, max_examples=300)
+def test_run_finite_is_the_naive_rescan(system, data):
+    """Status, assignment, every logged step and, on a cut explicit tape,
+    the partial log and in-flight event, over one-variable events,
+    non-dyadic and point-mass laws and events forbidding nothing; both
+    runs read the same coins."""
+    max_steps = data.draw(st.integers(0, 20))
+    if data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 1 << 16))
+        fast_tape, naive_tape = Tape(seed=seed), Tape(seed=seed)
+    else:
+        # 64 coins, cut short by up to all the coins a run on them reads
+        bits = format(data.draw(st.integers(0, (1 << 64) - 1)), "064b")
+        whole = Tape(bits=bits)
+        naive_run(system, whole, max_steps)
+        used = whole.bits_consumed
+        bits = bits[:used - data.draw(st.integers(0, used))]
+        fast_tape, naive_tape = Tape(bits=bits), Tape(bits=bits)
+    assert (outcome(system, fast_tape, max_steps)
+            == naive_run(system, naive_tape, max_steps))
+    assert fast_tape.bits_consumed == naive_tape.bits_consumed
 
 
 def per_variable_numbering(tree, system):
@@ -185,7 +234,7 @@ def naive_stable_times(log, system):
         for v, _, value in step.draws:
             states[-1][v] = value
     return [next((t for t, a in enumerate(states)
-                  if not any(system.is_true(i, a) for i in range(k))), None)
+                  if not any(i < k for i in true_events(system, a))), None)
             for k in range(len(system.events) + 1)]
 
 
@@ -207,7 +256,7 @@ def test_stable_times_of_logs_resampling_any_true_event(system, data):
     # true one, so the least true index can fall as well as rise.
     # Start where two events are true, if any assignment has two.
     crowded = [a for a in system.assignments()
-               if len(system.true_events(a)) >= 2]
+               if len(true_events(system, a)) >= 2]
     assignment = list(data.draw(st.sampled_from(
         crowded or list(system.assignments()))))
     initial = tuple(assignment)
@@ -215,10 +264,10 @@ def test_stable_times_of_logs_resampling_any_true_event(system, data):
     positions = [1] * len(ranges)
     steps = []
     for number in range(1, data.draw(st.integers(0, 12)) + 1):
-        true_events = system.true_events(assignment)
-        if not true_events:
+        true = true_events(system, assignment)
+        if not true:
             break
-        event = data.draw(st.sampled_from(true_events))
+        event = data.draw(st.sampled_from(true))
         draws = []
         for v in system.events[event].vbl:
             assignment[v] = data.draw(st.integers(0, ranges[v] - 1))
