@@ -40,8 +40,8 @@ from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
 from .witness import (WitnessTree, admit_tree, canon_line, check_root_grew,
-                      label_counts_of_events, tape_positions_by_vertex,
-                      tree_of_events)
+                      label_counts_of_events, label_product,
+                      tape_positions_by_vertex, tree_of_events)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
 
@@ -491,7 +491,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     Each reached history's tree is built once, straight from the sequence,
     and admitted after the trees of its prefixes (`admit_tree`). Its canon
     gets a small int id the first time it is admitted; the tally keys its
-    masses by id and hashes no canon again.
+    masses by id and hashes no canon again. Each distinct tree is checked
+    once, by `tape_positions_by_vertex`, and keeps that check and its
+    label counts for its pricing (`check_mt_vs_gw`, `check_tree_lemma`).
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -589,7 +591,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     canons = list(ids)
     appearances: dict = {}
     for tree_id, tree in trees.items():
-        counts, size = tree.label_counts(), tree.size
+        counts, size = tree._counts, tree.size
         positions = tape_positions_by_vertex(tree, system)
         # consumption vector -> units of the runs charged with it
         charged: dict = {}
@@ -653,11 +655,12 @@ class LemmaReport:
 
 
 def check_tree_lemma(system: ConstraintSystem, bit_budget: int) -> LemmaReport:
-    """Exact check that every appearing tree obeys the label-product bound."""
-    from .witness import tree_probability_bound
+    """Exact check that every appearing tree obeys the label-product bound
+    (`tree_probability_bound`), taking each event's probability once."""
     census = census_runs(system, bit_budget)
+    event_probs = [event_probability(ev, system) for ev in system.events]
     entries = tuple(
         LemmaEntry(a.tree, a.p_low, a.pending,
-                   tree_probability_bound(a.tree, system))
+                   label_product(a.tree._counts, event_probs))
         for a in census.appearance_list())
     return LemmaReport(entries, census.unresolved_mass, census.branch_count)

@@ -47,7 +47,8 @@ def read_dimacs(text: str) -> ConstraintSystem:
 
     Clause (l1 .. lk) becomes one event forbidding the unique assignment
     falsifying every literal; value 1 means the variable is set true. The
-    clauses, tautologies included, must number as the problem line says.
+    one problem line comes first, and the clauses, tautologies included,
+    must number as it says.
     """
     n_vars = None
     clauses: list[list[int]] = []
@@ -57,6 +58,9 @@ def read_dimacs(text: str) -> ConstraintSystem:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise FormatError(number, "the problem line is already "
+                                  f"given on line {problem_line}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(number, f"bad problem line {line!r}")

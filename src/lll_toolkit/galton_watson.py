@@ -13,7 +13,6 @@ enumeration.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -32,10 +31,11 @@ def gw_tree_probability(tree: WitnessTree, params: LLLParams,
 
     Per vertex: a factor z_l for each neighbor label l attached as a son,
     and (1 - z_l) for each neighbor label not attached. The factors are
-    counted per label first: with z_l = a/b, label l spawned s times out of
-    o offers contributes a^s (b - a)^(o - s) over b^o. Numerators and
-    denominators are multiplied as integers, and one `Fraction` is formed
-    at the end.
+    counted per label first, from the tree's label counts: with z_l = a/b,
+    label l spawned s times out of o offers contributes a^s (b - a)^(o - s)
+    over b^o. Numerators and denominators are multiplied as integers, and
+    one `Fraction` is formed at the end. In `check_mt_vs_gw` the tree's
+    check and counts are the ones its census's tally kept.
     """
     check = validate_tree(tree, system)
     if not check.valid:
@@ -45,13 +45,17 @@ def gw_tree_probability(tree: WitnessTree, params: LLLParams,
     # a legal tree's sons carry distinct labels that their father's label
     # offers, so label l spawned once per non-root vertex carrying it and
     # was missed at every other offer
-    spawned = Counter(tree.labels[1:])
-    offered = Counter(l for label in tree.labels
-                      for l in system.neighbor_sets[label])
+    counts = tree._counts
+    offered: dict = {}
+    for label, n in counts.items():
+        for l in system.neighbor_sets[label]:
+            offered[l] = offered.get(l, 0) + n
+    root = tree.root_label
     num = den = 1
     for l, o in offered.items():
         a, b = params.z[l].numerator, params.z[l].denominator
-        num *= a ** spawned[l] * (b - a) ** (o - spawned[l])
+        s = counts[l] - (l == root)
+        num *= a ** s * (b - a) ** (o - s)
         den *= b ** o
     return Fraction(num, den)
 
@@ -137,18 +141,22 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     Every tree appearing in any enumerated branch is checked against
     z_root/(1-z_root) * alpha^size * Pr[process yields the tree]; alpha = 1
     gives the plain bound. The per-event condition at the same alpha is
-    checked first and reported alongside.
+    checked first and reported alongside. Each bound is one `Fraction` of
+    integers: a c^size n / ((b - a) d^size m) for z_root = a/b, alpha = c/d
+    and process probability n/m.
     """
     condition = check_lll(system, params)
     census = census_runs(system, bit_budget)
     entries = []
     gw_totals: dict[int, Fraction] = {}
+    c, d = params.alpha.numerator, params.alpha.denominator
     for appearance in census.appearance_list():
         tree = appearance.tree
         root = tree.root_label
         gw_p = gw_tree_probability(tree, params, system)
-        zi = params.z[root]
-        bound = zi / (ONE - zi) * params.alpha ** tree.size * gw_p
+        a, b = params.z[root].numerator, params.z[root].denominator
+        bound = Fraction(a * c ** tree.size * gw_p.numerator,
+                         (b - a) * d ** tree.size * gw_p.denominator)
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p
         entries.append(GWComparisonEntry(tree, appearance.p_low,
                                          appearance.pending, gw_p, bound))

@@ -87,7 +87,7 @@ class Event:
         """Refuse a variable that `variables` lacks, or a forbidden value
         outside its variable's range."""
         for v in self.vbl:
-            if v >= len(variables):
+            if not 0 <= v < len(variables):
                 raise ModelError(
                     f"event {self.index} uses unknown variable {v}")
         n_range = [variables[v].range_size for v in self.vbl]

@@ -170,10 +170,6 @@ class Tape:
         self._seed_key = None if seed is None else _mix64(seed ^ _GAMMA)
         self._stream_keys: dict[int, int] = {}
 
-    def consumed_count(self, stream: int) -> int:
-        """How many values stream has drawn so far (x^0 .. x^{count-1})."""
-        return self._consumed.get(stream, 0)
-
     @property
     def consumed(self) -> dict[int, int]:
         return dict(self._consumed)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EngineError, ModelError
-from .model import ConstraintSystem, ONE, event_probability
+from .model import ConstraintSystem, event_probability
 from .engine import ResampleLog
 
 
@@ -37,7 +37,8 @@ class WitnessTree:
 
     `steps` optionally remembers which log step created each vertex; it is
     diagnostic only and excluded from equality. Trees compare and hash by
-    their canonical (unordered) form.
+    their canonical (unordered) form. A tree keeps its depths, its label
+    counts and its last check (`validate_tree`) once computed.
     """
 
     labels: tuple[int, ...]
@@ -51,9 +52,13 @@ class WitnessTree:
             raise ModelError("labels/parents length mismatch")
         if self.parents[0] != -1:
             raise ModelError("vertex 0 must be the root (parent -1)")
-        for v, p in enumerate(self.parents):
-            if v > 0 and not 0 <= p < v:
+        depths = [0]
+        for v in range(1, len(self.parents)):
+            p = self.parents[v]
+            if not 0 <= p < v:
                 raise ModelError(f"vertex {v} has bad parent {p}")
+            depths.append(depths[p] + 1)
+        object.__setattr__(self, "_depths", tuple(depths))
 
     @property
     def size(self) -> int:
@@ -64,13 +69,19 @@ class WitnessTree:
         return self.labels[0]
 
     def depths(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for v in range(1, self.size):
-            out[v] = out[self.parents[v]] + 1
-        return tuple(out)
+        return self._depths
 
     def label_counts(self) -> Counter:
-        return Counter(self.labels)
+        return Counter(self._counts)
+
+    @property
+    def _counts(self) -> Counter:
+        """The kept label counts, shared by the package's readers."""
+        counts = self.__dict__.get("_label_counts")
+        if counts is None:
+            counts = Counter(self.labels)
+            object.__setattr__(self, "_label_counts", counts)
+        return counts
 
     def canon(self):
         """Canonical nested-tuple form: (label, sorted children canons)."""
@@ -228,21 +239,35 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
     Sons must be distinct, pairwise non-neighboring neighbors of their
     father's label, and more generally no two same-depth vertices may be
     neighbors.
+
+    The result is kept with the tree, keyed by the system object it was
+    checked against; a call for another system checks again. So a census
+    checks each distinct tree once, in its tally's call of
+    `tape_positions_by_vertex`, and `gw_tree_probability` reads that back.
     """
+    kept = tree.__dict__.get("_validation")
+    if kept is None or kept[0] is not system:
+        violations = _violations(tree, system)
+        kept = (system, TreeValidation(not violations, violations))
+        object.__setattr__(tree, "_validation", kept)
+    return kept[1]
+
+
+def _violations(tree: WitnessTree,
+                system: ConstraintSystem) -> tuple[str, ...]:
     nb = system.neighbor_sets
     violations: list[str] = []
     for label in tree.labels:
         if not 0 <= label < len(system.events):
-            return TreeValidation(False, (f"unknown event label {label}",))
+            return (f"unknown event label {label}",)
     for v in range(1, tree.size):
         father = tree.labels[tree.parents[v]]
         if tree.labels[v] not in nb[father]:
             violations.append(
                 f"vertex {v}: label {tree.labels[v]} is not a neighbor "
                 f"of its father's label {father}")
-    depths = tree.depths()
     by_depth: dict[int, list[int]] = {}
-    for v, d in enumerate(depths):
+    for v, d in enumerate(tree._depths):
         by_depth.setdefault(d, []).append(v)
     for d, vertices in by_depth.items():
         for a_pos, v in enumerate(vertices):
@@ -251,16 +276,26 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
                     violations.append(
                         f"vertices {v} and {w} at depth {d} carry "
                         f"neighboring labels {tree.labels[v]}, {tree.labels[w]}")
-    return TreeValidation(not violations, tuple(violations))
+    return tuple(violations)
+
+
+def label_product(counts: dict[int, int], probs) -> Fraction:
+    """Product of `probs[label] ** n` over a label multiset {label: n}, as
+    one integer numerator and denominator."""
+    num = den = 1
+    for label, n in counts.items():
+        p = probs[label]
+        num *= p.numerator ** n
+        den *= p.denominator ** n
+    return Fraction(num, den)
 
 
 def tree_probability_bound(tree: WitnessTree,
                            system: ConstraintSystem) -> Fraction:
     """Product of event probabilities over all labels, multiplicity included."""
-    out = ONE
-    for label in tree.labels:
-        out *= event_probability(system.events[label], system)
-    return out
+    return label_product(tree._counts, {
+        label: event_probability(system.events[label], system)
+        for label in tree._counts})
 
 
 def reconstruct_tape_positions(tree: WitnessTree,
@@ -284,12 +319,13 @@ def tape_positions_by_vertex(tree: WitnessTree,
     A variable occurs at most once per depth level (events sharing it are
     neighbors, which a legal tree keeps at different depths) and deeper
     levels happen earlier, so the vertices touching a variable, deepest
-    first, consumed its values x^1, x^2, ... in order.
+    first, consumed its values x^1, x^2, ... in order. The census's tally
+    calls this once per distinct tree; the check it runs is kept.
     """
     check = validate_tree(tree, system)
     if not check.valid:
         raise ModelError("; ".join(check.violations))
-    depths = tree.depths()
+    depths = tree._depths
     counters: dict[int, int] = {}
     out: dict[int, dict[int, int]] = {}
     for v in sorted(range(tree.size), key=lambda v: -depths[v]):

@@ -60,8 +60,9 @@ class ReferenceTape:
         self.bits_consumed = 0
         self._consumed: dict[int, int] = {}
 
-    def consumed_count(self, stream: int) -> int:
-        return self._consumed.get(stream, 0)
+    @property
+    def consumed(self) -> dict[int, int]:
+        return dict(self._consumed)
 
     def _next_bit(self, stream: int, draw: int, position: int) -> int:
         if self.bits is not None:

@@ -17,8 +17,9 @@ from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.layerwise import compute_assignment_prefix
 from lll_toolkit.model import (ConstraintSystem, Event, VariableSpec,
-                               clause_event, uniform_bit)
+                               clause_event, event_probability, uniform_bit)
 from lll_toolkit.tape import Tape
+from lll_toolkit.witness import tree_probability_bound
 from test_properties import systems
 from test_witness import BROKEN_BUILD_MESSAGE, BROKEN_BUILDS, broken_build
 
@@ -267,6 +268,35 @@ def coprime_fresh_system():
         [Event(0, (0, 1), frozenset({(1, 0)})),
          Event(1, (0, 1), frozenset({(1, 0), (2, 1)})),
          clause_event(2, (1,), (0,))])
+
+
+def lemma_inputs():
+    # event 0 has probability 4/5, so a label's multiplicity shows in the
+    # numerator of a product as well
+    inputs = _census_inputs()
+    inputs["four_fifths@8"] = (ConstraintSystem.build(
+        [VariableSpec(0, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))),
+         uniform_bit(1)],
+        [Event(0, (0,), frozenset({(1,), (2,)})),
+         clause_event(1, (0, 1), (0, 1))]), 8)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(lemma_inputs()))
+def test_lemma_bounds_are_the_label_products(name):
+    # each appearance's bound is `tree_probability_bound`, and the product
+    # of its labels' event probabilities taken vertex by vertex
+    system, budget = lemma_inputs()[name]
+    report = exhaustive.check_tree_lemma(system, budget)
+    census = exhaustive.census_runs(system, budget)
+    assert ([e.tree for e in report.entries]
+            == [a.tree for a in census.appearance_list()])
+    for entry in report.entries:
+        per_vertex = Fraction(1)
+        for label in entry.tree.labels:
+            per_vertex *= event_probability(system.events[label], system)
+        assert entry.bound == per_vertex
+        assert entry.bound == tree_probability_bound(entry.tree, system)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CENSUS))

@@ -3,14 +3,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lll_toolkit.corpus import toy_corpus
+from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.model import (Event, LLLParams, VariableSpec, clause_event,
                                event_probability, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import run_finite
 from lll_toolkit.formats import (FormatError, format_rational, log_from_text,
                                  log_to_text, parse_rational, read_dimacs,
-                                 read_system, write_system)
+                                 read_patterns, read_system, write_system)
 
 F = Fraction
 
@@ -225,3 +229,112 @@ def test_a_misplaced_init_names_the_line_before_it(text, message):
 def test_dimacs_clauses_must_number_as_declared(text, message):
     with pytest.raises(FormatError, match=f"^{message}$"):
         read_dimacs(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a second problem line, even one that agrees, after a clause or not
+    ("p cnf 4 2\n4 0\np cnf 2 2\n1 0\n",
+     "line 3: the problem line is already given on line 1"),
+    ("c\np cnf 1 1\np cnf 1 1\n1 0\n",
+     "line 3: the problem line is already given on line 2"),
+])
+def test_dimacs_has_one_problem_line(text, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_dimacs(text)
+
+
+@pytest.mark.parametrize("index", [-1, -2])
+def test_a_negative_variable_of_an_event_names_its_line(index):
+    # -1 read the last variable, and -2 raised a bare IndexError
+    text = f"var 0 2 1/2 1/2\nevent 0 vbl {index} forbid 1\n"
+    with pytest.raises(FormatError, match=f"^line 2: event 0 uses unknown "
+                       f"variable {index}$"):
+        read_system(text)
+
+
+# --- fuzz: every failure of a reader is a FormatError naming a file line ----
+
+def _fuzz_seeds():
+    """Well-formed inputs of each reader: every corpus system written by
+    `write_system`, with and without its params, two DIMACS files, a
+    seeded log of a chain and a pattern file."""
+    chain = ChainCnfFamily(3, 1, 5).materialize(3)
+    log = run_finite(chain, Tape(seed=3), 50).log
+    return {
+        read_system: [write_system(e.system, params)
+                      for e in toy_corpus() for params in (None, e.params)],
+        read_dimacs: [DIMACS, "p cnf 3 2\n1 -2 0\n2 3 -1 0\n"],
+        log_from_text: [log_to_text(log)],
+        read_patterns: ["0101\n\n11\n0\n"],
+    }
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+FUZZ_LINES = [line for texts in FUZZ_SEEDS.values() for text in texts
+              for line in text.splitlines()]
+# tokens that the readers give meaning to, and a few they refuse; every
+# integer is small, so no mutation declares a large count
+FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "-2", "1/2", "2/3", "1/0", "0/1",
+               "5/4", "0.5", "x", ";", "#", ",", ":", "vbl", "forbid", "var",
+               "event", "z", "alpha", "p", "cnf", "c", "init", "step",
+               "draws", "1:1", "0:1:1", "0:1:1:1", "01", ""]
+FUZZ_CHARS = "01-/:;,# \nx"
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A reader and one of its seeds, with one to four edits of its lines,
+    tokens or characters: an inserted line may come from any reader's
+    seed, and an integer may move by one or two."""
+    reader = draw(st.sampled_from(list(FUZZ_SEEDS)))
+    text = draw(st.sampled_from(FUZZ_SEEDS[reader]))
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines() or [""]
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "foreign",
+                                     "token", "number", "char"]))
+        if edit == "drop":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif edit == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif edit == "foreign":
+            lines.insert(at, draw(st.sampled_from(FUZZ_LINES)))
+        elif edit == "token":
+            tokens = lines[at].split() or [""]
+            where = draw(st.integers(0, len(tokens)))
+            new = draw(st.sampled_from(FUZZ_TOKENS))
+            if where < len(tokens) and draw(st.booleans()):
+                tokens[where] = new
+            else:
+                tokens.insert(where, new)
+            lines[at] = " ".join(tokens)
+        elif edit == "number":
+            tokens = lines[at].split()
+            numbers = [i for i, t in enumerate(tokens)
+                       if t.lstrip("-").isdigit()]
+            if numbers:
+                where = draw(st.sampled_from(numbers))
+                tokens[where] = str(int(tokens[where])
+                                    + draw(st.sampled_from([-2, -1, 1, 2])))
+                lines[at] = " ".join(tokens)
+        else:
+            line = lines[at]
+            where = draw(st.integers(0, len(line)))
+            new = draw(st.sampled_from(["", *FUZZ_CHARS]))
+            lines[at] = line[:where] + new + line[where + 1:]
+        text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return reader, text
+
+
+@given(mutated_inputs())
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+def test_every_reader_failure_names_a_line_of_the_file(case):
+    reader, text = case
+    try:
+        reader(text)
+    except FormatError as exc:
+        # an empty file has one empty line
+        assert 1 <= exc.line_number <= max(1, len(text.splitlines())), text

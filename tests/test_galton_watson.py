@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_witness
 from lll_toolkit import galton_watson
@@ -19,6 +21,7 @@ from lll_toolkit.witness import WitnessTree, validate_tree
 from lll_toolkit.galton_watson import (check_mt_vs_gw, gw_sample,
                                        gw_tree_probability)
 from lll_toolkit.corpus import toy_corpus
+from test_properties import systems
 
 F = Fraction
 
@@ -398,3 +401,47 @@ def test_comparison_looks_up_its_census_at_call_time(monkeypatch):
     assert ([(e.p_mt, e.pending) for e in report.entries]
             == [(a.p_low, a.pending) for a in censuses[0].appearance_list()])
     assert report.branch_count == censuses[0].branch_count
+
+
+# --- the bound as one integer fraction --------------------------------------
+
+def assert_bounds_are_the_fraction_formula(system, params, budget):
+    """Each bound is z/(1 - z) * alpha^size * p_gw in `Fraction`
+    arithmetic, p_gw the per-vertex product of the reference, and each
+    root's total the sum of its trees' p_gw."""
+    report = check_mt_vs_gw(system, params, budget)
+    totals: dict = {}
+    for entry in report.entries:
+        root = entry.tree.root_label
+        zi = params.z[root]
+        p = reference_witness.gw_tree_probability(entry.tree, params.z,
+                                                  system)
+        assert entry.gw_probability == p
+        size = entry.tree.size
+        assert entry.bound == zi / (1 - zi) * params.alpha ** size * p
+        assert isinstance(entry.bound, Fraction)
+        totals[root] = totals.get(root, 0) + p
+    assert report.gw_totals == totals
+    return len(report.entries)
+
+
+# five of the six entries have alpha < 1
+@pytest.mark.parametrize("entry", toy_corpus(), ids=lambda e: e.name)
+def test_corpus_bounds_are_the_fraction_formula(entry):
+    assert assert_bounds_are_the_fraction_formula(
+        entry.system, entry.params, entry.bit_budget) > 0
+
+
+# weights over odd and mixed denominators, so few bounds are dyadic
+NON_DYADIC_Z = st.sampled_from([3, 5, 6, 7, 9, 10]).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda k: F(k, d)))
+
+
+@given(systems(point_masses=True), st.data(), st.integers(0, 8))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_bounds_are_the_fraction_formula_on_generated_systems(system, data,
+                                                              budget):
+    z = tuple(data.draw(NON_DYADIC_Z) for _ in system.events)
+    alpha = data.draw(st.sampled_from([F(1), F(2, 3), F(5, 7), F(9, 10)]))
+    assert_bounds_are_the_fraction_formula(system, LLLParams(z, alpha),
+                                           budget)

@@ -49,6 +49,12 @@ def test_system_rejects_unknown_variables():
     with pytest.raises(ModelError):
         ConstraintSystem.build([uniform_bit(0)],
                                [clause_event(0, (0, 1), (0, 0))])
+    # a negative index is no variable either, not one counted from the end
+    for v in (-1, -2):
+        with pytest.raises(ModelError,
+                           match=f"^event 0 uses unknown variable {v}$"):
+            ConstraintSystem.build([uniform_bit(0), uniform_bit(1)],
+                                   [clause_event(0, (v,), (0,))])
 
 
 def test_var_to_events_is_incidence_inverse(chain3_system):

@@ -64,8 +64,8 @@ def test_consumption_counters_per_stream():
     tape.draw(5, dist)
     tape.draw(5, dist)
     tape.draw(2, dist)
-    assert tape.consumed_count(5) == 2
-    assert tape.consumed_count(2) == 1
+    assert tape.consumed.get(5, 0) == 2
+    assert tape.consumed.get(2, 0) == 1
     assert tape.consumed == {5: 2, 2: 1}
 
 
@@ -159,7 +159,7 @@ def test_invalid_law_is_refused(distribution):
     for tape in (Tape(seed=1), Tape(bits="0101")):
         with pytest.raises(ModelError):
             tape.draw(0, distribution)
-        assert tape.consumed_count(0) == 0
+        assert tape.consumed.get(0, 0) == 0
         assert tape.bits_consumed == 0
 
 
@@ -183,7 +183,7 @@ DEPTH = 16
 
 
 def _state(tape, stream):
-    return (tape.bit_cursor, tape.bits_consumed, tape.consumed_count(stream))
+    return (tape.bit_cursor, tape.bits_consumed, tape.consumed.get(stream, 0))
 
 
 def _outcome(tape, stream, law):
@@ -409,7 +409,7 @@ def _check_redraw(laws, kwargs, initial, before, rounds, tell_fair):
         expected, cut = [], False
         try:
             for v in streams:
-                position = ref.consumed_count(v)
+                position = ref.consumed.get(v, 0)
                 want[v] = ref.draw(v, samplers[v])
                 expected.append((v, position, want[v]))
         except TapeExhausted:
@@ -421,8 +421,8 @@ def _check_redraw(laws, kwargs, initial, before, rounds, tell_fair):
             assert draws == tuple(expected)
         assert got == want
         assert tape.consumed == ref.consumed
-        assert [tape.consumed_count(v) for v in streams] \
-            == [ref.consumed_count(v) for v in streams]
+        assert [tape.consumed.get(v, 0) for v in streams] \
+            == [ref.consumed.get(v, 0) for v in streams]
         assert tape.bits_consumed == ref.bits_consumed
         assert tape.bit_cursor == ref.bit_cursor
         packed = "seed" in kwargs and fair

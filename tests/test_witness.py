@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import reference_witness
 from lll_toolkit import witness
 from lll_toolkit.errors import EngineError, ModelError
-from lll_toolkit.model import ConstraintSystem, clause_event, uniform_bit
+from lll_toolkit.galton_watson import gw_tree_probability
+from lll_toolkit.model import (ConstraintSystem, LLLParams, clause_event,
+                               uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.engine import (SATISFIED, log_from_event_sequence,
                                 run_finite)
@@ -225,6 +227,39 @@ def test_non_neighbor_son_rejected(paper_example_system):
 def test_singleton_always_valid(paper_example_system):
     assert validate_tree(WitnessTree((3,), (-1,)),
                          paper_example_system).valid
+
+
+def shared_and_apart_systems():
+    """Two one-bit events, on one variable in the first system and on a
+    variable each in the second: the tree 0(1) is legal in the first only."""
+    events = [clause_event(0, (0,), (1,)), clause_event(1, (0,), (0,))]
+    shared = ConstraintSystem.build([uniform_bit(0)], events)
+    apart = ConstraintSystem.build(
+        [uniform_bit(0), uniform_bit(1)],
+        [events[0], clause_event(1, (1,), (0,))])
+    return shared, apart
+
+
+NOT_A_NEIGHBOR = "vertex 1: label 1 is not a neighbor of its father's label 0"
+
+
+@pytest.mark.parametrize("caller", [
+    tape_positions_by_vertex, reconstruct_tape_positions,
+    lambda tree, system: gw_tree_probability(
+        tree, LLLParams((F(1, 3), F(2, 5))), system),
+], ids=["tape_positions_by_vertex", "reconstruct_tape_positions",
+        "gw_tree_probability"])
+def test_a_tree_checked_in_one_system_is_checked_again_in_another(caller):
+    # the check a tree keeps answers only for the system it was made in
+    shared, apart = shared_and_apart_systems()
+    tree = WitnessTree((0, 1), (-1, 0))
+    assert validate_tree(tree, shared).valid
+    caller(tree, shared)
+    with pytest.raises(ModelError, match=f"^{NOT_A_NEIGHBOR}$"):
+        caller(tree, apart)
+    assert validate_tree(tree, apart).violations == (NOT_A_NEIGHBOR,)
+    assert validate_tree(tree, shared).valid
+    caller(tree, shared)
 
 
 # --- trees_for_run ----------------------------------------------------------
