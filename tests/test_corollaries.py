@@ -117,6 +117,30 @@ def test_beta_M_incompatible_parameters():
         compute_beta_M(F(9, 10), F(51, 100))
 
 
+# sha256 of one line per (gamma, alpha) of the grid below: beta, M, the
+# margin and whether M - 1 fails, or the refusal's message
+BETA_M_GRID_DIGEST = (
+    "9cf5c32b45a8b1836f69f4b8a9011e5ae080d8b9ce1702ede1a6c33469a79efb")
+
+
+def test_beta_M_grid_is_pinned():
+    lines = []
+    for gamma in (F(1, 16), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4),
+                  F(9, 10)):
+        for alpha in (F(1, 2), F(3, 4), F(86, 100), F(9, 10), F(99, 100),
+                      F(999, 1000)):
+            try:
+                bm = compute_beta_M(gamma, alpha)
+            except ModelError as exc:
+                lines.append(f"{gamma} {alpha} error {exc}\n")
+                continue
+            lines.append(f"{gamma} {alpha} {bm.beta} {bm.M} {bm.margin_lo} "
+                         f"{bm.previous_fails}\n")
+    text = "".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == BETA_M_GRID_DIGEST, \
+        text
+
+
 def test_dyadic_weights_verify_at_reference_point():
     bm = compute_beta_M(F(1, 2), F(99, 100))
     sizes = range(bm.M, bm.M + 20)
