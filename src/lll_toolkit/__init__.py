@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import (BudgetRefused, ContractViolation, EngineError,
                      ExtractionTimeout, FamilyError, ModelError, TapeExhausted,
-                     UnresolvedBranches, VerificationError)
+                     VerificationError)
 from .model import (ConditionEntry, ConditionReport, ConstraintSystem, Event,
                     LLLParams, StreamParams, VariableSpec,
                     avoiding_assignments, avoiding_probability,

@@ -17,7 +17,7 @@ from itertools import islice
 from . import __version__
 from .errors import (BudgetRefused, ContractViolation, EngineError,
                      ExtractionTimeout, FamilyError, ModelError, TapeExhausted,
-                     UnresolvedBranches, VerificationError)
+                     VerificationError)
 from .model import LLLParams, check_lll
 from .tape import Tape
 from .engine import (SATISFIED, replay, run_finite, run_stream, stable_times,
@@ -30,8 +30,8 @@ from .layerwise import (PREFIX_BRANCH_GUARD, TableQOracle,
                         extract_positive_branch)
 from .corollaries import build_avoiding_sequence
 from .fireworks import (ConstantOracle, DivergeAtOracle, GameConfig,
-                        IdentityOracle, beat_function, play_game,
-                        win_probability_exact)
+                        IdentityOracle, beat_function, epsilon_to_n,
+                        play_game, win_probability_exact)
 from .exhaustive import check_tree_lemma
 from .corpus import toy_corpus
 from .formats import (format_rational, log_from_text, log_to_text,
@@ -128,10 +128,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_stream(args) -> int:
     family = _family_from_args(args)
-    tape = _tape_from_args(args)
-    result = run_stream(family, args.k, tape, args.max_steps)
-    system = family.materialize(args.k)
-    _emit_manifest(args)
+    cert = None
     if args.certify_cell is not None:
         from .model import StreamParams
         from .layerwise import stability_horizon
@@ -141,6 +138,11 @@ def _cmd_stream(args) -> int:
                                        parse_rational(args.alpha))
         cert = stability_horizon(family, params, args.certify_cell,
                                  parse_rational(args.delta))
+    tape = _tape_from_args(args)
+    result = run_stream(family, args.k, tape, args.max_steps)
+    system = family.materialize(args.k)
+    _emit_manifest(args)
+    if cert is not None:
         print(cert.to_line())
     print("assignment=" + ",".join(str(v) for v in result.assignment))
     print(f"resamples={result.resample_count} status={result.status}")
@@ -258,12 +260,12 @@ def _cmd_extract(args) -> int:
     w = tuple(int(c) for c in _bits("--w", args.w)) if args.w else ()
     if args.count < 1:
         raise ModelError(f"--count {args.count}: must be >= 1")
-    _emit_manifest(args)
     if args.r is not None:
         stream = extract_from_positive_probability(
             oracle, parse_rational(args.r), w)
     else:
         stream = extract_positive_branch(oracle)
+    _emit_manifest(args)
     values = islice(stream, args.count)
     print("cells=" + "".join(str(v) for v in values))
     return OK
@@ -310,17 +312,22 @@ def _cmd_avoid(args) -> int:
 
 
 def _cmd_fireworks(args) -> int:
-    oracle = _fn_oracle_from_spec(args.oracle) if args.beat else None
-    game = (GameConfig(args.n, args.seller_k)
-            if not args.beat and args.seller_k is not None else None)
-    tape = _tape_from_args(args) if args.beat or game is not None else None
-    _emit_manifest(args)
     if args.beat:
-        result = beat_function(oracle, parse_rational(args.epsilon), tape)
+        oracle = _fn_oracle_from_spec(args.oracle)
+        epsilon = parse_rational(args.epsilon)
+        epsilon_to_n(epsilon)  # refuses an epsilon outside (0, 1]
+        tape = _tape_from_args(args)
+        _emit_manifest(args)
+        result = beat_function(oracle, epsilon, tape)
         table = " ".join(f"{u}:{v}" for u, v in sorted(result.table.items()))
         print(f"status={result.status} k={result.k} table={table}")
         return OK
-    print(f"win_probability={q(win_probability_exact(args.n))}")
+    game = (GameConfig(args.n, args.seller_k)
+            if args.seller_k is not None else None)
+    tape = _tape_from_args(args) if game is not None else None
+    win = win_probability_exact(args.n)
+    _emit_manifest(args)
+    print(f"win_probability={q(win)}")
     if game is not None:
         outcome = play_game(game, tape)
         print(f"outcome={outcome.outcome} k={outcome.k} "
@@ -496,7 +503,7 @@ def dispatch(argv) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (BudgetRefused, UnresolvedBranches) as exc:
+    except BudgetRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSED
     except (VerificationError, ContractViolation, ExtractionTimeout,

@@ -99,9 +99,10 @@ def compute_beta_M(gamma, alpha) -> BetaM:
 
         1/2 <= alpha * 2^-beta * (1 - sum_{m>=M} 2^(gamma*m) * 2^(-beta*m)).
 
-    The returned M (at most 100000) is re-verified: the inequality
-    certifiably holds at M and certifiably fails at M-1 (monotone tail), both
-    via 64-bit interval evaluation.
+    M (at most 100000) is the least at which the inequality certifiably
+    holds, by 64-bit interval evaluation; the enclosures at M and M-1 come
+    from the search itself, and `previous_fails` says whether the one at M-1
+    certifiably fails (the tail is monotone).
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
@@ -116,22 +117,14 @@ def compute_beta_M(gamma, alpha) -> BetaM:
     if alpha * p_hi < half:
         raise ModelError(
             "alpha/gamma incompatible: alpha * 2^-beta < 1/2 even with no tail")
-    M = 1
-    while M <= _MAX_M:
-        lo, _hi = _master_rhs_interval(gamma, alpha, beta, M)
+    hi_prev = None  # the upper enclosure at M - 1
+    for M in range(1, _MAX_M + 1):
+        lo, hi = _master_rhs_interval(gamma, alpha, beta, M)
         if lo >= half:
-            break
-        M += 1
-    else:
-        raise ModelError(f"no certifiable M found up to {_MAX_M}")
-    lo_at_m, _ = _master_rhs_interval(gamma, alpha, beta, M)
-    if lo_at_m < half:
-        raise ModelError("internal: M does not re-verify")  # pragma: no cover
-    previous_fails = False
-    if M > 1:
-        _, hi_prev = _master_rhs_interval(gamma, alpha, beta, M - 1)
-        previous_fails = hi_prev < half
-    return BetaM(beta, M, lo_at_m - half, previous_fails)
+            return BetaM(beta, M, lo - half,
+                         hi_prev is not None and hi_prev < half)
+        hi_prev = hi
+    raise ModelError(f"no certifiable M found up to {_MAX_M}")
 
 
 def clause_weight(beta: Fraction, size: int) -> Fraction:

@@ -33,10 +33,6 @@ class BudgetRefused(RuntimeError):
     """
 
 
-class UnresolvedBranches(RuntimeError):
-    """Exhaustive certification failed because too much tape mass is unresolved."""
-
-
 class ContractViolation(RuntimeError):
     """An oracle's observed values contradict a caller-asserted precondition."""
 

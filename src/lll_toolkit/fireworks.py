@@ -163,53 +163,45 @@ class BeatResult:
     def value(self, u: int) -> int:
         return self.table.get(u, 0)
 
-    def beats(self, oracle: FnOracle) -> bool:
-        """Does some table entry strictly exceed f there, with f probed at
-        budget 2^16? (test helper)"""
-        for u, g in self.table.items():
-            fv = oracle.evaluate(u, 1 << 16)
-            if fv is not None and g > fv:
-                return True
-        return False
+
+def _probe(oracle: FnOracle, i: int) -> tuple[Optional[int], int]:
+    """f(i) from doubling budgets 1, 2, ..., MAX_BUDGET, and the number of
+    probes that failed before it; None and every probe when none halts."""
+    budget = 1
+    failed = 0
+    while budget <= MAX_BUDGET:
+        value = oracle.evaluate(i, budget)
+        if value is not None:
+            return value, failed
+        failed += 1
+        budget *= 2
+    return None, failed
 
 
-def beat_with_k(oracle: FnOracle, k: int,
-                max_budget: int = MAX_BUDGET) -> BeatResult:
+def beat_with_k(oracle: FnOracle, k: int) -> BeatResult:
     """Deterministic take/test protocol for a fixed test count k.
 
     Testing the firework at position v probes f(v) with doubling budgets,
-    writing one more zero g(v), g(v+1), ... per failed probe; when the probe
-    halts, the next firework sits just past the zeros. Taking runs the probe
-    the same way and writes g(v) = f(v) + 1 on success.
+    writing zeros g(v), g(v+1), ..., one at v and one more per failed
+    probe; when the probe halts, the next firework sits just past the
+    zeros. Taking runs the probe the same way and writes g(v) = f(v) + 1 on
+    success.
     """
     table: dict[int, int] = {}
     frontier = 0
     tests = 0
-    while True:
-        if tests == k:
-            budget = 1
-            while budget <= max_budget:
-                value = oracle.evaluate(frontier, budget)
-                if value is not None:
-                    table[frontier] = value + 1
-                    return BeatResult(TOOK, table, k, tests, frontier)
-                budget *= 2
-            return BeatResult(STALLED_TAKE, table, k, tests, frontier)
-        # test the firework at the frontier
-        position = frontier
-        table[position] = 0
-        budget = 1
-        while True:
-            value = oracle.evaluate(frontier, budget)
-            if value is not None:
-                break
-            if budget > max_budget:
-                return BeatResult(STALLED_TEST, table, k, tests, frontier)
-            position += 1
-            table[position] = 0
-            budget *= 2
-        frontier = position + 1
+    while tests < k:
+        value, failed = _probe(oracle, frontier)
+        table.update(dict.fromkeys(range(frontier, frontier + failed + 1), 0))
+        if value is None:
+            return BeatResult(STALLED_TEST, table, k, tests, frontier)
+        frontier += failed + 1
         tests += 1
+    value, _ = _probe(oracle, frontier)
+    if value is None:
+        return BeatResult(STALLED_TAKE, table, k, tests, frontier)
+    table[frontier] = value + 1
+    return BeatResult(TOOK, table, k, tests, frontier)
 
 
 def beat_function(oracle: FnOracle, epsilon, tape: Tape) -> BeatResult:
@@ -261,28 +253,17 @@ def beat_many(oracles: Sequence[FnOracle], epsilon,
     """One row per oracle: row i gets error share epsilon * 2^-(i+1), so the
     shares sum to at most epsilon over all rows.
 
-    Rows are driven round-robin with doubling budgets; the oracles are
-    deterministic and stable, so the finished rows coincide with running
-    each protocol independently at the final budget.
+    Each row runs its protocol once, with its own k drawn from stream i of
+    the tape.
     """
     epsilon = as_fraction(epsilon)
     ns = []
-    ks = []
-    for i, _ in enumerate(oracles):
+    rows = []
+    for i, oracle in enumerate(oracles):
         n_i = epsilon_to_n(epsilon * Fraction(1, 2 ** (i + 1)))
         ns.append(n_i)
-        ks.append(tape.draw(i, _uniform(n_i)))
-    rows: list[Optional[BeatResult]] = [None] * len(oracles)
-    budget = 1
-    while budget <= MAX_BUDGET:
-        for i, oracle in enumerate(oracles):
-            if rows[i] is not None and rows[i].status == TOOK:
-                continue
-            rows[i] = beat_with_k(oracle, ks[i], budget)
-        if all(r is not None and r.status == TOOK for r in rows):
-            break
-        budget *= 2
-    return BeatManyResult(tuple(r for r in rows if r is not None), tuple(ns))
+        rows.append(beat_with_k(oracle, tape.draw(i, _uniform(n_i))))
+    return BeatManyResult(tuple(rows), tuple(ns))
 
 
 def ones_positions(table_values: Sequence[int]) -> list[int]:

@@ -7,7 +7,8 @@ The system format, one directive per line (`#` comments allowed):
     z <index> <num/den>
     alpha <num/den>
 
-Rationals are written `num/den` (or a bare integer); floats are rejected.
+Rationals are written `num/den` or as a bare integer, each with an optional
+sign; decimals, exponents and underscores are rejected.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 from .errors import ModelError
 from .model import (ConstraintSystem, Event, LLLParams, VariableSpec,
-                    clause_event, uniform_bit)
+                    as_fraction, clause_event, uniform_bit)
 from .engine import ResampleLog, Step
 
 
@@ -29,10 +30,9 @@ class FormatError(ModelError):
 
 
 def parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"bad rational {token!r}: {exc}") from None
+    """A rational token, `[+-]digits[/digits]`, as `as_fraction` reads it;
+    any other form raises a `bad rational` `ModelError`."""
+    return as_fraction(token)
 
 
 def format_rational(value: Fraction) -> str:

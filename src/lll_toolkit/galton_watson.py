@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ModelError, UnresolvedBranches
+from .errors import ModelError
 from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
                     check_lll)
 from .tape import Tape
@@ -134,8 +134,7 @@ class GWComparisonReport:
 
 
 def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
-                   bit_budget: int,
-                   require_certified: bool = False) -> GWComparisonReport:
+                   bit_budget: int) -> GWComparisonReport:
     """Compare exact appearance probabilities against the process bound.
 
     Every tree appearing in any enumerated branch is checked against
@@ -160,11 +159,5 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p
         entries.append(GWComparisonEntry(tree, appearance.p_low,
                                          appearance.pending, gw_p, bound))
-    report = GWComparisonReport(tuple(entries), condition, gw_totals,
-                                census.unresolved_mass, census.branch_count)
-    if require_certified and not report.certified:
-        worst = [e.tree.canonical_line() for e in entries if not e.certified]
-        raise UnresolvedBranches(
-            f"cannot certify {len(worst)} tree(s) at this bit budget: "
-            + ", ".join(worst[:5]))
-    return report
+    return GWComparisonReport(tuple(entries), condition, gw_totals,
+                              census.unresolved_mass, census.branch_count)

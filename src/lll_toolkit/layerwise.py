@@ -150,17 +150,16 @@ def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
 
 
 def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
-                               delta, *, bit_guard: int = DEFAULT_BIT_GUARD,
-                               branch_guard: int = DEFAULT_BRANCH_GUARD
-                               ) -> tuple[Fraction, Fraction]:
+                               delta) -> tuple[Fraction, Fraction]:
     """An interval [lo, hi] containing the probability that the final
     assignment starts with `prefix`, with hi - lo <= delta.
 
     Runs the full computation tree over explicit coins, deepening the coin
     budget until the unresolved mass (which is all that separates hi from
     lo) is small enough; refuses rather than approximate past the guards.
-    The budget starts at `_start_bits(system)`, or at `bit_guard` if that
-    is lower, and doubles up to `bit_guard`: no census reads more coins.
+    The budget starts at `_start_bits(system)`, or at `DEFAULT_BIT_GUARD`
+    if that is lower, and doubles up to that guard: no census reads more
+    coins. For other guards, ask a `SystemQOracle` built with them.
     """
     delta = as_fraction(delta)
     if delta <= ZERO:
@@ -171,8 +170,7 @@ def approx_output_distribution(system: ConstraintSystem, prefix: Sequence[int],
     for pos, value in enumerate(prefix):
         if not 0 <= value < system.variables[pos].range_size:
             raise ModelError(f"prefix value {value} out of range at cell {pos}")
-    return SystemQOracle(system, bit_guard, branch_guard).interval(prefix,
-                                                                   delta)
+    return SystemQOracle(system).interval(prefix, delta)
 
 
 class QOracle(Protocol):
@@ -335,7 +333,8 @@ def extract_from_positive_probability(q: QOracle, r,
     parent past 2r), so dovetailing the children's lower bounds with rising
     precision pins down the next cell. The 2r precondition is watched
     opportunistically and a contract violation aborts the stream. The
-    stream has no end: callers take as many cells as they need.
+    stream has no end: callers take as many cells as they need. A threshold
+    that is not positive is refused at the call, before any cell.
     """
     r = as_fraction(r)
     if r <= ZERO:
@@ -352,8 +351,8 @@ def extract_from_positive_probability(q: QOracle, r,
                 f"two children exceed r = {r} at prefix {prefix}")
         return winners[0] if winners else None
 
-    for cell, _ in _dovetail(q, tuple(w), heavy_child, f"exceeded r = {r}"):
-        yield cell
+    return (cell for cell, _ in _dovetail(q, tuple(w), heavy_child,
+                                          f"exceeded r = {r}"))
 
 
 def _positive_cells(q: QOracle) -> Iterator[tuple[int, Fraction]]:

@@ -7,6 +7,7 @@ signature: an event's weight and the multiset of its neighbours' weights.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,14 +23,24 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; reject floats."""
+    """Coerce ints, Fractions, and strings `[+-]digits[/digits]` such as
+    '3/4' or '-2'; reject floats and every other string form."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not _RATIONAL.fullmatch(value):
+            raise ModelError(
+                f"bad rational {value!r}: not an integer or num/den")
+        try:  # refuses a zero denominator, and more digits than int() reads
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelError(f"bad rational {value!r}: {exc}") from None
     raise ModelError(f"expected an exact rational, got {value!r}")
 
 

@@ -187,19 +187,14 @@ class Tape:
             key = self._stream_keys.get(stream)
             if key is None:
                 key = self._new_stream_key(stream)
-            key += index * _DRAW
-            if sampler.fair:
-                value = _fair_values(key, 1)[0]
-                self.bits_consumed += 1
-            else:
-                key = _mix64(key)
-                a = d = 0
-                while (value := sampler.settle(a, d)) is None:
-                    if not d & 63:
-                        word = _mix64(key + (d >> 6) * _GAMMA)
-                    a = (a << 1) | ((word >> (63 - (d & 63))) & 1)
-                    d += 1
-                self.bits_consumed += d
+            key = _mix64(key + index * _DRAW)
+            a = d = 0
+            while (value := sampler.settle(a, d)) is None:
+                if not d & 63:
+                    word = _mix64(key + (d >> 6) * _GAMMA)
+                a = (a << 1) | ((word >> (63 - (d & 63))) & 1)
+                d += 1
+            self.bits_consumed += d
         self._consumed[stream] = index + 1
         return value
 

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lll_toolkit
-from lll_toolkit.cli import dispatch
+from lll_toolkit.cli import build_parser, dispatch
+from lll_toolkit.formats import (FormatError, log_from_text, read_dimacs,
+                                 read_patterns, read_system, write_system)
+from test_formats import FUZZ_CHAIN, FUZZ_SEEDS, mutated_inputs
 from test_layerwise import recorded_censuses
 
 F = Fraction
@@ -141,12 +151,43 @@ def test_missing_file_is_usage_error(capsys):
      "atom masses sum to 5/4, more than 1"),
     (["extract", "--oracle", "pair:0:1:0:-1/2"],
      "atom 0 has negative mass -1/2"),
+    # refused only after the manifest, or after the whole run for `stream`
+    (["stream", "--family", "chain:m=4,overlap=1,polarity=7", "--k", "8",
+      "--max-steps", "500", "--certify-cell", "0"],
+     "--certify-cell needs --z-all and --alpha"),
+    (["stream", "--family", "chain:m=4,overlap=1,polarity=7", "--k", "8",
+      "--max-steps", "500", "--certify-cell", "-1", "--z-all", "1/4",
+      "--alpha", "1/2"], "cell must be >= 0"),
+    (["fireworks", "--beat", "--epsilon", "0"], "epsilon must lie in (0, 1]"),
+    (["fireworks", "--n", "0"], "n must be >= 1"),
+    (["extract", "--oracle", "point:01", "--r", "abc"],
+     "bad rational 'abc': not an integer or num/den"),
+    (["extract", "--oracle", "point:01", "--r", "0"],
+     "threshold r must be positive"),
+    # a rational flag is an integer or num/den
+    (["extract", "--oracle", "point:01", "--r", "1e-1"],
+     "bad rational '1e-1': not an integer or num/den"),
+    (["fireworks", "--beat", "--epsilon", "0.5"],
+     "bad rational '0.5': not an integer or num/den"),
+    (["stream", "--family", "chain:m=4,overlap=1,polarity=7", "--k", "8",
+      "--max-steps", "500", "--certify-cell", "0", "--z-all", "1/4",
+      "--alpha", "1/2", "--delta", "1e3"],
+     "bad rational '1e3': not an integer or num/den"),
 ])
 def test_malformed_spec_is_usage_error(capsys, argv, spec):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {spec}")
+
+
+@pytest.mark.parametrize("flags, token", [
+    (["--z-all", "0.5"], "0.5"), (["--z-all", "1/2", "--alpha", "1_0"], "1_0"),
+    (["--alpha", "9e-1"], "9e-1")])
+def test_a_rational_flag_is_an_integer_or_num_den(m3_file, capsys, flags,
+                                                  token):
+    assert run_cli(capsys, "check", "--input", m3_file, *flags) == (
+        2, "", f"error: bad rational {token!r}: not an integer or num/den\n")
 
 
 def test_stream_requires_max_steps(capsys):
@@ -658,3 +699,138 @@ avoid_bound=1/8(0.125) alpha=1(1) holds=true
 def test_check_report_grammar_golden(m3_file, capsys):
     _, out, _ = run_cli(capsys, "check", "--input", m3_file)
     assert out == GOLDEN_CHECK.format(path=m3_file)
+
+
+# --- fuzz: every subcommand, with mutated flags or a mutated input file ------
+
+# one quick, well-formed run of each subcommand; `{system}`, `{log}` and
+# `{patterns}` stand for files read by `read_system` or `read_dimacs`,
+# `log_from_text` and `read_patterns`, and `{chain}` for the log's system
+FUZZ_RUNS = [
+    ["check", "--input", "{system}", "--z-all", "1/4"],
+    ["solve", "--input", "{system}", "--seed", "1", "--max-steps", "50"],
+    ["stream", "--family", "chain:m=3,overlap=1,polarity=5", "--k", "4",
+     "--max-steps", "50", "--seed", "1", "--certify-cell", "0", "--z-all",
+     "1/4", "--alpha", "1/2", "--delta", "1/4"],
+    ["stream", "--family", "substrings:{patterns}:1/2:2", "--k", "4",
+     "--max-steps", "50"],
+    ["witness", "--input", "{chain}", "--log", "{log}", "--indent"],
+    ["gw", "--input", "{system}", "--z-all", "1/2", "--bit-budget", "6"],
+    ["gw", "--input", "{system}", "--z-all", "1/2", "--sample", "--samples",
+     "2", "--depth-budget", "2", "--seed", "1"],
+    ["extract", "--oracle", "pair:00:3/4:11:1/4", "--r", "1/2", "--count",
+     "2"],
+    ["extract", "--oracle", "point:01", "--w", "0", "--count", "3"],
+    ["prefix", "--input", "{system}", "--length", "1", "--delta", "1/4",
+     "--bit-guard", "12"],
+    ["prefix", "--input", "{system}", "--length", "1", "--mode", "empirical",
+     "--trials", "3", "--seed", "1", "--max-steps", "50"],
+    ["avoid", "--forbidden", "{patterns}", "--gamma", "1/2", "--length", "8",
+     "--seed", "1"],
+    ["fireworks", "--n", "5", "--seller-k", "2", "--seed", "1"],
+    ["fireworks", "--beat", "--oracle", "diverge:1", "--epsilon", "1/4",
+     "--seed", "1"],
+    ["selftest"],
+]
+SMALL = ["-2", "-1", "0", "1", "2", "3", "x", "1.5", ""]
+RATIONAL = ["0", "-1/2", "1/4", "1/2", "3/4", "1", "3/2", "1/0", "0.5",
+            "1e3", "1_0", "x", ""]
+FLAG_VALUES = {
+    "--seed": SMALL, "--max-steps": SMALL, "--k": SMALL,
+    "--certify-cell": SMALL, "--step": SMALL, "--bit-budget": SMALL,
+    "--samples": SMALL, "--root": SMALL, "--depth-budget": SMALL,
+    "--count": SMALL, "--length": SMALL, "--trials": SMALL,
+    "--bit-guard": SMALL, "--branch-guard": SMALL, "--n": SMALL,
+    "--seller-k": SMALL,
+    "--z-all": RATIONAL, "--alpha": RATIONAL, "--delta": RATIONAL,
+    "--r": RATIONAL, "--epsilon": RATIONAL, "--gamma": RATIONAL,
+    "--tape-hex": ["0:", "1:1", "2:3", "3:f", "x", "4:", "1:"],
+    "--w": ["0", "01", "x", ""],
+    "--mode": ["exact", "empirical", "x"],
+    "--family": ["chain:m=3", "chain:m=2,overlap=0", "chain:m=x", "chain:",
+                 "substrings:{patterns}:1/2:2",
+                 "substrings:{patterns}:0.5:2",
+                 "substrings:{patterns}:1/2:x", "x"],
+    "--oracle": ["point:01", "point:", "pair:0:1/2:1:1/2",
+                 "pair:0:3/4:0:1/2", "pair:01:1/2", "identity", "const:5",
+                 "const:x", "diverge:1,3", "diverge:x", "x"],
+    "--input": ["{system}", "{chain}", "{log}", "/nonexistent"],
+    "--log": ["{log}", "{system}", "/nonexistent"],
+    "--forbidden": ["{patterns}", "/nonexistent"],
+}
+# the flags of each subcommand that FLAG_VALUES gives values for
+FUZZ_FLAGS = {command: sorted(set(FLAG_VALUES)
+                              & set(parser._option_string_actions))
+              for command, parser in next(
+                  action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)
+              ).choices.items()}
+FILE_READERS = {"system": (read_system, read_dimacs),
+                "log": (log_from_text,), "patterns": (read_patterns,)}
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv and the text of each file it names. Either one file, a seed
+    of the reader fuzz, is mutated as that fuzz mutates it and read by a
+    run of FUZZ_RUNS that reads it; or the files are seeds and one to
+    three flags that its subcommand takes get a value from FLAG_VALUES or
+    are dropped."""
+    files = {"system": draw(st.sampled_from(FUZZ_SEEDS[read_system]
+                                            + FUZZ_SEEDS[read_dimacs])),
+             "chain": write_system(FUZZ_CHAIN),
+             "log": FUZZ_SEEDS[log_from_text][0],
+             "patterns": FUZZ_SEEDS[read_patterns][0]}
+    if draw(st.booleans()):
+        reader, text = draw(mutated_inputs())
+        mutated = next(name for name, readers in FILE_READERS.items()
+                       if reader in readers)
+        files[mutated] = text
+        runs = [run for run in FUZZ_RUNS
+                if "{%s}" % mutated in " ".join(run)]
+        return draw(st.sampled_from(runs)), files, mutated
+    argv = list(draw(st.sampled_from(FUZZ_RUNS)))
+    flags = FUZZ_FLAGS[argv[0]]
+    for _ in range(draw(st.integers(1, 3)) if flags else 0):
+        flag = draw(st.sampled_from(flags))
+        if flag not in argv:
+            argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+            continue
+        at = argv.index(flag)
+        value = draw(st.sampled_from([None, *FLAG_VALUES[flag]]))
+        argv[at:at + 2] = [] if value is None else [flag, value]
+    return argv, files, None
+
+
+def _refuses(reader, text) -> bool:
+    try:
+        reader(text)
+    except FormatError:
+        return True
+    return False
+
+
+@given(cli_cases())
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+def test_every_subcommand_exits_cleanly_on_mutated_input(case):
+    argv, files, mutated = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text)
+        args = [arg.format_map(paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(args)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (args, err)
+    if code == 2:
+        assert out == "", (args, err)
+    if mutated is not None:
+        # a file that every reader of its kind refuses is refused naming a
+        # line of it (`--input` takes DIMACS or the system format)
+        text = files[mutated]
+        if all(_refuses(reader, text) for reader in FILE_READERS[mutated]):
+            found = re.match(r"error: line (\d+): ", err)
+            assert code == 2 and found, (args, text, err)
+            assert 1 <= int(found[1]) <= max(1, len(text.splitlines())), err

@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lll_toolkit.errors import ModelError
 from lll_toolkit.tape import Tape
-from lll_toolkit.fireworks import (STALLED_TAKE, STALLED_TEST, TOOK,
-                                   BeatResult, ConstantOracle,
+from lll_toolkit.fireworks import (MAX_BUDGET, STALLED_TAKE, STALLED_TEST,
+                                   TOOK, BeatResult, ConstantOracle,
                                    DivergeAtOracle, GameConfig,
                                    IdentityOracle, beat_function, beat_many,
                                    beat_with_k, cantor_pair, cantor_unpair,
@@ -17,6 +19,16 @@ from lll_toolkit.fireworks import (STALLED_TAKE, STALLED_TEST, TOOK,
                                    win_probability_exact)
 
 F = Fraction
+
+
+def beats(result: BeatResult, oracle) -> bool:
+    """Does some table entry strictly exceed f there, with f probed at
+    budget MAX_BUDGET?"""
+    for u, g in result.table.items():
+        fv = oracle.evaluate(u, MAX_BUDGET)
+        if fv is not None and g > fv:
+            return True
+    return False
 
 
 def test_config_validation():
@@ -111,7 +123,7 @@ def test_total_function_always_beaten():
     for k in range(n):
         result = beat_with_k(oracle, k)
         assert result.status == TOOK
-        assert result.beats(oracle)
+        assert beats(result, oracle)
     # exact success probability over the uniform k: 1 >= 1 - 1/4
     successes = sum(1 for k in range(n)
                     if beat_with_k(oracle, k).status == TOOK)
@@ -120,14 +132,14 @@ def test_total_function_always_beaten():
 
 def test_divergent_input_taken_means_stall():
     oracle = DivergeAtOracle(frozenset({0}))
-    result = beat_with_k(oracle, 0, max_budget=64)
+    result = beat_with_k(oracle, 0)
     assert result.status == STALLED_TAKE
     assert result.table.get(0, 0) == 0
 
 
 def test_divergent_input_tested_means_zeros():
     oracle = DivergeAtOracle(frozenset({0}))
-    result = beat_with_k(oracle, 3, max_budget=64)
+    result = beat_with_k(oracle, 3)
     assert result.status == STALLED_TEST
     assert set(result.table.values()) == {0}
 
@@ -136,12 +148,47 @@ def test_exact_success_probability_with_divergence():
     # f diverges at 0: only k = 0 (take the first firework) loses
     oracle = DivergeAtOracle(frozenset({0}))
     n = 8
-    outcomes = [beat_with_k(oracle, k, max_budget=64).status
-                for k in range(n)]
+    outcomes = [beat_with_k(oracle, k).status for k in range(n)]
     assert outcomes[0] == STALLED_TAKE
     assert all(s == STALLED_TEST for s in outcomes[1:])
     # stalled tests are fine: f is not total, so all-zero g is acceptable
     assert F(sum(1 for s in outcomes if s != STALLED_TAKE), n) == 1 - F(1, n)
+
+
+class RecordingOracle:
+    """Identity at the given cost, except on `diverge`; records every
+    budget it is probed at."""
+
+    def __init__(self, cost: int, diverge=frozenset()):
+        self.cost = cost
+        self.diverge = diverge
+        self.budgets: list[int] = []
+
+    def evaluate(self, i: int, budget: int):
+        self.budgets.append(budget)
+        if i in self.diverge or budget < self.cost:
+            return None
+        return i
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_no_probe_exceeds_the_largest_budget(k):
+    # a computation that halts at MAX_BUDGET is tested and taken; one past
+    # it stalls whether tested or taken, after a probe at MAX_BUDGET itself
+    halts = RecordingOracle(MAX_BUDGET)
+    result = beat_with_k(halts, k)
+    assert result.status == TOOK
+    assert result.table[result.frontier] == result.frontier + 1
+    assert max(halts.budgets) == MAX_BUDGET
+    late = RecordingOracle(2 * MAX_BUDGET)
+    result = beat_with_k(late, k)
+    assert result.status == (STALLED_TEST if k else STALLED_TAKE)
+    assert max(late.budgets) == MAX_BUDGET
+    # a stalled test writes one zero and one more per failed probe: 18
+    assert len(result.table) == (MAX_BUDGET.bit_length() + 1 if k else 0)
+    diverges = RecordingOracle(1, frozenset({1, 2}))
+    beat_with_k(diverges, k)
+    assert max(diverges.budgets) <= MAX_BUDGET
 
 
 def test_beat_function_via_tape():
@@ -151,8 +198,8 @@ def test_beat_function_via_tape():
 
 def test_beats_helper_checks_strict_excess():
     result = BeatResult(TOOK, {0: 1, 3: 7}, 0, 0, 3)
-    assert result.beats(ConstantOracle(5))      # 7 > 5 at u = 3
-    assert not result.beats(ConstantOracle(7))  # nothing exceeds 7
+    assert beats(result, ConstantOracle(5))      # 7 > 5 at u = 3
+    assert not beats(result, ConstantOracle(7))  # nothing exceeds 7
 
 
 def test_derived_bit_sequence_positions():
@@ -200,7 +247,7 @@ def test_beat_many_two_total_oracles():
     assert all(r.status == TOOK for r in result.rows)
     assert result.row_ns == (8, 16)  # shares epsilon/2, epsilon/4
     for i, oracle in enumerate(oracles):
-        assert result.rows[i].beats(oracle)
+        assert beats(result.rows[i], oracle)
     # the combined table routes through the pairing bijection
     for i, row in enumerate(result.rows):
         for u, v in row.table.items():
@@ -220,14 +267,37 @@ def test_beat_many_exact_success_product():
     for k0 in range(ns[0]):
         for k1 in range(ns[1]):
             total += 1
-            r0 = beat_with_k(oracles[0], k0, max_budget=64)
-            r1 = beat_with_k(oracles[1], k1, max_budget=64)
+            r0 = beat_with_k(oracles[0], k0)
+            r1 = beat_with_k(oracles[1], k1)
             # a row fails only by taking its divergent firework
             if r0.status != STALLED_TAKE and r1.status != STALLED_TAKE:
                 good += 1
     success = F(good, total)
     assert success == (1 - F(1, ns[0])) * (1 - F(1, ns[1]))
     assert success >= 1 - epsilon
+
+
+COSTS = st.sampled_from([1, 2, 5, MAX_BUDGET // 2, MAX_BUDGET - 1,
+                          MAX_BUDGET, MAX_BUDGET + 1, 2 * MAX_BUDGET,
+                          2 * MAX_BUDGET + 1])
+
+
+@given(st.lists(st.tuples(COSTS, st.frozensets(st.integers(0, 9),
+                                               max_size=3)), max_size=4),
+       st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 10)]),
+       st.integers(0, 2 ** 16))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_beat_many_rows_are_single_runs(specs, epsilon, seed):
+    # each row is the protocol run once at its k, drawn from stream i
+    oracles = [DivergeAtOracle(diverge, IdentityOracle(cost))
+               for cost, diverge in specs]
+    result = beat_many(oracles, epsilon, Tape(seed=seed))
+    tape = Tape(seed=seed)
+    assert len(result.rows) == len(oracles)
+    for i, (oracle, row) in enumerate(zip(oracles, result.rows)):
+        n = epsilon_to_n(epsilon / 2 ** (i + 1))
+        assert result.row_ns[i] == n
+        assert row == beat_with_k(oracle, tape.draw(i, (F(1, n),) * n))
 
 
 def test_beat_many_empty_list():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lll_toolkit.corpus import toy_corpus
+from lll_toolkit.errors import ModelError
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.model import (Event, LLLParams, VariableSpec, clause_event,
                                event_probability, uniform_bit)
@@ -57,6 +59,45 @@ def test_rational_round_trip():
         assert parse_rational(format_rational(value)) == value
     with pytest.raises(Exception):
         parse_rational("0.5x")
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3/4", F(3, 4)), ("-2", F(-2)), ("+6/8", F(3, 4)), ("007", F(7))])
+def test_rationals_are_integers_or_num_den(token, value):
+    assert parse_rational(token) == value
+
+
+# decimals, exponents and digit separators went through `Fraction`, which
+# expands an exponent in full; Unicode digits and whitespace did too
+@pytest.mark.parametrize("token, why", [
+    ("0.5", "not an integer or num/den"),
+    ("1e3", "not an integer or num/den"),
+    ("1e-9", "not an integer or num/den"),
+    ("1_0", "not an integer or num/den"),
+    ("1/2_0", "not an integer or num/den"),
+    (".5", "not an integer or num/den"),
+    (" 1/2", "not an integer or num/den"),
+    ("1/-2", "not an integer or num/den"),
+    ("\u0663", "not an integer or num/den"),
+    ("1/0", "Fraction(1, 0)"),
+])
+def test_other_rational_forms_are_refused(token, why):
+    message = "^" + re.escape(f"bad rational {token!r}: {why}") + "$"
+    with pytest.raises(ModelError, match=message):
+        parse_rational(token)
+    with pytest.raises(ModelError, match=message):
+        LLLParams((token,))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("var 0 2 0.5 1/2\nevent 0 vbl 0 forbid 1\n", 1),
+    ("var 0 2 1/2 1/2\nevent 0 vbl 0 forbid 1\nz 0 1e-1\n", 3),
+    ("var 0 2 1/2 1/2\nevent 0 vbl 0 forbid 1\nz 0 1/2\nalpha 1_0/1_1\n",
+     4),
+])
+def test_a_system_names_the_line_of_a_bad_rational(text, line):
+    with pytest.raises(FormatError, match=f"^line {line}: bad rational "):
+        read_system(text)
 
 
 def test_system_format_round_trip():
@@ -254,12 +295,14 @@ def test_a_negative_variable_of_an_event_names_its_line(index):
 
 # --- fuzz: every failure of a reader is a FormatError naming a file line ----
 
+FUZZ_CHAIN = ChainCnfFamily(3, 1, 5).materialize(3)  # the system of the log
+
+
 def _fuzz_seeds():
     """Well-formed inputs of each reader: every corpus system written by
     `write_system`, with and without its params, two DIMACS files, a
     seeded log of a chain and a pattern file."""
-    chain = ChainCnfFamily(3, 1, 5).materialize(3)
-    log = run_finite(chain, Tape(seed=3), 50).log
+    log = run_finite(FUZZ_CHAIN, Tape(seed=3), 50).log
     return {
         read_system: [write_system(e.system, params)
                       for e in toy_corpus() for params in (None, e.params)],

@@ -150,7 +150,7 @@ def test_interval_refuses_past_guard():
     with pytest.raises(BudgetRefused):
         # thirds leave 2^-B undecided mass forever; a tiny delta with a tiny
         # guard must refuse rather than approximate
-        approx_output_distribution(system, (0,), F(1, 2 ** 30), bit_guard=16)
+        SystemQOracle(system, bit_guard=16).interval((0,), F(1, 2 ** 30))
 
 
 # --- extraction ----------------------------------------------------------------
