@@ -8,9 +8,8 @@ avoiding mass is at least prod (1 - z_i) = 1/8.
 from fractions import Fraction as F
 
 from lll_toolkit import (ConstraintSystem, LLLParams, Tape,
-                         avoiding_probability, check_finite_lll,
-                         clause_event, run_finite, suggested_max_steps,
-                         uniform_bit)
+                         avoiding_probability, check_lll, clause_event,
+                         run_finite, suggested_max_steps, uniform_bit)
 
 variables = [uniform_bit(i) for i in range(7)]
 events = [clause_event(0, (0, 1, 2), (1, 1, 1)),
@@ -19,7 +18,7 @@ events = [clause_event(0, (0, 1, 2), (1, 1, 1)),
 system = ConstraintSystem.build(variables, events)
 
 params = LLLParams.constant(F(1, 2), 3)
-report = check_finite_lll(system, params)
+report = check_lll(system, params)
 print("per-event condition (exact rationals):")
 for entry in report.entries:
     print(f"  event {entry.index}: Pr = {entry.lhs}  <=  {entry.rhs}"

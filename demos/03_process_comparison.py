@@ -5,7 +5,7 @@ appearance probabilities are exact rationals. Each appearing tree is checked
 against the label-product bound, and against z/(1-z) * alpha^size times the
 probability that the neighbor-spawning branching process yields that tree.
 """
-from lll_toolkit import check_mt_vs_gw, check_tree_lemma, toy_corpus
+from lll_toolkit import check_mt_vs_gw, toy_corpus
 
 entry = next(e for e in toy_corpus() if e.name == "overlap_triples")
 system, params, budget = entry.system, entry.params, entry.bit_budget
@@ -13,7 +13,9 @@ print(f"system: {entry.name} ({len(system.events)} events over "
       f"{len(system.variables)} bits), coin budget {budget}, "
       f"z = {params.z[0]}, alpha = {params.alpha}")
 
-lemma = check_tree_lemma(system, budget)
+# one census serves both inequalities
+gw = check_mt_vs_gw(system, params, budget)
+lemma = gw.lemma
 print(f"\nlabel-product bound ({len(lemma.entries)} trees appeared, "
       f"unresolved mass {lemma.unresolved_mass}):")
 for e in lemma.entries[:6]:
@@ -22,7 +24,6 @@ for e in lemma.entries[:6]:
 print(f"  ... within horizon: {lemma.holds_within_horizon}, "
       f"fully certified: {lemma.certified}")
 
-gw = check_mt_vs_gw(system, params, budget)
 print(f"\nprocess comparison (condition holds: {gw.condition.holds}):")
 for e in gw.entries[:6]:
     print(f"  {e.tree.canonical_line():18s} Pr = {str(e.p_mt):>12s}"

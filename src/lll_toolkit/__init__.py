@@ -9,8 +9,7 @@ from .errors import (BudgetRefused, ContractViolation, EngineError,
                      VerificationError)
 from .model import (ConditionEntry, ConditionReport, ConstraintSystem, Event,
                     LLLParams, StreamParams, VariableSpec,
-                    avoiding_assignments, avoiding_probability,
-                    check_computable_lll, check_finite_lll, check_lll,
+                    avoiding_assignments, avoiding_probability, check_lll,
                     clause_event, event_probability, expected_steps_bound,
                     neighbors, uniform_bit)
 from .tape import Tape

@@ -32,7 +32,6 @@ from .corollaries import build_avoiding_sequence
 from .fireworks import (ConstantOracle, DivergeAtOracle, GameConfig,
                         IdentityOracle, beat_function, epsilon_to_n,
                         play_game, win_probability_exact)
-from .exhaustive import check_tree_lemma
 from .corpus import toy_corpus
 from .formats import (format_rational, log_from_text, log_to_text,
                       parse_rational, read_dimacs, read_patterns, read_system)
@@ -46,6 +45,9 @@ def q(value: Fraction) -> str:
 
 
 def _emit_manifest(args, **extra) -> None:
+    """Print the manifest line, after writing it to `--manifest-out`. Each
+    output file is written before the first line is printed, so a path
+    that cannot be written exits 2 with nothing on stdout."""
     fields = {"subcommand": args.command, "version": __version__}
     for key in ("input", "seed", "max_steps", "bit_budget", "length",
                 "trials", "alpha", "gamma", "mode", "k", "n", "r",
@@ -54,10 +56,16 @@ def _emit_manifest(args, **extra) -> None:
             fields[key] = getattr(args, key)
     fields.update(extra)
     line = "manifest " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-    print(line)
     if getattr(args, "manifest_out", None):
         with open(args.manifest_out, "w") as handle:
             handle.write(line + "\n")
+    print(line)
+
+
+def _write_log(args, log) -> None:
+    if args.log_out:
+        with open(args.log_out, "w") as handle:
+            handle.write(log_to_text(log))
 
 
 def _load_system(path: str, z_all: str | None, alpha: str | None):
@@ -117,12 +125,10 @@ def _cmd_solve(args) -> int:
             raise ModelError("give --max-steps or z values for the default")
         max_steps = suggested_max_steps(params)
     result = run_finite(system, tape, max_steps)
+    _write_log(args, result.log)
     _emit_manifest(args, max_steps=max_steps)
     print("assignment=" + ",".join(str(v) for v in result.assignment))
     print(f"resamples={result.resample_count} status={result.status}")
-    if args.log_out:
-        with open(args.log_out, "w") as handle:
-            handle.write(log_to_text(result.log))
     return OK if result.status == SATISFIED else FAIL
 
 
@@ -141,6 +147,7 @@ def _cmd_stream(args) -> int:
     tape = _tape_from_args(args)
     result = run_stream(family, args.k, tape, args.max_steps)
     system = family.materialize(args.k)
+    _write_log(args, result.log)
     _emit_manifest(args)
     if cert is not None:
         print(cert.to_line())
@@ -148,9 +155,6 @@ def _cmd_stream(args) -> int:
     print(f"resamples={result.resample_count} status={result.status}")
     for k, t in enumerate(stable_times(result.log, system)):
         print(f"stable_time k={k} t={'none' if t is None else t}")
-    if args.log_out:
-        with open(args.log_out, "w") as handle:
-            handle.write(log_to_text(result.log))
     return OK if result.status == SATISFIED else FAIL
 
 
@@ -358,14 +362,13 @@ def _cmd_selftest(args) -> int:
     _emit_manifest(args)
     all_ok = True
     for entry in toy_corpus():
-        lemma = check_tree_lemma(entry.system, entry.bit_budget)
         gw = check_mt_vs_gw(entry.system, entry.params, entry.bit_budget)
-        ok = (gw.condition.holds and lemma.certified and gw.certified
+        ok = (gw.condition.holds and gw.lemma.certified and gw.certified
               and gw.gw_totals_ok)
         all_ok = all_ok and ok
         print(f"system={entry.name} "
               f"condition={str(gw.condition.holds).lower()} "
-              f"lemma={str(lemma.certified).lower()} "
+              f"lemma={str(gw.lemma.certified).lower()} "
               f"gw={str(gw.certified).lower()} ok={str(ok).lower()}")
     print(f"selftest={'pass' if all_ok else 'fail'}")
     return OK if all_ok else FAIL

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import FamilyError, ModelError, VerificationError
 from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
-                    as_fraction, check_computable_lll)
+                    as_fraction, check_lll)
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
 from .families import ForbiddenSubstringFamily, InfiniteFamily, TrimmedFamily
@@ -300,7 +300,7 @@ def build_avoiding_sequence(patterns: Sequence[str], gamma, length: int,
     if events:
         z = tuple(clause_weight(bm.beta, len(ev.vbl)) for ev in events)
         params = LLLParams(z, alpha)
-        condition = check_computable_lll(system, params)
+        condition = check_lll(system, params)
         cap = suggested_max_steps(params)
 
     if mode == "empirical":

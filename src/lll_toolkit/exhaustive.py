@@ -148,18 +148,30 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
 
 @dataclass(frozen=True)
 class TreeAppearance:
-    """Exact within-horizon appearance mass for one witness tree.
+    """Exact within-horizon appearance mass for one witness tree, and the
+    tree lemma's bound on it.
 
     p_low is the exact probability that the tree shows up within the
     enumerated horizon; pending is the unresolved mass in whose extensions
     the tree could still appear for the first time (a sound upper-bound
     complement: the true appearance probability lies in
-    [p_low, p_low + pending]).
+    [p_low, p_low + pending]). bound is the label product, Pr[A_label]
+    over every vertex: the witness-tree lemma's bound (Moser & Tardos,
+    J. ACM 2010).
     """
 
     tree: WitnessTree
     p_low: Fraction
     pending: Fraction
+    bound: Fraction
+
+    @property
+    def holds_within_horizon(self) -> bool:
+        return self.p_low <= self.bound
+
+    @property
+    def certified(self) -> bool:
+        return self.p_low + self.pending <= self.bound
 
 
 @dataclass
@@ -493,7 +505,8 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     gets a small int id the first time it is admitted; the tally keys its
     masses by id and hashes no canon again. Each distinct tree is checked
     once, by `tape_positions_by_vertex`, and keeps that check and its
-    label counts for its pricing (`check_mt_vs_gw`, `check_tree_lemma`).
+    label counts for its pricing: the tally prices its label product here,
+    from one probability per event, and `check_mt_vs_gw` its process bound.
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -619,31 +632,24 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         pending = Fraction(sum(units * num * (unit // den)
                                for units, num, den in charges), total * unit)
         appearances[canons[tree_id]] = TreeAppearance(
-            tree, Fraction(p_low[tree_id], total), pending)
+            tree, Fraction(p_low[tree_id], total), pending,
+            label_product(counts, event_probs))
     return appearances
 
 
 @dataclass(frozen=True)
-class LemmaEntry:
-    tree: WitnessTree
-    p_low: Fraction
-    pending: Fraction
-    bound: Fraction
-
-    @property
-    def holds_within_horizon(self) -> bool:
-        return self.p_low <= self.bound
-
-    @property
-    def certified(self) -> bool:
-        return self.p_low + self.pending <= self.bound
-
-
-@dataclass(frozen=True)
 class LemmaReport:
-    entries: tuple[LemmaEntry, ...]
+    """The tree lemma over one census: its appearances, each priced by the
+    tally, by falling p_low."""
+
+    entries: tuple[TreeAppearance, ...]
     unresolved_mass: Fraction
     branch_count: int
+
+    @classmethod
+    def of(cls, census: RunCensus) -> LemmaReport:
+        return cls(tuple(census.appearance_list()), census.unresolved_mass,
+                   census.branch_count)
 
     @property
     def holds_within_horizon(self) -> bool:
@@ -656,11 +662,5 @@ class LemmaReport:
 
 def check_tree_lemma(system: ConstraintSystem, bit_budget: int) -> LemmaReport:
     """Exact check that every appearing tree obeys the label-product bound
-    (`tree_probability_bound`), taking each event's probability once."""
-    census = census_runs(system, bit_budget)
-    event_probs = [event_probability(ev, system) for ev in system.events]
-    entries = tuple(
-        LemmaEntry(a.tree, a.p_low, a.pending,
-                   label_product(a.tree._counts, event_probs))
-        for a in census.appearance_list())
-    return LemmaReport(entries, census.unresolved_mass, census.branch_count)
+    (`tree_probability_bound`) that its census's tally priced it with."""
+    return LemmaReport.of(census_runs(system, bit_budget))

@@ -22,7 +22,7 @@ from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
                     check_lll)
 from .tape import Tape
 from .witness import WitnessTree, validate_tree
-from .exhaustive import census_runs
+from .exhaustive import LemmaReport, census_runs
 
 
 def gw_tree_probability(tree: WitnessTree, params: LLLParams,
@@ -116,6 +116,7 @@ class GWComparisonEntry:
 class GWComparisonReport:
     entries: tuple[GWComparisonEntry, ...]
     condition: ConditionReport
+    lemma: LemmaReport  # the label-product bounds over the same census
     gw_totals: dict  # root label -> sum of gw probabilities over seen trees
     unresolved_mass: Fraction
     branch_count: int
@@ -140,16 +141,18 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     Every tree appearing in any enumerated branch is checked against
     z_root/(1-z_root) * alpha^size * Pr[process yields the tree]; alpha = 1
     gives the plain bound. The per-event condition at the same alpha is
-    checked first and reported alongside. Each bound is one `Fraction` of
+    checked first and reported alongside, and so is the tree lemma over the
+    same census (`check_tree_lemma`). Each bound is one `Fraction` of
     integers: a c^size n / ((b - a) d^size m) for z_root = a/b, alpha = c/d
     and process probability n/m.
     """
     condition = check_lll(system, params)
     census = census_runs(system, bit_budget)
+    lemma = LemmaReport.of(census)
     entries = []
     gw_totals: dict[int, Fraction] = {}
     c, d = params.alpha.numerator, params.alpha.denominator
-    for appearance in census.appearance_list():
+    for appearance in lemma.entries:
         tree = appearance.tree
         root = tree.root_label
         gw_p = gw_tree_probability(tree, params, system)
@@ -159,5 +162,5 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p
         entries.append(GWComparisonEntry(tree, appearance.p_low,
                                          appearance.pending, gw_p, bound))
-    return GWComparisonReport(tuple(entries), condition, gw_totals,
+    return GWComparisonReport(tuple(entries), condition, lemma, gw_totals,
                               census.unresolved_mass, census.branch_count)

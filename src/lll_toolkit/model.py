@@ -286,8 +286,16 @@ def _complement_product(counts: Counter) -> Fraction:
     return product
 
 
-def _condition_entries(system: ConstraintSystem, params: LLLParams,
-                       alpha: Fraction) -> ConditionReport:
+def check_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:
+    """Per-event exact check at the params' own alpha,
+
+        Pr[A_i] <= alpha * z_i * prod_{j in N(i), j != i} (1 - z_j):
+
+    the plain condition when alpha is 1, the strengthened one when alpha < 1.
+
+    The report also carries prod_i (1 - z_i), the guaranteed lower bound on
+    the mass of assignments avoiding every event when the condition holds.
+    """
     if len(params.z) != len(system.events):
         raise ModelError(
             f"got {len(params.z)} weights for {len(system.events)} events")
@@ -301,35 +309,12 @@ def _condition_entries(system: ConstraintSystem, params: LLLParams,
         counts = Counter(keys[j] for j in system.neighbor_sets[i] if j != i)
         signature = (keys[i], frozenset(counts.items()))
         if signature not in rhs_of:
-            rhs_of[signature] = (alpha * params.z[i]
+            rhs_of[signature] = (params.alpha * params.z[i]
                                  * _complement_product(counts))
         entries.append(ConditionEntry(i, event_probability(ev, system),
                                       rhs_of[signature]))
-    return ConditionReport(tuple(entries), alpha,
+    return ConditionReport(tuple(entries), params.alpha,
                            _complement_product(Counter(keys)))
-
-
-def check_finite_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:
-    """Per-event exact check Pr[A_i] <= z_i * prod_{j in N(i), j != i} (1 - z_j).
-
-    The report also carries prod_i (1 - z_i), the guaranteed lower bound on
-    the mass of assignments avoiding every event when the condition holds.
-    """
-    return _condition_entries(system, params, ONE)
-
-
-def check_computable_lll(system: ConstraintSystem,
-                         params: LLLParams) -> ConditionReport:
-    """The strengthened per-event check with the extra factor alpha < 1."""
-    if params.alpha >= ONE:
-        raise ModelError("the strengthened condition requires alpha < 1")
-    return _condition_entries(system, params, params.alpha)
-
-
-def check_lll(system: ConstraintSystem, params: LLLParams) -> ConditionReport:
-    """The condition at the params' own alpha: the plain check when alpha is
-    1, the strengthened one when alpha < 1."""
-    return _condition_entries(system, params, params.alpha)
 
 
 def expected_steps_bound(z: Sequence[Fraction]) -> Fraction:

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lll_toolkit
+from lll_toolkit import exhaustive, galton_watson
 from lll_toolkit.cli import build_parser, dispatch
+from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.formats import (FormatError, log_from_text, read_dimacs,
                                  read_patterns, read_system, write_system)
 from test_formats import FUZZ_CHAIN, FUZZ_SEEDS, mutated_inputs
@@ -324,6 +326,26 @@ def test_tape_hex_is_only_offered_where_a_tape_is_read(command, capsys):
     assert "--tape-hex" not in out
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--input", "{m3}", "--max-steps", "10"], "--log-out"),
+    (["solve", "--input", "{m3}", "--max-steps", "10"], "--manifest-out"),
+    (["stream", "--family", "chain:m=3", "--k", "3", "--max-steps", "10"],
+     "--log-out"),
+    (["stream", "--family", "chain:m=3", "--k", "3", "--max-steps", "10"],
+     "--manifest-out"),
+    (["selftest"], "--manifest-out")],
+    ids=["solve-log", "solve-manifest", "stream-log", "stream-manifest",
+         "selftest-manifest"])
+def test_an_unwritable_output_file_prints_nothing(m3_file, capsys, argv,
+                                                  flag):
+    # each output file is written before the first line is printed; a path
+    # under a file can never be written
+    argv = [arg.format(m3=m3_file) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, flag, m3_file + "/out")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_solve_log_out_and_witness(m3_file, tmp_path, capsys):
     log_path = str(tmp_path / "run.log")
     code, _, _ = run_cli(capsys, "solve", "--input", m3_file,
@@ -625,6 +647,14 @@ def test_selftest(capsys):
     assert out.count("ok=true") == 6
 
 
+def test_selftest_runs_one_census_per_corpus_entry(monkeypatch, capsys):
+    # the tree lemma is read off the process comparison's census; each
+    # module's global is recorded, so a census run by either check counts
+    seen = recorded_censuses(monkeypatch, exhaustive, galton_watson)
+    assert run_cli(capsys, "selftest")[0] == 0
+    assert seen == [entry.bit_budget for entry in toy_corpus()]
+
+
 # sha256 of "exit code, stdout, stderr" of commands whose code paths share
 # the witness-tree and branching-process layers, with each input file's path
 # written as its name in braces
@@ -757,6 +787,8 @@ FLAG_VALUES = {
     "--input": ["{system}", "{chain}", "{log}", "/nonexistent"],
     "--log": ["{log}", "{system}", "/nonexistent"],
     "--forbidden": ["{patterns}", "/nonexistent"],
+    # a path under a file can never be written
+    "--manifest-out": ["{system}/out"], "--log-out": ["{system}/out"],
 }
 # the flags of each subcommand that FLAG_VALUES gives values for
 FUZZ_FLAGS = {command: sorted(set(FLAG_VALUES)

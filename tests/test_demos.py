@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lll_toolkit
-from lll_toolkit import layerwise
+from lll_toolkit import exhaustive, galton_watson
+from test_layerwise import recorded_censuses
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -52,13 +53,13 @@ def test_certified_prefixes_demo_runs_one_census_per_budget_rise(
         monkeypatch, capsys):
     # its three intervals share one oracle, which runs censuses at 10 and
     # 20 coins; the exact prefix's own oracle runs them at 14 and 20
-    seen = []
-    census_runs = layerwise.census_runs
-
-    def recording_census(system, bit_budget, *args, **kwargs):
-        seen.append(bit_budget)
-        return census_runs(system, bit_budget, *args, **kwargs)
-
-    monkeypatch.setattr(layerwise, "census_runs", recording_census)
+    seen = recorded_censuses(monkeypatch)
     runpy.run_path(str(DEMOS / "04_certified_prefixes.py"))
     assert seen == [10, 20, 14, 20]
+
+
+def test_process_comparison_demo_runs_one_census(monkeypatch, capsys):
+    # both inequalities are read off the process comparison's census
+    seen = recorded_censuses(monkeypatch, exhaustive, galton_watson)
+    runpy.run_path(str(DEMOS / "03_process_comparison.py"))
+    assert seen == [20]

@@ -285,18 +285,25 @@ def lemma_inputs():
 @pytest.mark.parametrize("name", sorted(lemma_inputs()))
 def test_lemma_bounds_are_the_label_products(name):
     # each appearance's bound is `tree_probability_bound`, and the product
-    # of its labels' event probabilities taken vertex by vertex
+    # of its labels' event probabilities taken vertex by vertex; the lemma
+    # report lists the census's own appearances
     system, budget = lemma_inputs()[name]
-    report = exhaustive.check_tree_lemma(system, budget)
     census = exhaustive.census_runs(system, budget)
-    assert ([e.tree for e in report.entries]
-            == [a.tree for a in census.appearance_list()])
-    for entry in report.entries:
+    for appearance in census.appearance_list():
         per_vertex = Fraction(1)
-        for label in entry.tree.labels:
+        for label in appearance.tree.labels:
             per_vertex *= event_probability(system.events[label], system)
-        assert entry.bound == per_vertex
-        assert entry.bound == tree_probability_bound(entry.tree, system)
+        assert appearance.bound == per_vertex
+        assert appearance.bound == tree_probability_bound(appearance.tree,
+                                                          system)
+        assert appearance.holds_within_horizon == (appearance.p_low
+                                                   <= per_vertex)
+        assert appearance.certified == (appearance.p_low + appearance.pending
+                                        <= per_vertex)
+    report = exhaustive.check_tree_lemma(system, budget)
+    assert report.entries == tuple(census.appearance_list())
+    assert (report.unresolved_mass, report.branch_count) == (
+        census.unresolved_mass, census.branch_count)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CENSUS))

@@ -15,7 +15,8 @@ from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
                                clause_event, expected_steps_bound,
                                uniform_bit)
 from lll_toolkit.tape import Tape
-from lll_toolkit.exhaustive import census_runs
+from lll_toolkit.exhaustive import (LemmaReport, census_runs,
+                                    check_tree_lemma)
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import WitnessTree, validate_tree
 from lll_toolkit.galton_watson import (check_mt_vs_gw, gw_sample,
@@ -399,6 +400,14 @@ def test_comparison_looks_up_its_census_at_call_time(monkeypatch):
     assert ([(e.p_mt, e.pending) for e in report.entries]
             == [(a.p_low, a.pending) for a in censuses[0].appearance_list()])
     assert report.branch_count == censuses[0].branch_count
+    assert report.lemma == LemmaReport.of(censuses[0])
+
+
+@pytest.mark.parametrize("entry", toy_corpus(), ids=lambda e: e.name)
+def test_comparison_carries_the_tree_lemma_of_its_census(entry):
+    # one census serves both inequalities, so `lll selftest` runs one
+    report = check_mt_vs_gw(entry.system, entry.params, entry.bit_budget)
+    assert report.lemma == check_tree_lemma(entry.system, entry.bit_budget)
 
 
 # --- the bound as one integer fraction --------------------------------------

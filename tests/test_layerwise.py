@@ -381,16 +381,20 @@ def test_system_oracle_monotone(one_bit_system):
 
 
 
-def recorded_censuses(monkeypatch) -> list[int]:
-    """The budget of each census `layerwise` runs from here on."""
+def recorded_censuses(monkeypatch, *modules) -> list[int]:
+    """The budget of each census that `modules` (by default `layerwise`)
+    run from here on, through their module global `census_runs`."""
     seen = []
-    census_runs = layerwise.census_runs
 
-    def recording_census(system, bit_budget, *args, **kwargs):
-        seen.append(bit_budget)
-        return census_runs(system, bit_budget, *args, **kwargs)
+    def recording(census_runs):
+        def recording_census(system, bit_budget, *args, **kwargs):
+            seen.append(bit_budget)
+            return census_runs(system, bit_budget, *args, **kwargs)
+        return recording_census
 
-    monkeypatch.setattr(layerwise, "census_runs", recording_census)
+    for module in modules or (layerwise,):
+        monkeypatch.setattr(module, "census_runs",
+                            recording(module.census_runs))
     return seen
 
 

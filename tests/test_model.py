@@ -7,8 +7,7 @@ import pytest
 
 from lll_toolkit.errors import ModelError
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
-                               VariableSpec, avoiding_probability,
-                               check_computable_lll, check_finite_lll,
+                               VariableSpec, avoiding_probability, check_lll,
                                clause_event, event_probability, neighbors,
                                uniform_bit)
 from lll_toolkit.tape import _word
@@ -143,7 +142,7 @@ def make_m3_clause_with_two_neighbors():
 def test_finite_condition_equality_at_m3():
     system = make_m3_clause_with_two_neighbors()
     params = LLLParams.constant(F(1, 2), 3)
-    report = check_finite_lll(system, params)
+    report = check_lll(system, params)
     entry = report.entries[0]
     assert entry.lhs == F(1, 8)
     assert entry.rhs == F(1, 8)  # z * (1-z)^2 with two proper neighbors
@@ -156,26 +155,21 @@ def test_finite_condition_fails_for_certain_event():
     tuples = frozenset(product((0, 1), repeat=1))
     system = ConstraintSystem.build([uniform_bit(0)],
                                     [Event(0, (0,), tuples)])
-    report = check_finite_lll(system, LLLParams((F(1, 2),)))
+    report = check_lll(system, LLLParams((F(1, 2),)))
     assert not report.entries[0].holds
     assert not report.holds
 
 
 def test_finite_condition_empty_system_vacuous():
     system = ConstraintSystem.build([uniform_bit(0)], [])
-    report = check_finite_lll(system, LLLParams(()))
+    report = check_lll(system, LLLParams(()))
     assert report.holds
     assert report.avoid_bound == 1
 
 
-def test_strengthened_check_rejects_alpha_one(one_bit_system):
-    with pytest.raises(ModelError):
-        check_computable_lll(one_bit_system, LLLParams((F(1, 2),), F(1)))
-
-
 def test_strengthened_check_empty_prefix_vacuous():
     system = ConstraintSystem.build([uniform_bit(0)], [])
-    report = check_computable_lll(system, LLLParams((), F(99, 100)))
+    report = check_lll(system, LLLParams((), F(99, 100)))
     assert report.holds
 
 
@@ -183,7 +177,7 @@ def test_strengthened_check_fails_at_equality():
     # lhs == rhs at alpha = 1, so any alpha < 1 must report failure
     system = make_m3_clause_with_two_neighbors()
     params = LLLParams.constant(F(1, 2), 3, F(99, 100))
-    report = check_computable_lll(system, params)
+    report = check_lll(system, params)
     assert not report.entries[0].holds
 
 
@@ -199,7 +193,7 @@ def test_strengthened_check_m4_clause_with_four_neighbors():
     system = ConstraintSystem.build(variables, events)
     assert len(system.neighbor_sets[0]) - 1 == 4
     params = LLLParams.constant(F(1, 4), 5, F(99, 100))
-    report = check_computable_lll(system, params)
+    report = check_lll(system, params)
     entry = report.entries[0]
     assert entry.lhs == F(1, 16)
     assert entry.rhs == F(99, 100) * F(1, 4) * F(3, 4) ** 4
@@ -214,7 +208,7 @@ def test_closed_form_for_regular_neighborhoods():
               for i in range(n)]
     system = ConstraintSystem.build(variables, events)
     z = F(1, 5)
-    report = check_finite_lll(system, LLLParams.constant(z, n))
+    report = check_lll(system, LLLParams.constant(z, n))
     for entry in report.entries:
         assert entry.rhs == z * (1 - z) ** 2
 
@@ -223,7 +217,7 @@ def test_closed_form_for_regular_neighborhoods():
 
 @pytest.mark.parametrize("z", [F(1, 2), F(3, 4)])
 def test_avoiding_mass_meets_bound_single_event(one_bit_system, z):
-    report = check_finite_lll(one_bit_system, LLLParams((z,)))
+    report = check_lll(one_bit_system, LLLParams((z,)))
     assert report.holds
     mass = avoiding_probability(one_bit_system)
     assert mass == F(1, 2)
@@ -232,7 +226,7 @@ def test_avoiding_mass_meets_bound_single_event(one_bit_system, z):
 
 def test_avoiding_mass_meets_bound_chain(chain3_system):
     params = LLLParams.constant(F(1, 2), 3)
-    report = check_finite_lll(chain3_system, params)
+    report = check_lll(chain3_system, params)
     assert report.holds
     mass = avoiding_probability(chain3_system)
     assert mass >= report.avoid_bound

@@ -20,8 +20,7 @@ from lll_toolkit.exhaustive import census_runs
 from lll_toolkit.model import (ConditionEntry, ConditionReport,
                                ConstraintSystem, Event, LLLParams,
                                VariableSpec, avoiding_assignments,
-                               avoiding_probability, check_computable_lll,
-                               check_finite_lll, check_lll)
+                               avoiding_probability, check_lll)
 from lll_toolkit.tape import Tape
 from lll_toolkit.witness import (WitnessTree, reconstruct_tape_positions,
                                  trees_for_run, validate_tree)
@@ -177,17 +176,6 @@ def test_tape_positions_from_arbitrary_trees(system, data):
             reconstruct_tape_positions(tree, system)
     else:
         assert reconstruct_tape_positions(tree, system) == expected
-
-
-@given(systems(), st.data())
-@PROPERTY
-def test_condition_at_alpha_matches_the_explicit_checks(system, data):
-    fractions = st.fractions(F(1, 16), F(15, 16), max_denominator=16)
-    z = tuple(data.draw(fractions) for _ in system.events)
-    alpha = data.draw(st.sampled_from([F(1), F(99, 100), F(1, 2)]))
-    params = LLLParams(z, alpha)
-    explicit = (check_computable_lll if alpha < 1 else check_finite_lll)
-    assert check_lll(system, params) == explicit(system, params)
 
 
 @given(systems(max_events=6), st.data())
