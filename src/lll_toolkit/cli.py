@@ -15,12 +15,11 @@ from fractions import Fraction
 from itertools import islice
 
 from . import __version__
-from .errors import (BudgetRefused, ContractViolation, EngineError,
-                     ExtractionTimeout, FamilyError, ModelError, TapeExhausted,
-                     VerificationError)
+from .errors import (BudgetRefused, ContractViolation, ExtractionTimeout,
+                     FamilyError, ModelError, TapeExhausted, VerificationError)
 from .model import LLLParams, check_lll
 from .tape import Tape
-from .engine import (SATISFIED, replay, run_finite, run_stream, stable_times,
+from .engine import (SATISFIED, run_finite, run_stream, stable_times,
                      suggested_max_steps)
 from .witness import build_witness_tree
 from .galton_watson import check_mt_vs_gw, gw_sample
@@ -33,8 +32,8 @@ from .fireworks import (ConstantOracle, DivergeAtOracle, GameConfig,
                         IdentityOracle, beat_function, epsilon_to_n,
                         play_game, win_probability_exact)
 from .corpus import toy_corpus
-from .formats import (format_rational, log_from_text, log_to_text,
-                      parse_rational, read_dimacs, read_patterns, read_system)
+from .formats import (format_rational, log_to_text, parse_rational,
+                      read_dimacs, read_log, read_patterns, read_system)
 
 OK, FAIL, USAGE, REFUSED = 0, 1, 2, 3
 
@@ -187,11 +186,7 @@ def _family_from_args(args):
 def _cmd_witness(args) -> int:
     system, _ = _load_system(args.input, None, None)
     with open(args.log) as handle:
-        log = log_from_text(handle.read())
-    try:
-        replay(system, log)
-    except EngineError as exc:
-        raise ModelError(f"log {args.log}: {exc}") from None
+        log = read_log(handle.read(), system)
     if args.step is not None:
         steps = [args.step]
     else:

@@ -18,6 +18,9 @@ above them: a resample is one AND and one addition per entry of a joint
 table of its redraws, and an event's truth one AND and one set lookup.
 Each packed assignment's events are tested once; masses stay integer units
 per packed assignment, and only the resolved outputs are unpacked, once read.
+A draw from a dyadic law reads at most log2 of its denominator in coins, so
+the tables of a draw or a redraw differ only up to that many coins left:
+each is built once per number of coins left up to its cap.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 
@@ -336,6 +339,17 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     pending path as a leaf, once per state and once per variable while a
     table is built.
 
+    A draw of v reads at most `Sampler.depth` coins (None for a law that is
+    not dyadic), so its paths with more coins left are those at the depth,
+    and each variable's draws are built once per min(coins left, depth). A
+    redraw of vbl(e) reads at most e's cap, the sum of their depths (None if
+    any is None). With more coins left than the cap, e's table is the one
+    at the cap, which cuts no path, with its landed units shifted left by
+    the coins over the cap; it is built once and `tables[e][c]` is filled
+    from it on the first miss at c. The guard refuses as before: a table
+    that cuts no path grows with each variable, and the state check that
+    follows its use counts every path it sends on.
+
     States are grouped by history. With want_trees=True that is the events
     a state has resampled, the one in flight included, as its witness trees
     depend on nothing else; otherwise every state shares the empty one. A
@@ -371,12 +385,17 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                    frozenset(sum(x << offsets[v] for v, x in zip(ev.vbl, t))
                              for t in ev.forbidden))
                   for e, ev in enumerate(system.events)]
-    # paths[v][coins]: the moves of a draw of v after `coins` coins, each
+    # paths[v][left]: the moves of a draw of v with `left` coins left, each
     # the addend to the cleared state (the value in v's field, the coins it
-    # reads above) with its number of paths, and the paths the budget cuts
+    # reads above) with its number of paths, and the paths the budget cuts;
+    # a draw reads at most depth coins, so `left` is capped there
+    depths = [sampler.depth for sampler in system.samplers]
     paths: list = [[None] * (bit_budget + 1) for _ in widths]
     # tables[e][coins]: the same for a redraw of every variable of event e
+    # after `coins` coins, and caps[e] the most coins that redraw reads
     tables: list = [[None] * (bit_budget + 1) for _ in system.events]
+    caps = [None if any(depths[v] is None for v in ev.vbl)
+            else sum(depths[v] for v in ev.vbl) for ev in system.events]
     first: dict = {}  # packed assignment -> (least true event, true events)
     room = (branch_guard + 1) // 2  # the most leaves the guard admits
     leaves = 0
@@ -393,14 +412,15 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         for v in variables:
             out: dict = {}
             for a, n in moves.items():
-                at = coins + (a >> coin_shift)
-                if paths[v][at] is None:
-                    settled, k_cut = _draw_paths(system.samplers[v],
-                                                 bit_budget - at)
-                    paths[v][at] = (
+                left = bit_budget - coins - (a >> coin_shift)
+                if depths[v] is not None and left > depths[v]:
+                    left = depths[v]
+                if paths[v][left] is None:
+                    settled, k_cut = _draw_paths(system.samplers[v], left)
+                    paths[v][left] = (
                         [((value << offsets[v]) + (used << coin_shift), k)
                          for (value, used), k in settled.items()], k_cut)
-                drawn, k_cut = paths[v][at]
+                drawn, k_cut = paths[v][left]
                 n_cut += n * k_cut
                 for move, k in drawn:
                     out[a + move] = out.get(a + move, 0) + n * k
@@ -410,6 +430,19 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         landed = sum(k << (bit_budget - coins - (a >> coin_shift))
                      for a, k in moves.items()) if want_trees else 0
         return list(moves.items()), sum(moves.values()), n_cut, landed
+
+    def joint(event: int, coins: int) -> tuple:
+        """The table of a resample of `event` after `coins` coins. Past the
+        event's cap it is the table at the cap, which cuts no path, with
+        its landed units shifted by the coins left over."""
+        cap = caps[event]
+        if cap is None or coins + cap >= bit_budget:
+            return table(system.events[event].vbl, coins)
+        at = bit_budget - cap
+        if tables[event][at] is None:
+            tables[event][at] = table(system.events[event].vbl, at)
+        moves, reach, n_cut, landed = tables[event][at]
+        return moves, reach, n_cut, landed << (at - coins)
 
     # initialization draws every variable, in order, over placeholder zeros
     moves, _, leaves, _ = table(range(len(widths)), 0)
@@ -447,8 +480,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                 else:
                     entry = tables[event][coins]
                     if entry is None:
-                        entry = tables[event][coins] = table(
-                            system.events[event].vbl, coins)
+                        entry = tables[event][coins] = joint(event, coins)
                     moves, reach, n_cut, landed = entry
                     leaves += n * n_cut
                     pending += n * reach
@@ -640,7 +672,8 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
 @dataclass(frozen=True)
 class LemmaReport:
     """The tree lemma over one census: its appearances, each priced by the
-    tally, by falling p_low."""
+    tally, by falling p_low. A census with no appearance and unresolved
+    mass certifies nothing: a tree could still appear in that mass."""
 
     entries: tuple[TreeAppearance, ...]
     unresolved_mass: Fraction
@@ -657,7 +690,8 @@ class LemmaReport:
 
     @property
     def certified(self) -> bool:
-        return all(e.certified for e in self.entries)
+        return (bool(self.entries) or not self.unresolved_mass) and all(
+            e.certified for e in self.entries)
 
 
 def check_tree_lemma(system: ConstraintSystem, bit_budget: int) -> LemmaReport:

@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ModelError
+from .errors import EngineError, ModelError
 from .model import (ConstraintSystem, Event, LLLParams, VariableSpec,
                     as_fraction, clause_event, uniform_bit)
-from .engine import ResampleLog, Step
+from .engine import ResampleLog, Step, _walk
 
 
 class FormatError(ModelError):
@@ -285,9 +285,29 @@ def log_from_text(text: str) -> ResampleLog:
     """Parse `log_to_text`'s format. Each step line must carry its position
     in the log as its number; a short line or draw names what it lacks.
     The one `init` line comes before every step."""
+    return _parse_log(text)[0]
+
+
+def read_log(text: str, system: ConstraintSystem) -> ResampleLog:
+    """`log_from_text(text)`, replayed against `system` with the checks of
+    `engine.replay`; a log the replay refuses raises `FormatError` at the
+    line of the init or step it refuses."""
+    log, lines = _parse_log(text)
+    walked = 0  # the init and steps replayed so far
+    try:
+        for walked, _ in enumerate(_walk(system, log), start=1):
+            pass
+    except EngineError as exc:
+        raise FormatError(lines[walked], str(exc)) from None
+    return log
+
+
+def _parse_log(text: str) -> tuple[ResampleLog, list[int]]:
+    """The log of `log_from_text` and the lines of its init and steps."""
     initial: Optional[tuple[int, ...]] = None
     lead = None  # (line, why) of the first init or step, which bars an init
     steps = []
+    lines = [0]  # the init's line, then each step's
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -299,6 +319,7 @@ def log_from_text(text: str) -> ResampleLog:
                     raise ModelError(f"init {lead[1]} on line {lead[0]}")
                 lead = number, "is already given"
                 initial = tuple(int(tok) for tok in parts[1:])
+                lines[0] = number
             elif parts[0] == "step":
                 name = " ".join(parts[:2])
                 if len(parts) < 6:
@@ -320,6 +341,7 @@ def log_from_text(text: str) -> ResampleLog:
                                          "variable:position:value")
                     draws.append(tuple(map(int, fields)))
                 steps.append(Step(int(parts[1]), int(parts[3]), tuple(draws)))
+                lines.append(number)
                 lead = lead or (number, "comes after step 1")
             else:
                 raise ModelError(f"unknown directive {parts[0]!r}")
@@ -327,4 +349,4 @@ def log_from_text(text: str) -> ResampleLog:
             raise FormatError(number, str(exc)) from None
     if initial is None:
         raise FormatError(1, "missing init line")
-    return ResampleLog(initial, tuple(steps))
+    return ResampleLog(initial, tuple(steps)), lines

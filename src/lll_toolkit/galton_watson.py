@@ -127,7 +127,10 @@ class GWComparisonReport:
 
     @property
     def certified(self) -> bool:
-        return all(e.certified for e in self.entries)
+        """As `LemmaReport.certified`: false with no entry and unresolved
+        mass, else every entry's process bound certified."""
+        return (bool(self.entries) or not self.unresolved_mass) and all(
+            e.certified for e in self.entries)
 
     @property
     def gw_totals_ok(self) -> bool:

@@ -85,11 +85,13 @@ class Sampler:
 
     Over the common denominator `total`, value v's cumulative slot is
     [bounds[v-1], bounds[v]) (the first starts at 0). `fair` marks the fair
-    bit, whose value is its first coin. Compiling raises `ModelError` for a
-    law `check_law` refuses.
+    bit, whose value is its first coin. `depth` is the most coins a draw
+    reads: log2(total) for a dyadic law, whose slot bounds all lie on the
+    grid of 2^-depth, and None otherwise, where some coin path never
+    settles. Compiling raises `ModelError` for a law `check_law` refuses.
     """
 
-    __slots__ = ("bounds", "total", "fair")
+    __slots__ = ("bounds", "total", "fair", "depth")
 
     def __init__(self, distribution: Sequence[Fraction]):
         check_law(distribution)
@@ -101,6 +103,8 @@ class Sampler:
             bounds.append(acc)
         self.bounds = tuple(bounds)
         self.fair = self.bounds == (1, 2)
+        self.depth = (self.total.bit_length() - 1
+                      if self.total & (self.total - 1) == 0 else None)
 
     def settle(self, a: int, d: int) -> Optional[int]:
         """The value whose slot holds the coin interval [a/2^d, (a+1)/2^d),

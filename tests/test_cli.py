@@ -368,7 +368,27 @@ def test_witness_rejects_a_log_naming_a_missing_event(m3_file, tmp_path,
                              "--log", str(log_path))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: log {log_path}: step 1: no event {event} ")
+    assert err.startswith(f"error: line 2: step 1: no event {event} ")
+
+
+def test_witness_names_the_line_of_the_step_replay_refuses(one_bit_file,
+                                                          tmp_path, capsys):
+    # step 2 redraws x0 = 0, so event 0 is false before step 3; blank lines
+    # put that step on line 6
+    log_path = tmp_path / "three.log"
+    log_path.write_text("init 1\n\nstep 1 event 0 draws 0:1:1\n"
+                        "step 2 event 0 draws 0:2:0\n\n"
+                        "step 3 event 0 draws 0:3:1\n")
+    code, out, err = run_cli(capsys, "witness", "--input", one_bit_file,
+                             "--log", str(log_path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 6: step 3: event 0 was not true\n"
+    log_path.write_text("\ninit 1 0\nstep 1 event 0 draws 0:1:1\n")
+    code, out, err = run_cli(capsys, "witness", "--input", one_bit_file,
+                             "--log", str(log_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2: log initial draws do not match the "
+                   "variable count\n")
 
 
 def test_stream_subcommand(capsys):
@@ -410,6 +430,18 @@ def test_gw_check_subcommand(one_bit_file, capsys):
     assert all("ok=true" in l for l in lines)
     assert "gw_total root=0" in out
     assert "certified=true" in out
+
+
+def test_gw_with_no_tree_over_unresolved_mass_is_not_certified(tmp_path,
+                                                               capsys):
+    # at 0 coins no run of the one clause resolves and no tree appears
+    path = tmp_path / "one.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    code, out, _ = run_cli(capsys, "gw", "--input", str(path), "--z-all",
+                           "1/2", "--bit-budget", "0")
+    assert code == 1
+    assert "tree=" not in out
+    assert out.splitlines()[-1] == "condition=true certified=false"
 
 
 def test_gw_sample_subcommand(one_bit_file, capsys):

@@ -18,7 +18,7 @@ from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.layerwise import compute_assignment_prefix
 from lll_toolkit.model import (ConstraintSystem, Event, VariableSpec,
                                clause_event, event_probability, uniform_bit)
-from lll_toolkit.tape import Tape
+from lll_toolkit.tape import Sampler, Tape
 from lll_toolkit.witness import tree_probability_bound
 from test_properties import systems
 from test_witness import BROKEN_BUILD_MESSAGE, BROKEN_BUILDS, broken_build
@@ -216,6 +216,78 @@ def test_census_on_wide_fields_matches_the_reference(system, budget,
     reference = reference_census.census_runs(system, budget, step_guard)
     assert census.appearance_list() == reference.appearance_list()
     assert output_view(census) == output_view(reference)
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=4).filter(any))
+@DIFFERENTIAL
+def test_a_draw_reads_at_most_its_depth(weights):
+    # a dyadic law's draw settles within depth coins and not within one
+    # fewer; a non-dyadic law leaves a path unsettled at every budget
+    law = [Fraction(w, sum(weights)) for w in weights]
+    sampler = Sampler(law)
+    if any(p.denominator & (p.denominator - 1) for p in law):
+        assert sampler.depth is None
+        assert exhaustive._draw_paths(sampler, 12)[1] > 0
+        return
+    assert exhaustive._draw_paths(sampler, sampler.depth)[1] == 0
+    if sampler.depth:
+        assert exhaustive._draw_paths(sampler, sampler.depth - 1)[1] > 0
+
+
+# x0 and x1 follow the law and x2 is a fair bit. The caps of the events'
+# redraws, the most coins each reads, are 2, 5 and 2 for the depth-2 law
+# and 0, 1 and 0 for the point mass, whose event 2 loops with no coin; the
+# non-dyadic law has none. Budgets 0-7 hold cap - 1, cap and cap + 1 of
+# every event.
+CAPPED_LAWS = {"depth-2": ((Fraction(3, 4), Fraction(1, 4)), 2),
+               "non-dyadic": ((Fraction(1, 3), Fraction(2, 3)), None),
+               "point-mass": ((Fraction(1), Fraction(0)), 0)}
+
+
+def capped_system(law):
+    variables = [VariableSpec(0, law), VariableSpec(1, law), uniform_bit(2)]
+    events = [Event(0, (0,), frozenset({(1,)})),
+              Event(1, (0, 1, 2), frozenset({(0, 0, 1)})),
+              Event(2, (1,), frozenset({(0,)}))]
+    return ConstraintSystem.build(variables, events)
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_LAWS))
+@pytest.mark.parametrize("budget", range(8))
+def test_census_around_each_cap_matches_the_reference(name, budget):
+    law, depth = CAPPED_LAWS[name]
+    system = capped_system(law)
+    assert [s.depth for s in system.samplers] == [depth, depth, 1]
+    for step_guard in (None, 3):
+        args = (system, budget, step_guard)
+        census = exhaustive.census_runs(*args, want_trees=False)
+        reference = reference_census.census_runs(*args, want_trees=False)
+        assert output_view(census) == output_view(reference)
+        census = exhaustive.census_runs(*args)
+        reference = reference_census.census_runs(*args)
+        assert census.appearance_list() == reference.appearance_list()
+        assert output_view(census) == output_view(reference)
+
+
+def test_no_draw_is_built_again_past_its_depth(chain2_system, monkeypatch):
+    # every variable is a fair bit, so a draw or a table with more coins
+    # left than its cap is one the census has built: 12 and 20 coins build
+    # the same draws
+    draw_paths = exhaustive._draw_paths
+    calls = []
+
+    def recording_draw_paths(sampler, coins_left):
+        calls.append(coins_left)
+        return draw_paths(sampler, coins_left)
+
+    monkeypatch.setattr(exhaustive, "_draw_paths", recording_draw_paths)
+    built = []
+    for budget in (12, 20):
+        calls.clear()
+        exhaustive.census_runs(chain2_system, budget, want_trees=False)
+        built.append(sorted(calls))
+    assert built[0] == built[1]
+    assert max(built[0]) == 1
 
 
 # The tree census pinned by hashes of its appearance lines, branch count and

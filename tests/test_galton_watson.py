@@ -12,8 +12,8 @@ import reference_witness
 from lll_toolkit import galton_watson
 from lll_toolkit.errors import ModelError
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
-                               clause_event, expected_steps_bound,
-                               uniform_bit)
+                               VariableSpec, clause_event,
+                               expected_steps_bound, uniform_bit)
 from lll_toolkit.tape import Tape
 from lll_toolkit.exhaustive import (LemmaReport, census_runs,
                                     check_tree_lemma)
@@ -331,7 +331,6 @@ def test_exact_truncated_expectation_within_bound():
 def test_tight_bound_is_not_certified():
     # a non-dyadic marginal keeps initialization mass unresolved right at
     # the forbidden boundary, so the tight z = Pr[A] bound never closes
-    from lll_toolkit.model import VariableSpec
     system = ConstraintSystem.build(
         [VariableSpec(0, (F(1, 3), F(2, 3)))],
         [clause_event(0, (0,), (1,))])
@@ -340,6 +339,22 @@ def test_tight_bound_is_not_certified():
     assert report.condition.holds
     assert report.holds_within_horizon
     assert not report.certified
+
+
+def test_no_tree_over_unresolved_mass_certifies_nothing(one_bit_system):
+    # at 0 coins the initial draw is cut: no tree appears, yet any could
+    # still appear in the unresolved mass
+    report = check_mt_vs_gw(one_bit_system, LLLParams((F(1, 2),)), 0)
+    assert (report.entries, report.unresolved_mass) == ((), 1)
+    assert report.lemma.entries == ()
+    assert not report.certified
+    assert not report.lemma.certified
+    # with every run resolved, no tree means nothing to bound
+    point = ConstraintSystem.build([VariableSpec(0, (F(1), F(0)))],
+                                   [clause_event(0, (0,), (1,))])
+    report = check_mt_vs_gw(point, LLLParams((F(1, 2),)), 0)
+    assert (report.entries, report.unresolved_mass) == ((), 0)
+    assert report.certified and report.lemma.certified
 
 
 # The comparison report pinned by hashes of its entry lines (canonical line,
