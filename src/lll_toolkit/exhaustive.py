@@ -11,8 +11,10 @@ One exploration serves both censuses. `census_runs` sweeps resample levels
 forward, merging runs in equal states and counting the coin paths that
 reach each one. A witness tree depends only on the sequence of resampled
 events, never on the values drawn, so the census with trees groups states
-by that sequence and builds each distinct history's tree once, straight
-from the sequence, keeping an int id of its canon. A state is packed into one
+by that sequence and gets each distinct history's tree once, keeping an int
+id of its canon: a history whose last two steps resample the same event
+regrows the tree of the step before under a new root, any other builds its
+tree straight from the sequence. A state is packed into one
 int, each variable's value in a bit field of its own and the coins read
 above them: a resample is one AND and one addition per entry of a joint
 table of its redraws, and an event's truth one AND and one set lookup.
@@ -43,7 +45,7 @@ from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
 from .witness import (WitnessTree, admit_tree, canon_line, check_root_grew,
-                      label_counts_of_events, label_product,
+                      label_counts_of_events, label_product, regrown_tree,
                       tape_positions_by_vertex, tree_of_events)
 
 DEFAULT_BRANCH_GUARD = 1 << 26
@@ -532,13 +534,18 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     (see `census_runs`), to their mass; the key is all None for runs cut
     during initialization and the in-flight event None for step-guard cuts.
 
-    Each reached history's tree is built once, straight from the sequence,
-    and admitted after the trees of its prefixes (`admit_tree`). Its canon
-    gets a small int id the first time it is admitted; the tally keys its
-    masses by id and hashes no canon again. Each distinct tree is checked
-    once, by `tape_positions_by_vertex`, and keeps that check and its
-    label counts for its pricing: the tally prices its label product here,
-    from one probability per event, and `check_mt_vs_gw` its process bound.
+    Each reached history's tree is found once and admitted after the trees
+    of its prefixes (`admit_tree`), every history's root count checked.
+    When the history's last step resamples the event of the step before,
+    the tree is that step's tree under a new root (`regrown_tree`), and the
+    memo keeps, per tree id, the id regrown from it: a tree is regrown and
+    its canon hashed only the first time. Any other history's tree is built
+    straight from the sequence. A canon gets a small int id the first time
+    it is admitted; the tally keys its masses by id. Each distinct tree is
+    checked once, by `tape_positions_by_vertex`, and keeps that check and
+    its label counts for its pricing: the tally prices its label product
+    here, from one probability per event, and `check_mt_vs_gw` its process
+    bound.
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -561,34 +568,54 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     independent factor Pr[A_label]. The runs are grouped by the roots they
     can reach. A tree's charges are summed in units per consumption vector,
     each vector's product of fresh factors is taken once as an integer
-    numerator and denominator, and the sum is divided once.
+    numerator and denominator, from rows of each vertex's cells listed once
+    per tree, and the sum is divided once.
     """
     comp_of = _component_of(system)
     ids: dict = {}  # canon -> its id, in order of first admission
-    # history -> (tree of its last step, that tree's id, root label ->
-    # multiplicity); the last is the bookkeeping of `admit_tree`
-    history_trees: dict = {(): (None, None, {})}
+    trees: list = []  # id -> the tree of the first history with it
+    # id -> the id of that tree under a new root of its root's label: the
+    # tree of a step that repeats the event of the step before, whose tree
+    # is rooted at that event
+    regrown: dict = {}
+    # history -> (the id of its last step's tree, root label ->
+    # multiplicity); the latter is the bookkeeping of `admit_tree`
+    history_trees: dict = {(): (None, {})}
+
+    def admitted(tree: WitnessTree) -> int:
+        tree_id = ids.setdefault(tree.canon(), len(ids))
+        if tree_id == len(trees):
+            trees.append(tree)
+        return tree_id
 
     def trees_of(history: tuple[int, ...]) -> tuple:
         """The entry of `history`, extending the longest memoized prefix by
-        one tree per step."""
+        one tree per step; a step that repeats the event before it regrows
+        that step's tree (`regrown_tree`), once per distinct tree."""
         n = len(history)
         while history[:n] not in history_trees:
             n -= 1
-        root_counts = history_trees[history[:n]][2]
+        tree_id, root_counts = history_trees[history[:n]]
         for k in range(n + 1, len(history) + 1):
-            tree = tree_of_events(history[:k], system)
+            event = history[k - 1]
+            if k > 1 and history[k - 2] == event:
+                below, tree_id = tree_id, regrown.get(tree_id)
+                if tree_id is None:
+                    tree = regrown_tree(trees[below], k)
+                    tree_id = regrown[below] = admitted(tree)
+                else:
+                    tree = trees[tree_id]
+            else:
+                tree = tree_of_events(history[:k], system)
+                tree_id = admitted(tree)
             root_counts = dict(root_counts)
             admit_tree(tree, k, root_counts)
-            history_trees[history[:k]] = (
-                tree, ids.setdefault(tree.canon(), len(ids)), root_counts)
+            history_trees[history[:k]] = tree_id, root_counts
         return history_trees[history]
 
-    p_low: dict = {}
-    trees: dict = {}  # id -> the tree of the first reached history with it
+    p_low: dict = {}  # id -> units, in order of first admission
     for history, units in reached.items():
-        tree, tree_id = trees_of(history)[:2]
-        trees.setdefault(tree_id, tree)
+        tree_id = trees_of(history)[0]
         p_low[tree_id] = p_low.get(tree_id, 0) + units
 
     # root -> the unresolved runs that can reach it, each as
@@ -600,7 +627,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             for root in range(len(system.events)):
                 by_root.setdefault(root, []).append((units, {}, 1, None))
             continue
-        root_counts = trees_of(history)[2]
+        root_counts = trees_of(history)[1]
         begun = history
         if in_flight is not None:
             # the cut-off resampling completes before anything else an
@@ -635,7 +662,8 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     event_probs = [event_probability(ev, system) for ev in system.events]
     canons = list(ids)
     appearances: dict = {}
-    for tree_id, tree in trees.items():
+    for tree_id, low in p_low.items():
+        tree = trees[tree_id]
         counts, size = tree._counts, tree.size
         positions = tape_positions_by_vertex(tree, system)
         # consumption vector -> units of the runs charged with it
@@ -647,16 +675,20 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
                 continue
             charged[consumed_ub] = charged.get(consumed_ub, 0) + units
         # cell x^(p-1) holds the value that made a vertex's event true;
-        # if the whole before-tuple is beyond the run's consumption it
-        # must still land forbidden, an independent factor Pr[A_label]
+        # if the whole before-tuple is beyond the run's consumption (each
+        # p - 1 at least the variable's consumed count) it must still land
+        # forbidden, an independent factor Pr[A_label]
+        rows = [(event_probs[tree.labels[v]], tuple(row.items()))
+                for v, row in positions.items()]
         charges = []  # (units, numerator, denominator)
         for consumed_ub, units in charged.items():
             num = den = 1
             if consumed_ub is not None:
-                for v, row in positions.items():
-                    if all(p - 1 >= consumed_ub[var]
-                           for var, p in row.items()):
-                        prob = event_probs[tree.labels[v]]
+                for prob, row in rows:
+                    for var, p in row:
+                        if consumed_ub[var] >= p:
+                            break
+                    else:
                         num *= prob.numerator
                         den *= prob.denominator
             charges.append((units, num, den))
@@ -664,7 +696,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         pending = Fraction(sum(units * num * (unit // den)
                                for units, num, den in charges), total * unit)
         appearances[canons[tree_id]] = TreeAppearance(
-            tree, Fraction(p_low[tree_id], total), pending,
+            tree, Fraction(low, total), pending,
             label_product(counts, event_probs))
     return appearances
 

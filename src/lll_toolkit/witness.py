@@ -44,6 +44,9 @@ class WitnessTree:
     labels: tuple[int, ...]
     parents: tuple[int, ...]
     steps: tuple[int, ...] = field(default=(), compare=False)
+    # a tree regrown from another (`regrown_tree`) is made with its canon;
+    # read as an attribute, so no instance dict is made for it
+    _canon = None
 
     def __post_init__(self):
         if not self.labels:
@@ -85,6 +88,8 @@ class WitnessTree:
 
     def canon(self):
         """Canonical nested-tuple form: (label, sorted children canons)."""
+        if self._canon is not None:
+            return self._canon
         kids: list[list] = [[] for _ in range(self.size)]
         for v in range(self.size - 1, 0, -1):
             kids[self.parents[v]].append(v)
@@ -163,6 +168,25 @@ def tree_of_events(events: Sequence[int],
     return WitnessTree(tuple(labels), tuple(parents), tuple(steps))
 
 
+def regrown_tree(tree: WitnessTree, k: int) -> WitnessTree:
+    """`tree_of_events` of a sequence whose step k resamples the event of
+    step k-1 again, from `tree`, the tree of step k-1: that tree hung under
+    a new root of its root's label.
+
+    The reverse scan from step k meets step k-1 first and hangs it under
+    the root. From there each earlier event finds the latest vertex of each
+    label, and the neighbors of the labels so far, as the scan from step
+    k-1 did, only one level deeper, so it attaches where that scan did.
+    The root's one son is the old root, so the canon is `tree`'s under the
+    label, and the new tree keeps it without a walk.
+    """
+    grown = WitnessTree((tree.labels[0],) + tree.labels,
+                        (-1,) + tuple(p + 1 for p in tree.parents),
+                        (k,) + tree.steps)
+    object.__setattr__(grown, "_canon", (tree.labels[0], (tree.canon(),)))
+    return grown
+
+
 def label_counts_of_events(events: Sequence[int],
                            system: ConstraintSystem) -> dict[int, int]:
     """The label multiset of `tree_of_events(events, system)`, without the
@@ -185,6 +209,8 @@ def label_counts_of_events(events: Sequence[int],
 def build_witness_tree(log: ResampleLog, k: int,
                        system: ConstraintSystem) -> WitnessTree:
     """Tree for step k of a log: `tree_of_events` over its first k events."""
+    if not log.steps:
+        raise ModelError("the log has no steps")
     if not 1 <= k <= len(log.steps):
         raise ModelError(f"step must be in 1..{len(log.steps)}, got {k}")
     return tree_of_events([step.event for step in log.steps[:k]], system)

@@ -491,6 +491,16 @@ def test_witness_checks_its_step_before_the_manifest(one_bit_file, tmp_path,
     assert err.startswith(f"error: step must be in 1..2, got {step}")
 
 
+def test_witness_of_a_log_with_no_steps_says_so(one_bit_file, tmp_path,
+                                               capsys):
+    log_path = tmp_path / "empty.log"
+    log_path.write_text("init 0\n")
+    code, out, err = run_cli(capsys, "witness", "--input", one_bit_file,
+                             "--log", str(log_path), "--step", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the log has no steps\n"
+
+
 def test_extract_point_oracle(capsys):
     code, out, _ = run_cli(capsys, "extract", "--oracle", "point:01",
                            "--count", "6")

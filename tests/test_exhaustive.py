@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -60,10 +61,14 @@ def test_census_losing_mass_is_a_typed_error(chain2_system, monkeypatch):
 def test_census_keeps_the_in_run_tree_checks(one_bit_system, monkeypatch,
                                              case):
     # the census builds each history's trees one step at a time; a history
-    # of two resamples must still fail the check of its second tree
+    # of two resamples must still fail the check of its second tree. Every
+    # history of the one event repeats it, so its second tree is regrown
+    # from the first: both ways of building a tree are broken here.
     build = broken_build(case)
     monkeypatch.setattr(exhaustive, "tree_of_events",
                         lambda events, system: build(None, len(events), system))
+    monkeypatch.setattr(exhaustive, "regrown_tree",
+                        lambda tree, k: build(None, k, None))
     with pytest.raises(EngineError, match=BROKEN_BUILD_MESSAGE):
         exhaustive.census_runs(one_bit_system, 3)
 
@@ -177,6 +182,29 @@ def test_tree_census_matches_the_reference(system, budget, step_guard):
     reference = reference_census.census_runs(system, budget, step_guard)
     assert census.appearance_list() == reference.appearance_list()
     assert output_view(census) == output_view(reference)
+
+
+def appearance_view(appearances):
+    return {canon: (a.p_low, a.pending, a.bound)
+            for canon, a in appearances.items()}
+
+
+def listed_canons(appearances):
+    return [a.tree.canon() for a in exhaustive.RunCensus.appearance_list(
+        SimpleNamespace(appearances=appearances))]
+
+
+@given(systems(point_masses=True), st.integers(0, 10),
+       st.sampled_from([None, 2]))
+@DIFFERENTIAL
+def test_tree_tally_matches_the_reference_tally(system, budget, step_guard):
+    # both tallies read the same tables, so any difference is the tally's:
+    # the reference scans every reached history's tree from its sequence
+    reached, cut = census_tables(system, budget, step_guard)
+    tally = exhaustive._tree_tally(system, reached, cut, 1 << budget)
+    reference = reference_census.tree_tally(system, reached, cut, 1 << budget)
+    assert appearance_view(tally) == appearance_view(reference)
+    assert listed_canons(tally) == listed_canons(reference)
 
 
 @st.composite
@@ -550,8 +578,10 @@ def test_wide_census_cuts_are_keyed_by_the_state_before_their_step(
 
 
 def test_each_event_sequence_builds_its_tree_once(monkeypatch):
-    # a tree is built for each reached history, once; the pending filters
-    # read their base trees' labels by scan and build none
+    # every built history is reached and built once, and the reached
+    # histories not built are those that repeat their last event, whose
+    # trees are regrown; the pending filters read their base trees' labels
+    # by scan and build none
     built = []
     build = exhaustive.tree_of_events
     tally = exhaustive._tree_tally
@@ -569,7 +599,10 @@ def test_each_event_sequence_builds_its_tree_once(monkeypatch):
     monkeypatch.setattr(exhaustive, "tree_of_events", recording_build)
     monkeypatch.setattr(exhaustive, "_tree_tally", recording_tally)
     exhaustive.census_runs(ChainCnfFamily(3, 1, 202).materialize(4), 18)
-    assert built and sorted(built) == sorted(reached)
+    repeats = {h for h in reached if len(h) > 1 and h[-1] == h[-2]}
+    assert built and repeats
+    assert len(built) == len(set(built))
+    assert set(built) == set(reached) - repeats
 
 
 # The output path pinned the same way: the chain's output census at two

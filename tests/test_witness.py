@@ -20,7 +20,7 @@ from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  crosscheck_tape_positions,
                                  label_counts_of_events,
-                                 reconstruct_tape_positions,
+                                 reconstruct_tape_positions, regrown_tree,
                                  tape_positions_by_vertex,
                                  tree_of_events, tree_probability_bound,
                                  trees_for_run, validate_tree)
@@ -121,6 +121,22 @@ def test_label_scan_counts_the_labels_of_the_built_tree(system, data):
             sequence = events[:k] + (root,)
             assert (label_counts_of_events(sequence, system)
                     == tree_of_events(sequence, system).label_counts())
+
+
+@given(systems(), st.data())
+@DIFFERENTIAL
+def test_a_repeated_event_regrows_the_tree_before(system, data):
+    # the census tally takes the tree of a step that resamples the event
+    # of the step before again from that step's tree, canon included
+    events = data.draw(st.lists(st.integers(0, len(system.events) - 1),
+                                min_size=1, max_size=24))
+    tree = tree_of_events(events, system)
+    for _ in range(data.draw(st.integers(1, 3))):
+        events.append(events[-1])
+        tree = regrown_tree(tree, len(events))
+        built = tree_of_events(events, system)
+        assert as_built(tree) == as_built(built)
+        assert tree.canon() == built.canon()
 
 
 @pytest.mark.parametrize("length", [16, 17, 40])
