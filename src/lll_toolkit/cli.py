@@ -23,7 +23,7 @@ from .engine import (SATISFIED, run_finite, run_stream, stable_times,
                      suggested_max_steps)
 from .witness import build_witness_tree
 from .galton_watson import check_mt_vs_gw, gw_sample
-from .layerwise import (PREFIX_BRANCH_GUARD, TableQOracle,
+from .layerwise import (DEFAULT_BIT_GUARD, PREFIX_BRANCH_GUARD, TableQOracle,
                         compute_assignment_prefix,
                         extract_from_positive_probability,
                         extract_positive_branch)
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "empirical"), default="exact")
     p.add_argument("--delta", default="1/64")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--bit-guard", type=int, default=40,
+    p.add_argument("--bit-guard", type=int, default=DEFAULT_BIT_GUARD,
                    help="refuse exact enumeration past this coin depth")
     p.add_argument("--branch-guard", type=int, default=PREFIX_BRANCH_GUARD,
                    help="refuse exact enumeration past this many branches")

@@ -154,15 +154,16 @@ def enumerate_runs(system: ConstraintSystem, bit_budget: int,
 @dataclass(frozen=True)
 class TreeAppearance:
     """Exact within-horizon appearance mass for one witness tree, and the
-    tree lemma's bound on it.
+    bound it is checked against.
 
     p_low is the exact probability that the tree shows up within the
     enumerated horizon; pending is the unresolved mass in whose extensions
     the tree could still appear for the first time (a sound upper-bound
     complement: the true appearance probability lies in
-    [p_low, p_low + pending]). bound is the label product, Pr[A_label]
-    over every vertex: the witness-tree lemma's bound (Moser & Tardos,
-    J. ACM 2010).
+    [p_low, p_low + pending]). bound is the bound the appearance is checked
+    against: the census prices it by the label product, Pr[A_label] over
+    every vertex, the witness-tree lemma's bound (Moser & Tardos, J. ACM
+    2010), and `GWComparisonEntry` by the process bound.
     """
 
     tree: WitnessTree
@@ -534,14 +535,17 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     (see `census_runs`), to their mass; the key is all None for runs cut
     during initialization and the in-flight event None for step-guard cuts.
 
-    Each reached history's tree is found once and admitted after the trees
-    of its prefixes (`admit_tree`), every history's root count checked.
-    When the history's last step resamples the event of the step before,
-    the tree is that step's tree under a new root (`regrown_tree`), and the
-    memo keeps, per tree id, the id regrown from it: a tree is regrown and
-    its canon hashed only the first time. Any other history's tree is built
-    straight from the sequence. A canon gets a small int id the first time
-    it is admitted; the tally keys its masses by id. Each distinct tree is
+    `census_runs` reaches a history while it sweeps the group of the
+    history's prefix, one level earlier, so `reached` lists every history
+    after its prefix. Each history's tree is then found once, in one step
+    from its prefix's entry, and admitted after the trees of its prefixes
+    (`admit_tree`), every history's root count checked. When the history's
+    last step resamples the event of the step before, the tree is that
+    step's tree under a new root (`regrown_tree`), and the memo keeps, per
+    tree id, the id regrown from it: a tree is regrown and its canon hashed
+    only the first time. Any other history's tree is built straight from
+    the sequence. A canon gets a small int id the first time it is
+    admitted; the tally keys its masses by id. Each distinct tree is
     checked once, by `tape_positions_by_vertex`, and keeps that check and
     its label counts for its pricing: the tally prices its label product
     here, from one probability per event, and `check_mt_vs_gw` its process
@@ -588,34 +592,23 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             trees.append(tree)
         return tree_id
 
-    def trees_of(history: tuple[int, ...]) -> tuple:
-        """The entry of `history`, extending the longest memoized prefix by
-        one tree per step; a step that repeats the event before it regrows
-        that step's tree (`regrown_tree`), once per distinct tree."""
-        n = len(history)
-        while history[:n] not in history_trees:
-            n -= 1
-        tree_id, root_counts = history_trees[history[:n]]
-        for k in range(n + 1, len(history) + 1):
-            event = history[k - 1]
-            if k > 1 and history[k - 2] == event:
-                below, tree_id = tree_id, regrown.get(tree_id)
-                if tree_id is None:
-                    tree = regrown_tree(trees[below], k)
-                    tree_id = regrown[below] = admitted(tree)
-                else:
-                    tree = trees[tree_id]
-            else:
-                tree = tree_of_events(history[:k], system)
-                tree_id = admitted(tree)
-            root_counts = dict(root_counts)
-            admit_tree(tree, k, root_counts)
-            history_trees[history[:k]] = tree_id, root_counts
-        return history_trees[history]
-
     p_low: dict = {}  # id -> units, in order of first admission
     for history, units in reached.items():
-        tree_id = trees_of(history)[0]
+        tree_id, root_counts = history_trees[history[:-1]]
+        k = len(history)
+        if k > 1 and history[-2] == history[-1]:
+            below, tree_id = tree_id, regrown.get(tree_id)
+            if tree_id is None:
+                tree = regrown_tree(trees[below], k)
+                tree_id = regrown[below] = admitted(tree)
+            else:
+                tree = trees[tree_id]
+        else:
+            tree = tree_of_events(history, system)
+            tree_id = admitted(tree)
+        root_counts = dict(root_counts)
+        admit_tree(tree, k, root_counts)
+        history_trees[history] = tree_id, root_counts
         p_low[tree_id] = p_low.get(tree_id, 0) + units
 
     # root -> the unresolved runs that can reach it, each as
@@ -627,7 +620,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             for root in range(len(system.events)):
                 by_root.setdefault(root, []).append((units, {}, 1, None))
             continue
-        root_counts = trees_of(history)[1]
+        root_counts = history_trees[history][1]
         begun = history
         if in_flight is not None:
             # the cut-off resampling completes before anything else an
@@ -705,7 +698,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
 class LemmaReport:
     """The tree lemma over one census: its appearances, each priced by the
     tally, by falling p_low. A census with no appearance and unresolved
-    mass certifies nothing: a tree could still appear in that mass."""
+    mass certifies nothing: a tree could still appear in that mass. The
+    process comparison (`GWComparisonReport`) is this report over the same
+    appearances priced by the process bound, under the same verdicts."""
 
     entries: tuple[TreeAppearance, ...]
     unresolved_mass: Fraction

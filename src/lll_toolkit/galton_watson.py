@@ -22,7 +22,7 @@ from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
                     check_lll)
 from .tape import Tape
 from .witness import WitnessTree, validate_tree
-from .exhaustive import LemmaReport, census_runs
+from .exhaustive import LemmaReport, TreeAppearance, census_runs
 
 
 def gw_tree_probability(tree: WitnessTree, params: LLLParams,
@@ -96,41 +96,25 @@ def gw_sample(params: LLLParams, root: int, system: ConstraintSystem,
 
 
 @dataclass(frozen=True)
-class GWComparisonEntry:
-    tree: WitnessTree
-    p_mt: Fraction          # exact within-horizon appearance probability
-    pending: Fraction       # unresolved mass that could still realize the tree
+class GWComparisonEntry(TreeAppearance):
+    """A tree's appearance checked against the process bound:
+    z_root/(1-z_root) * alpha^size * gw_probability."""
+
     gw_probability: Fraction
-    bound: Fraction
 
     @property
-    def holds_within_horizon(self) -> bool:
-        return self.p_mt <= self.bound
-
-    @property
-    def certified(self) -> bool:
-        return self.p_mt + self.pending <= self.bound
+    def p_mt(self) -> Fraction:
+        return self.p_low
 
 
 @dataclass(frozen=True)
-class GWComparisonReport:
-    entries: tuple[GWComparisonEntry, ...]
+class GWComparisonReport(LemmaReport):
+    """The census's appearances, each priced by the process bound, with the
+    per-event condition and the tree lemma (`lemma`) over the same census."""
+
     condition: ConditionReport
-    lemma: LemmaReport  # the label-product bounds over the same census
+    lemma: LemmaReport
     gw_totals: dict  # root label -> sum of gw probabilities over seen trees
-    unresolved_mass: Fraction
-    branch_count: int
-
-    @property
-    def holds_within_horizon(self) -> bool:
-        return all(e.holds_within_horizon for e in self.entries)
-
-    @property
-    def certified(self) -> bool:
-        """As `LemmaReport.certified`: false with no entry and unresolved
-        mass, else every entry's process bound certified."""
-        return (bool(self.entries) or not self.unresolved_mass) and all(
-            e.certified for e in self.entries)
 
     @property
     def gw_totals_ok(self) -> bool:
@@ -141,17 +125,18 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
                    bit_budget: int) -> GWComparisonReport:
     """Compare exact appearance probabilities against the process bound.
 
-    Every tree appearing in any enumerated branch is checked against
+    One census serves both inequalities. Its tree-lemma report (`lemma`,
+    as `check_tree_lemma`) is reported alongside, and each of its entries
+    comes back with the same p_low and pending, priced instead by
     z_root/(1-z_root) * alpha^size * Pr[process yields the tree]; alpha = 1
-    gives the plain bound. The per-event condition at the same alpha is
-    checked first and reported alongside, and so is the tree lemma over the
-    same census (`check_tree_lemma`). Each bound is one `Fraction` of
-    integers: a c^size n / ((b - a) d^size m) for z_root = a/b, alpha = c/d
-    and process probability n/m.
+    gives the plain bound. The verdicts are `LemmaReport`'s, over those
+    bounds. The per-event condition at the same alpha is checked first and
+    reported alongside. Each bound is one `Fraction` of integers:
+    a c^size n / ((b - a) d^size m) for z_root = a/b, alpha = c/d and
+    process probability n/m.
     """
     condition = check_lll(system, params)
-    census = census_runs(system, bit_budget)
-    lemma = LemmaReport.of(census)
+    lemma = LemmaReport.of(census_runs(system, bit_budget))
     entries = []
     gw_totals: dict[int, Fraction] = {}
     c, d = params.alpha.numerator, params.alpha.denominator
@@ -164,6 +149,6 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
                          (b - a) * d ** tree.size * gw_p.denominator)
         gw_totals[root] = gw_totals.get(root, ZERO) + gw_p
         entries.append(GWComparisonEntry(tree, appearance.p_low,
-                                         appearance.pending, gw_p, bound))
-    return GWComparisonReport(tuple(entries), condition, lemma, gw_totals,
-                              census.unresolved_mass, census.branch_count)
+                                         appearance.pending, bound, gw_p))
+    return GWComparisonReport(tuple(entries), lemma.unresolved_mass,
+                              lemma.branch_count, condition, lemma, gw_totals)

@@ -45,8 +45,11 @@ class WitnessTree:
     parents: tuple[int, ...]
     steps: tuple[int, ...] = field(default=(), compare=False)
     # a tree regrown from another (`regrown_tree`) is made with its canon;
-    # read as an attribute, so no instance dict is made for it
+    # these kept values are class-level defaults read as attributes, so no
+    # instance dict is made for them
     _canon = None
+    _label_counts = None
+    _validation = None  # (system, TreeValidation), see `validate_tree`
 
     def __post_init__(self):
         if not self.labels:
@@ -80,7 +83,7 @@ class WitnessTree:
     @property
     def _counts(self) -> Counter:
         """The kept label counts, shared by the package's readers."""
-        counts = self.__dict__.get("_label_counts")
+        counts = self._label_counts
         if counts is None:
             counts = Counter(self.labels)
             object.__setattr__(self, "_label_counts", counts)
@@ -271,7 +274,7 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
     checks each distinct tree once, in its tally's call of
     `tape_positions_by_vertex`, and `gw_tree_probability` reads that back.
     """
-    kept = tree.__dict__.get("_validation")
+    kept = tree._validation
     if kept is None or kept[0] is not system:
         violations = _violations(tree, system)
         kept = (system, TreeValidation(not violations, violations))

@@ -207,6 +207,18 @@ def test_tree_tally_matches_the_reference_tally(system, budget, step_guard):
     assert listed_canons(tally) == listed_canons(reference)
 
 
+@given(systems(point_masses=True), st.sampled_from([3, 6, 10]), STEP_GUARDS)
+@DIFFERENTIAL
+def test_reached_lists_every_history_after_its_prefix(system, budget,
+                                                      step_guard):
+    # the tally extends each history's entry from its prefix's in one step
+    reached, _ = census_tables(system, budget, step_guard)
+    seen = {()}
+    for history in reached:
+        assert history[:-1] in seen
+        seen.add(history)
+
+
 @st.composite
 def wide_systems(draw):
     """Up to 3 variables of range 1, 2, 4 or 5, whose packed census fields

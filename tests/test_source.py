@@ -39,3 +39,15 @@ def test_no_float_outside_the_decimal_rendering():
             if (literal or call) and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_instance_dict_reads_in_package():
+    # reading `__dict__` makes an instance dict for every object it touches;
+    # kept values are class-level defaults read as attributes instead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "__dict__"]
+    assert found == []
