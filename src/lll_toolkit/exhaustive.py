@@ -545,11 +545,19 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     tree id, the id regrown from it: a tree is regrown and its canon hashed
     only the first time. Any other history's tree is built straight from
     the sequence. A canon gets a small int id the first time it is
-    admitted; the tally keys its masses by id. Each distinct tree is
-    checked once, by `tape_positions_by_vertex`, and keeps that check and
-    its label counts for its pricing: the tally prices its label product
-    here, from one probability per event, and `check_mt_vs_gw` its process
-    bound.
+    admitted; the tally keys its masses by id. Each distinct tree that the
+    memo does not regrow is checked and positioned once, by
+    `tape_positions_by_vertex`. One it regrows takes all of that from the
+    tree below it: its check (it is legal iff that tree is), its rows (that
+    tree's plus a root row, each of the root's variables at one more than
+    the number of that tree's vertices touching it) and those per-variable
+    numbers. The tree below is priced first, as it has the smaller id: any
+    tree whose root has one son of its own label, built or regrown, is the
+    tree of that son's step under a new root, and that step's history comes
+    first in `reached`. Every tree keeps its check and its label counts (a
+    regrown one from `regrown_tree`) for its pricing: the tally prices its
+    label product here, from one probability per event, and
+    `check_mt_vs_gw` its process bound.
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -654,11 +662,34 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
 
     event_probs = [event_probability(ev, system) for ev in system.events]
     canons = list(ids)
+    grown_from = {grown: below for below, grown in regrown.items()}
+    # id -> (its rows, (probability, ((variable, position), ...)) per
+    # vertex; variable -> the number of its vertices touching it)
+    cells: list = []
     appearances: dict = {}
     for tree_id, low in p_low.items():
         tree = trees[tree_id]
         counts, size = tree._counts, tree.size
-        positions = tape_positions_by_vertex(tree, system)
+        below = grown_from.get(tree_id)
+        if below is None:
+            positions = tape_positions_by_vertex(tree, system)
+            rows = [(event_probs[tree.labels[v]], tuple(row.items()))
+                    for v, row in positions.items()]
+            touched: dict = {}
+            for row in positions.values():
+                touched.update(row)  # deepest first: the last is the count
+        else:
+            object.__setattr__(tree, "_validation", trees[below]._validation)
+            rows, touched = cells[below]
+            root = tree.root_label
+            # the tree below is rooted at the same label: it touches each
+            # of the root's variables
+            row = tuple((var, touched[var] + 1)
+                        for var in system.events[root].vbl)
+            rows = rows + [(event_probs[root], row)]
+            touched = dict(touched)
+            touched.update(row)
+        cells.append((rows, touched))
         # consumption vector -> units of the runs charged with it
         charged: dict = {}
         for units, base, min_size, consumed_ub in by_root.get(
@@ -671,8 +702,6 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         # if the whole before-tuple is beyond the run's consumption (each
         # p - 1 at least the variable's consumed count) it must still land
         # forbidden, an independent factor Pr[A_label]
-        rows = [(event_probs[tree.labels[v]], tuple(row.items()))
-                for v, row in positions.items()]
         charges = []  # (units, numerator, denominator)
         for consumed_ub, units in charged.items():
             num = den = 1

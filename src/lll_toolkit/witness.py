@@ -24,11 +24,27 @@ from .engine import ResampleLog
 
 def canon_line(canon) -> str:
     """The text form of a canon (`WitnessTree.canon`): a leaf's label, or
-    `label(child,...)` with the children in canon order."""
-    label, children = canon
-    if not children:
-        return str(label)
-    return f"{label}({','.join(map(canon_line, children))})"
+    `label(child,...)` with the children in canon order. Written from a
+    stack of canons and closing text, so a tree of any depth has a line."""
+    if not canon[1]:
+        return str(canon[0])
+    parts: list[str] = []
+    stack = [canon]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        label, children = item
+        parts.append(str(label))
+        if children:
+            parts.append("(")
+            stack.append(")")
+            for child in reversed(children[1:]):
+                stack.append(child)
+                stack.append(",")
+            stack.append(children[0])
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -181,12 +197,20 @@ def regrown_tree(tree: WitnessTree, k: int) -> WitnessTree:
     label, and the neighbors of the labels so far, as the scan from step
     k-1 did, only one level deeper, so it attaches where that scan did.
     The root's one son is the old root, so the canon is `tree`'s under the
-    label, and the new tree keeps it without a walk.
+    label, and the label counts are `tree`'s with one more root: the new
+    tree keeps both without a walk. It is legal iff `tree` is (the root's
+    one son carries its own label, a neighbor, and every other level is
+    `tree`'s one level down), and its tape positions are `tree`'s plus a
+    root row; the census tally takes those from `tree` as well.
     """
-    grown = WitnessTree((tree.labels[0],) + tree.labels,
+    root = tree.labels[0]
+    grown = WitnessTree((root,) + tree.labels,
                         (-1,) + tuple(p + 1 for p in tree.parents),
                         (k,) + tree.steps)
-    object.__setattr__(grown, "_canon", (tree.labels[0], (tree.canon(),)))
+    counts = tree._counts.copy()
+    counts[root] += 1
+    object.__setattr__(grown, "_canon", (root, (tree.canon(),)))
+    object.__setattr__(grown, "_label_counts", counts)
     return grown
 
 
@@ -236,10 +260,13 @@ def admit_tree(tree: WitnessTree, k: int, root_counts: dict[int, int]) -> None:
     `root_counts` maps each root label to its multiplicity in the latest
     tree rooted there. Raises EngineError if the tree's root label occurs
     no more often than there (`check_root_grew`), which also refuses a
-    tree that repeats an earlier one.
+    tree that repeats an earlier one. The multiplicity is read off the
+    tree's kept label counts where it has them (a regrown tree does), and
+    counted off its labels otherwise, keeping nothing.
     """
     root = tree.root_label
-    n_root = tree.labels.count(root)
+    counts = tree._label_counts
+    n_root = tree.labels.count(root) if counts is None else counts[root]
     check_root_grew(root, n_root, k, root_counts)
     root_counts[root] = n_root
 
@@ -270,9 +297,12 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
     neighbors.
 
     The result is kept with the tree, keyed by the system object it was
-    checked against; a call for another system checks again. So a census
-    checks each distinct tree once, in its tally's call of
-    `tape_positions_by_vertex`, and `gw_tree_probability` reads that back.
+    checked against; a call for another system checks again. A census
+    checks each distinct tree it builds with `tree_of_events` once, in its
+    tally's call of `tape_positions_by_vertex`; a tree it regrows
+    (`regrown_tree`) keeps the valid check of the tree below it, against
+    the same system, without a walk. `gw_tree_probability` reads either
+    back.
     """
     kept = tree._validation
     if kept is None or kept[0] is not system:
@@ -349,7 +379,9 @@ def tape_positions_by_vertex(tree: WitnessTree,
     neighbors, which a legal tree keeps at different depths) and deeper
     levels happen earlier, so the vertices touching a variable, deepest
     first, consumed its values x^1, x^2, ... in order. The census's tally
-    calls this once per distinct tree; the check it runs is kept.
+    calls this once per distinct tree it builds with `tree_of_events`, and
+    the check it runs is kept; a regrown tree's rows are the rows of the
+    tree below it plus its root's, which the tally forms itself.
     """
     check = validate_tree(tree, system)
     if not check.valid:

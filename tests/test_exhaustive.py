@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_census
-from lll_toolkit import exhaustive
+from lll_toolkit import exhaustive, witness
 from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.engine import run_finite
 from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
+from lll_toolkit.galton_watson import check_mt_vs_gw
 from lll_toolkit.layerwise import compute_assignment_prefix
-from lll_toolkit.model import (ConstraintSystem, Event, VariableSpec,
-                               clause_event, event_probability, uniform_bit)
+from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
+                               VariableSpec, clause_event, event_probability,
+                               uniform_bit)
 from lll_toolkit.tape import Sampler, Tape
 from lll_toolkit.witness import tree_probability_bound
 from test_properties import systems
@@ -615,6 +617,41 @@ def test_each_event_sequence_builds_its_tree_once(monkeypatch):
     assert built and repeats
     assert len(built) == len(set(built))
     assert set(built) == set(reached) - repeats
+
+
+def test_only_trees_built_from_a_sequence_are_positioned(monkeypatch):
+    # a tree first met regrown takes its check, rows and counts from the
+    # tree below it; the census behind the process comparison positions
+    # exactly the kept trees it built, each once, and checks no other tree
+    def recording(function, record, of_result):
+        def wrapped(tree_or_events, *args):
+            out = function(tree_or_events, *args)
+            record.append(out if of_result else tree_or_events)
+            return out
+        return wrapped
+
+    chain = ChainCnfFamily(3, 1, 202).materialize(4)
+    for system, params, budget in (
+            [(e.system, e.params, e.bit_budget) for e in toy_corpus()]
+            + [(chain, LLLParams.constant(Fraction(1, 2), 4), 18)]):
+        built, grown, positioned, checked = [], [], [], []
+        for module, name, record, of_result in (
+                (exhaustive, "tree_of_events", built, True),
+                (exhaustive, "regrown_tree", grown, True),
+                (exhaustive, "tape_positions_by_vertex", positioned, False),
+                (witness, "_violations", checked, False)):
+            monkeypatch.setattr(module, name, recording(
+                getattr(module, name), record, of_result))
+        report = check_mt_vs_gw(system, params, budget)
+        monkeypatch.undo()
+        # the records keep every tree alive, so ids name trees
+        built_ids, grown_ids = set(map(id, built)), set(map(id, grown))
+        kept = [entry.tree for entry in report.entries]
+        assert (sorted(map(id, positioned))
+                == sorted(id(t) for t in kept if id(t) in built_ids))
+        assert checked == positioned
+        assert all(id(t) in built_ids | grown_ids for t in kept)
+    assert any(id(t) in grown_ids for t in kept)
 
 
 # The output path pinned the same way: the chain's output census at two

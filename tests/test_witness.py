@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -74,6 +75,14 @@ def test_canonical_equality_ignores_child_order():
     assert a.canonical_line() == b.canonical_line()
 
 
+def test_a_tree_of_any_depth_has_a_canonical_line():
+    # a chain deeper than the interpreter's recursion limit, as a census
+    # of one repeated event at a large coin budget makes
+    n = 5000
+    chain = WitnessTree((0,) * n, (-1,) + tuple(range(n - 1)))
+    assert chain.canonical_line() == "0(" * (n - 1) + "0" + ")" * (n - 1)
+
+
 def test_tree_structural_validation():
     with pytest.raises(ModelError):
         WitnessTree((), ())
@@ -137,6 +146,32 @@ def test_a_repeated_event_regrows_the_tree_before(system, data):
         built = tree_of_events(events, system)
         assert as_built(tree) == as_built(built)
         assert tree.canon() == built.canon()
+
+
+@given(systems(), st.data())
+@DIFFERENTIAL
+def test_a_regrown_tree_keeps_the_check_rows_and_counts_below_it(system,
+                                                                   data):
+    # the census tally takes these of a regrown tree from the tree below
+    # it: the same check, that tree's rows one vertex down plus a root row
+    # at one past that tree's count of each root variable, one more root
+    events = data.draw(st.lists(st.integers(0, len(system.events) - 1),
+                                min_size=1, max_size=24))
+    tree = tree_of_events(events, system)
+    for k in range(len(events) + 1, len(events) + 1 + data.draw(
+            st.integers(1, 3))):
+        grown = regrown_tree(tree, k)
+        assert validate_tree(grown, system) == validate_tree(tree, system)
+        rows = tape_positions_by_vertex(tree, system)
+        touched = Counter(var for row in rows.values() for var in row)
+        root = tree.root_label
+        expected = {v + 1: row for v, row in rows.items()}
+        expected[0] = {var: touched[var] + 1
+                       for var in system.events[root].vbl}
+        assert tape_positions_by_vertex(grown, system) == expected
+        assert (grown.label_counts() == tree.label_counts() + Counter([root])
+                == Counter(grown.labels))
+        tree = grown
 
 
 @pytest.mark.parametrize("length", [16, 17, 40])
