@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import lcm
 from typing import Iterator, Optional
 
@@ -44,7 +44,7 @@ from .errors import BudgetRefused, EngineError, ModelError, TapeExhausted
 from .model import ConstraintSystem, event_probability
 from .engine import EXHAUSTED, SATISFIED, ResampleLog, run_finite
 from .tape import Sampler, Tape
-from .witness import (WitnessTree, admit_tree, canon_line, check_root_grew,
+from .witness import (WitnessTree, canon_line, check_root_grew,
                       label_counts_of_events, label_product, regrown_tree,
                       tape_positions_by_vertex, tree_of_events)
 
@@ -265,11 +265,18 @@ class RunCensus:
                             if a & mask == packed), 1 << self.bit_budget)
 
     def appearance_list(self) -> list[TreeAppearance]:
-        """Appearances by falling p_low, then by canonical line, each line
-        formatted from the canon the appearance is stored under."""
+        """Appearances by falling p_low, then by canonical line. A line is
+        formatted, from the canon the appearance is stored under, only
+        where it breaks a tie in p_low."""
         ordered = sorted(self.appearances.items(),
-                         key=lambda item: (-item[1].p_low, canon_line(item[0])))
-        return [a for _, a in ordered]
+                         key=lambda item: item[1].p_low, reverse=True)
+        out = []
+        for _, tied in groupby(ordered, key=lambda item: item[1].p_low):
+            tied = list(tied)
+            if len(tied) > 1:
+                tied.sort(key=lambda item: canon_line(item[0]))
+            out += [a for _, a in tied]
+        return out
 
 
 def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
@@ -538,26 +545,24 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     `census_runs` reaches a history while it sweeps the group of the
     history's prefix, one level earlier, so `reached` lists every history
     after its prefix. Each history's tree is then found once, in one step
-    from its prefix's entry, and admitted after the trees of its prefixes
-    (`admit_tree`), every history's root count checked. When the history's
-    last step resamples the event of the step before, the tree is that
-    step's tree under a new root (`regrown_tree`), and the memo keeps, per
-    tree id, the id regrown from it: a tree is regrown and its canon hashed
-    only the first time. Any other history's tree is built straight from
-    the sequence. A canon gets a small int id the first time it is
-    admitted; the tally keys its masses by id. Each distinct tree that the
-    memo does not regrow is checked and positioned once, by
-    `tape_positions_by_vertex`. One it regrows takes all of that from the
-    tree below it: its check (it is legal iff that tree is), its rows (that
-    tree's plus a root row, each of the root's variables at one more than
-    the number of that tree's vertices touching it) and those per-variable
-    numbers. The tree below is priced first, as it has the smaller id: any
-    tree whose root has one son of its own label, built or regrown, is the
-    tree of that son's step under a new root, and that step's history comes
-    first in `reached`. Every tree keeps its check and its label counts (a
-    regrown one from `regrown_tree`) for its pricing: the tally prices its
-    label product here, from one probability per event, and
-    `check_mt_vs_gw` its process bound.
+    from its prefix's entry. When the history's last step resamples the
+    event of the step before, the tree is that step's tree under a new root
+    (`regrown_tree`), and the memo keeps, per tree id, the id regrown from
+    it: a tree is regrown and its canon hashed only the first time. Any
+    other history's tree is built straight from the sequence. A canon gets
+    a small int id the first time it is admitted, and the tally keeps by id
+    its masses and the label counts of the tree in hand, built or regrown.
+    Off those, every history's root count is checked (`check_root_grew`,
+    as `admit_tree` does) after the trees of its prefixes. Each distinct
+    tree that the memo does not regrow is checked and positioned once, by
+    `tape_positions_by_vertex`. One it regrows is legal iff the tree below
+    it is, so it is not checked again, and its rows are that tree's plus a
+    root row, each of the root's variables at one more than the number of
+    that tree's vertices touching it. The tree below is priced first, as
+    it has the smaller id: any tree whose root has one son of its own
+    label, built or regrown, is the tree of that son's step under a new
+    root, and that step's history comes first in `reached`. The kept counts
+    price each tree's label product, from one probability per event.
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -567,11 +572,11 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     filters read only the base tree's label multiset and size, so no base
     tree is built: `label_counts_of_events` scans the history for its
     labels alone. The hypothetical steps, the one in flight and each
-    root's, still pass the root-multiplicity check of `admit_tree`. That
-    check also keeps out every tree the run has already shown: such a tree
-    has at most as many root labels as the latest one with its root, and
-    the base tree has more. Mass of runs failing the filters cannot
-    contribute, so it is excluded from `pending`.
+    root's, still pass the root-multiplicity check. That check also keeps
+    out every tree the run has already shown: such a tree has at most as
+    many root labels as the latest one with its root, and the base tree
+    has more. Mass of runs failing the filters cannot contribute, so it is
+    excluded from `pending`.
 
     Surviving charges are further discounted: a tree appearing in an
     extension pins the values of table cells it determines, and any vertex
@@ -586,18 +591,20 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     comp_of = _component_of(system)
     ids: dict = {}  # canon -> its id, in order of first admission
     trees: list = []  # id -> the tree of the first history with it
+    label_counts: list = []  # id -> that tree's label counts
     # id -> the id of that tree under a new root of its root's label: the
     # tree of a step that repeats the event of the step before, whose tree
     # is rooted at that event
     regrown: dict = {}
     # history -> (the id of its last step's tree, root label ->
-    # multiplicity); the latter is the bookkeeping of `admit_tree`
+    # multiplicity in the latest tree rooted there, as in `admit_tree`)
     history_trees: dict = {(): (None, {})}
 
     def admitted(tree: WitnessTree) -> int:
         tree_id = ids.setdefault(tree.canon(), len(ids))
         if tree_id == len(trees):
             trees.append(tree)
+            label_counts.append(tree.label_counts())
         return tree_id
 
     p_low: dict = {}  # id -> units, in order of first admission
@@ -614,8 +621,10 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         else:
             tree = tree_of_events(history, system)
             tree_id = admitted(tree)
-        root_counts = dict(root_counts)
-        admit_tree(tree, k, root_counts)
+        root = tree.root_label
+        n_root = label_counts[tree_id][root]
+        check_root_grew(root, n_root, k, root_counts)
+        root_counts = {**root_counts, root: n_root}
         history_trees[history] = tree_id, root_counts
         p_low[tree_id] = p_low.get(tree_id, 0) + units
 
@@ -669,7 +678,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     appearances: dict = {}
     for tree_id, low in p_low.items():
         tree = trees[tree_id]
-        counts, size = tree._counts, tree.size
+        counts, size = label_counts[tree_id], tree.size
         below = grown_from.get(tree_id)
         if below is None:
             positions = tape_positions_by_vertex(tree, system)
@@ -679,7 +688,6 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             for row in positions.values():
                 touched.update(row)  # deepest first: the last is the count
         else:
-            object.__setattr__(tree, "_validation", trees[below]._validation)
             rows, touched = cells[below]
             root = tree.root_label
             # the tree below is rooted at the same label: it touches each

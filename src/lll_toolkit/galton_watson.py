@@ -34,23 +34,28 @@ def gw_tree_probability(tree: WitnessTree, params: LLLParams,
     counted per label first, from the tree's label counts: with z_l = a/b,
     label l spawned s times out of o offers contributes a^s (b - a)^(o - s)
     over b^o. Numerators and denominators are multiplied as integers, and
-    one `Fraction` is formed at the end. In `check_mt_vs_gw` the tree's
-    check and counts are the ones its census's tally kept.
+    one `Fraction` is formed at the end. The tree is checked first
+    (`validate_tree`).
     """
     check = validate_tree(tree, system)
     if not check.valid:
         raise ModelError("; ".join(check.violations))
     if len(params.z) != len(system.events):
         raise ModelError("params.z must cover every event")
+    return _process_probability(tree.label_counts(), tree.root_label,
+                                params, system)
+
+
+def _process_probability(counts: dict, root: int, params: LLLParams,
+                         system: ConstraintSystem) -> Fraction:
+    """`gw_tree_probability` of a legal tree, from its label counts."""
     # a legal tree's sons carry distinct labels that their father's label
     # offers, so label l spawned once per non-root vertex carrying it and
     # was missed at every other offer
-    counts = tree._counts
     offered: dict = {}
     for label, n in counts.items():
         for l in system.neighbor_sets[label]:
             offered[l] = offered.get(l, 0) + n
-    root = tree.root_label
     num = den = 1
     for l, o in offered.items():
         a, b = params.z[l].numerator, params.z[l].denominator
@@ -133,7 +138,8 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     bounds. The per-event condition at the same alpha is checked first and
     reported alongside. Each bound is one `Fraction` of integers:
     a c^size n / ((b - a) d^size m) for z_root = a/b, alpha = c/d and
-    process probability n/m.
+    process probability n/m, from the tree's label counts without a second
+    check: the census's tally checked every tree it lists.
     """
     condition = check_lll(system, params)
     lemma = LemmaReport.of(census_runs(system, bit_budget))
@@ -143,7 +149,7 @@ def check_mt_vs_gw(system: ConstraintSystem, params: LLLParams,
     for appearance in lemma.entries:
         tree = appearance.tree
         root = tree.root_label
-        gw_p = gw_tree_probability(tree, params, system)
+        gw_p = _process_probability(tree.label_counts(), root, params, system)
         a, b = params.z[root].numerator, params.z[root].denominator
         bound = Fraction(a * c ** tree.size * gw_p.numerator,
                          (b - a) * d ** tree.size * gw_p.denominator)

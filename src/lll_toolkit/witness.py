@@ -52,20 +52,18 @@ class WitnessTree:
     """Rooted event-labeled tree; vertex 0 is the root.
 
     `steps` optionally remembers which log step created each vertex; it is
-    diagnostic only and excluded from equality. Trees compare and hash by
-    their canonical (unordered) form. A tree keeps its depths, its label
-    counts and its last check (`validate_tree`) once computed.
+    diagnostic only and excluded from equality. Trees compare by their
+    canonical line and hash by their canonical (unordered) form. Besides
+    its fields, a tree keeps only its depths, and a regrown tree
+    (`regrown_tree`) its canon.
     """
 
     labels: tuple[int, ...]
     parents: tuple[int, ...]
     steps: tuple[int, ...] = field(default=(), compare=False)
     # a tree regrown from another (`regrown_tree`) is made with its canon;
-    # these kept values are class-level defaults read as attributes, so no
-    # instance dict is made for them
+    # any other tree reads this class-level default and forms its canon
     _canon = None
-    _label_counts = None
-    _validation = None  # (system, TreeValidation), see `validate_tree`
 
     def __post_init__(self):
         if not self.labels:
@@ -94,16 +92,7 @@ class WitnessTree:
         return self._depths
 
     def label_counts(self) -> Counter:
-        return Counter(self._counts)
-
-    @property
-    def _counts(self) -> Counter:
-        """The kept label counts, shared by the package's readers."""
-        counts = self._label_counts
-        if counts is None:
-            counts = Counter(self.labels)
-            object.__setattr__(self, "_label_counts", counts)
-        return counts
+        return Counter(self.labels)
 
     def canon(self):
         """Canonical nested-tuple form: (label, sorted children canons)."""
@@ -136,7 +125,8 @@ class WitnessTree:
     def __eq__(self, other):
         if not isinstance(other, WitnessTree):
             return NotImplemented
-        return self.canon() == other.canon()
+        # by line: comparing nested canon tuples recurses once per level
+        return self.canonical_line() == other.canonical_line()
 
     def __hash__(self):
         return hash(self.canon())
@@ -197,20 +187,17 @@ def regrown_tree(tree: WitnessTree, k: int) -> WitnessTree:
     label, and the neighbors of the labels so far, as the scan from step
     k-1 did, only one level deeper, so it attaches where that scan did.
     The root's one son is the old root, so the canon is `tree`'s under the
-    label, and the label counts are `tree`'s with one more root: the new
-    tree keeps both without a walk. It is legal iff `tree` is (the root's
-    one son carries its own label, a neighbor, and every other level is
-    `tree`'s one level down), and its tape positions are `tree`'s plus a
-    root row; the census tally takes those from `tree` as well.
+    label: the new tree is made with it, in O(1), and never walks its
+    vertices for it. It is legal iff `tree` is (the root's one son carries
+    its own label, a neighbor, and every other level is `tree`'s one level
+    down), and its tape positions are `tree`'s plus a root row; the census
+    tally takes both from `tree` rather than check and position it again.
     """
     root = tree.labels[0]
     grown = WitnessTree((root,) + tree.labels,
                         (-1,) + tuple(p + 1 for p in tree.parents),
                         (k,) + tree.steps)
-    counts = tree._counts.copy()
-    counts[root] += 1
     object.__setattr__(grown, "_canon", (root, (tree.canon(),)))
-    object.__setattr__(grown, "_label_counts", counts)
     return grown
 
 
@@ -260,13 +247,10 @@ def admit_tree(tree: WitnessTree, k: int, root_counts: dict[int, int]) -> None:
     `root_counts` maps each root label to its multiplicity in the latest
     tree rooted there. Raises EngineError if the tree's root label occurs
     no more often than there (`check_root_grew`), which also refuses a
-    tree that repeats an earlier one. The multiplicity is read off the
-    tree's kept label counts where it has them (a regrown tree does), and
-    counted off its labels otherwise, keeping nothing.
+    tree that repeats an earlier one.
     """
     root = tree.root_label
-    counts = tree._label_counts
-    n_root = tree.labels.count(root) if counts is None else counts[root]
+    n_root = tree.labels.count(root)
     check_root_grew(root, n_root, k, root_counts)
     root_counts[root] = n_root
 
@@ -296,20 +280,13 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
     father's label, and more generally no two same-depth vertices may be
     neighbors.
 
-    The result is kept with the tree, keyed by the system object it was
-    checked against; a call for another system checks again. A census
-    checks each distinct tree it builds with `tree_of_events` once, in its
-    tally's call of `tape_positions_by_vertex`; a tree it regrows
-    (`regrown_tree`) keeps the valid check of the tree below it, against
-    the same system, without a walk. `gw_tree_probability` reads either
-    back.
+    Each call checks the tree and keeps nothing. A census checks
+    each distinct tree it builds with `tree_of_events` once, in its tally's
+    call of `tape_positions_by_vertex`; a tree it regrows (`regrown_tree`)
+    is legal iff the tree below it is, and is not checked again.
     """
-    kept = tree._validation
-    if kept is None or kept[0] is not system:
-        violations = _violations(tree, system)
-        kept = (system, TreeValidation(not violations, violations))
-        object.__setattr__(tree, "_validation", kept)
-    return kept[1]
+    violations = _violations(tree, system)
+    return TreeValidation(not violations, violations)
 
 
 def _violations(tree: WitnessTree,
@@ -352,9 +329,9 @@ def label_product(counts: dict[int, int], probs) -> Fraction:
 def tree_probability_bound(tree: WitnessTree,
                            system: ConstraintSystem) -> Fraction:
     """Product of event probabilities over all labels, multiplicity included."""
-    return label_product(tree._counts, {
+    return label_product(tree.label_counts(), {
         label: event_probability(system.events[label], system)
-        for label in tree._counts})
+        for label in set(tree.labels)})
 
 
 def reconstruct_tape_positions(tree: WitnessTree,
@@ -378,10 +355,10 @@ def tape_positions_by_vertex(tree: WitnessTree,
     A variable occurs at most once per depth level (events sharing it are
     neighbors, which a legal tree keeps at different depths) and deeper
     levels happen earlier, so the vertices touching a variable, deepest
-    first, consumed its values x^1, x^2, ... in order. The census's tally
-    calls this once per distinct tree it builds with `tree_of_events`, and
-    the check it runs is kept; a regrown tree's rows are the rows of the
-    tree below it plus its root's, which the tally forms itself.
+    first, consumed its values x^1, x^2, ... in order. The tree is checked
+    first: the census's tally checks and positions here, once, each
+    distinct tree it builds with `tree_of_events`, and forms a regrown
+    tree's rows itself, the rows of the tree below it plus its root's.
     """
     check = validate_tree(tree, system)
     if not check.valid:

@@ -391,6 +391,24 @@ def test_witness_names_the_line_of_the_step_replay_refuses(one_bit_file,
                    "variable count\n")
 
 
+@pytest.mark.parametrize("log, message", [
+    ("init 0 0 1\nstep 1 event 0 draws 0:1:7,1:1:0\n",
+     "line 2: step 1: x0 value 7 is outside its range 0..1"),
+    ("init 9 0 1\n", "line 1: init: x0 value 9 is outside its range 0..1"),
+    ("init 0 0 1\nstep 1 event 0 draws 0:1:1,1:1:-1\n",
+     "line 2: step 1: x1 value -1 is outside its range 0..1"),
+])
+def test_witness_refuses_a_value_outside_its_range(tmp_path, capsys, log,
+                                                   message):
+    cnf_path, log_path = tmp_path / "two.cnf", tmp_path / "bad.log"
+    cnf_path.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    log_path.write_text(log)
+    code, out, err = run_cli(capsys, "witness", "--input", str(cnf_path),
+                             "--log", str(log_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_stream_subcommand(capsys):
     code, out, _ = run_cli(capsys, "stream", "--family",
                            "chain:m=3,overlap=1,polarity=4", "--k", "4",
@@ -442,6 +460,19 @@ def test_gw_with_no_tree_over_unresolved_mass_is_not_certified(tmp_path,
     assert code == 1
     assert "tree=" not in out
     assert out.splitlines()[-1] == "condition=true certified=false"
+
+
+def test_gw_of_one_clause_at_a_deep_budget(tmp_path, capsys):
+    # every run repeats the one clause, so the census regrows a chain per
+    # step up to 1,100 levels deep: deeper than the recursion limit
+    path = tmp_path / "one.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    code, out, _ = run_cli(capsys, "gw", "--input", str(path), "--z-all",
+                           "3/4", "--alpha", "4/5", "--bit-budget", "1100")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1102
+    assert lines[-1] == "condition=true certified=true"
 
 
 def test_gw_sample_subcommand(one_bit_file, capsys):

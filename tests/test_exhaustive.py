@@ -654,6 +654,34 @@ def test_only_trees_built_from_a_sequence_are_positioned(monkeypatch):
     assert any(id(t) in grown_ids for t in kept)
 
 
+def test_a_census_tree_keeps_only_its_fields_depths_and_regrown_canon(
+        monkeypatch):
+    # the tally keeps its trees' label counts and checks itself; reading
+    # them again off a tree keeps nothing on it either
+    grown = []
+    regrow = exhaustive.regrown_tree
+
+    def recording(tree, k):
+        grown.append(regrow(tree, k))
+        return grown[-1]
+
+    monkeypatch.setattr(exhaustive, "regrown_tree", recording)
+    chain = ChainCnfFamily(3, 1, 202).materialize(4)
+    for system, params, budget in (
+            [(e.system, e.params, e.bit_budget) for e in toy_corpus()]
+            + [(chain, LLLParams.constant(Fraction(1, 2), 4), 18)]):
+        for entry in check_mt_vs_gw(system, params, budget).entries:
+            tree = entry.tree
+            assert witness.validate_tree(tree, system).valid
+            tree.label_counts()
+            tree.canonical_line()
+            kept = {"labels", "parents", "steps", "_depths"}
+            if any(tree is t for t in grown):
+                kept.add("_canon")
+            assert set(vars(tree)) == kept
+    assert grown
+
+
 # The output path pinned the same way: the chain's output census at two
 # budgets, and the exact prefix that budget deepening draws from it. The
 # hashes were taken before the census packed its states into ints.

@@ -83,6 +83,18 @@ def test_a_tree_of_any_depth_has_a_canonical_line():
     assert chain.canonical_line() == "0(" * (n - 1) + "0" + ")" * (n - 1)
 
 
+def test_trees_of_any_depth_compare_by_their_lines():
+    # two separately built chains deeper than the recursion limit, and a
+    # chain whose last vertex hangs one level higher
+    n = 5000
+    a = WitnessTree((0,) * n, (-1,) + tuple(range(n - 1)))
+    b = WitnessTree((0,) * n, (-1,) + tuple(range(n - 1)))
+    forked = WitnessTree((0,) * n, (-1,) + tuple(range(n - 2)) + (n - 3,))
+    assert a.canon() is not b.canon()
+    assert a == b and hash(a) == hash(b)
+    assert a != forked
+
+
 def test_tree_structural_validation():
     with pytest.raises(ModelError):
         WitnessTree((), ())
