@@ -43,19 +43,19 @@ def q(value: Fraction) -> str:
     return f"{format_rational(value)}({format(float(value), '.6g')})"
 
 
-def _emit_manifest(args, **extra) -> None:
-    """Print the manifest line, after writing it to `--manifest-out`. Each
-    output file is written before the first line is printed, so a path
-    that cannot be written exits 2 with nothing on stdout."""
+def _emit_manifest(args) -> None:
+    """Print the manifest line, after writing it to `--manifest-out`. It
+    names every parsed option but the output files and unset ones, a set
+    flag as `=true`, so re-running it reproduces the run. Each output file
+    is written before the first line is printed, so a path that cannot be
+    written exits 2 with nothing on stdout."""
     fields = {"subcommand": args.command, "version": __version__}
-    for key in ("input", "seed", "max_steps", "bit_budget", "length",
-                "trials", "alpha", "gamma", "mode", "k", "n", "r",
-                "delta", "epsilon", "forbidden"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            fields[key] = getattr(args, key)
-    fields.update(extra)
+    for key, value in vars(args).items():
+        if key not in ("func", "command", "manifest_out", "log_out") \
+                and value is not None and value is not False:
+            fields[key] = "true" if value is True else value
     line = "manifest " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-    if getattr(args, "manifest_out", None):
+    if args.manifest_out:
         with open(args.manifest_out, "w") as handle:
             handle.write(line + "\n")
     print(line)
@@ -118,14 +118,13 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     system, params = _load_system(args.input, args.z_all, args.alpha)
     tape = _tape_from_args(args)
-    max_steps = args.max_steps
-    if max_steps is None:
+    if args.max_steps is None:  # stored back, so the manifest names it
         if params is None:
             raise ModelError("give --max-steps or z values for the default")
-        max_steps = suggested_max_steps(params)
-    result = run_finite(system, tape, max_steps)
+        args.max_steps = suggested_max_steps(params)
+    result = run_finite(system, tape, args.max_steps)
     _write_log(args, result.log)
-    _emit_manifest(args, max_steps=max_steps)
+    _emit_manifest(args)
     print("assignment=" + ",".join(str(v) for v in result.assignment))
     print(f"resamples={result.resample_count} status={result.status}")
     return OK if result.status == SATISFIED else FAIL

@@ -203,12 +203,6 @@ class RunCensus:
     layout: tuple  # (coin shift, ((field mask, offset) per variable))
     units: dict  # packed assignment -> units
 
-    def __post_init__(self):
-        if self.resolved_mass + self.unresolved_mass != 1:
-            raise EngineError(
-                f"census masses sum to "
-                f"{self.resolved_mass + self.unresolved_mass}, not 1")
-
     @cached_property
     def output_mass(self) -> dict:
         """Assignment tuple -> Fraction, resolved runs only."""
@@ -297,11 +291,11 @@ def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
 
 
 def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
-                      step_cut: dict, layout: tuple,
-                      leaves: Optional[int] = None) -> RunCensus:
-    """The census at `bit_budget` coins from its tables and its number of
-    leaves; each leaf neither resolved nor step-cut is a path the coin budget
-    cut, of one unit of 2^-bit_budget (by default, every unit left over)."""
+                      step_cut: dict, layout: tuple) -> RunCensus:
+    """The census at `bit_budget` coins from its tables. Each leaf neither
+    resolved nor step-cut is a path the coin budget cut, of one unit of
+    2^-bit_budget, so the branch count is the tables' paths plus every
+    unit they leave, and the unresolved mass is every unit not resolved."""
     shift = layout[0]
     total = 1 << bit_budget
     values_mask = (1 << shift) - 1
@@ -312,10 +306,9 @@ def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
     resolved_units = sum(units.values())
     stopped = sum(n << (bit_budget - c) for c, n in step_cut.items())
     paths = sum(resolved.values()) + sum(step_cut.values())
-    if leaves is None:
-        leaves = paths + total - resolved_units - stopped
     return RunCensus(appearances, Fraction(resolved_units, total),
-                     Fraction(stopped + leaves - paths, total), leaves,
+                     Fraction(total - resolved_units, total),
+                     paths + total - resolved_units - stopped,
                      bit_budget, resolved, step_cut, layout, units)
 
 
@@ -525,9 +518,12 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         _refuse(branch_guard)
     appearances = (_tree_tally(system, reached, cut, 1 << bit_budget)
                    if want_trees else {})
-    return _census_of_tables(appearances, bit_budget, resolved, step_cut,
-                             (coin_shift, tuple(zip(fields, offsets))),
-                             leaves)
+    census = _census_of_tables(appearances, bit_budget, resolved, step_cut,
+                               (coin_shift, tuple(zip(fields, offsets))))
+    if census.branch_count != leaves:  # a coin path lost or counted twice
+        lost = Fraction(census.branch_count - leaves, 1 << bit_budget)
+        raise EngineError(f"census masses sum to {1 - lost}, not 1")
+    return census
 
 
 def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,

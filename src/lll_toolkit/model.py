@@ -251,10 +251,6 @@ class StreamParams:
             raise ModelError("z must lie strictly between 0 and 1")
         return cls(lambda _i: z, alpha)
 
-    def prefix(self, k: int) -> LLLParams:
-        return LLLParams(tuple(as_fraction(self.z_of(i)) for i in range(k)),
-                         self.alpha)
-
 
 @dataclass(frozen=True)
 class ConditionEntry:

@@ -111,15 +111,16 @@ class WitnessTree:
         return canon_line(self.canon())
 
     def to_indented(self) -> str:
-        lines: list[str] = []
-        depths = self.depths()
-
-        def walk(v: int):
-            lines.append("  " * depths[v] + str(self.labels[v]))
-            for w in range(v + 1, self.size):
-                if self.parents[w] == v:
-                    walk(w)
-        walk(0)
+        """One line a vertex, two spaces a level, each vertex before its
+        sons in vertex order; walked from a stack, so any depth has a text."""
+        sons: list[list[int]] = [[] for _ in range(self.size)]
+        for v in range(self.size - 1, 0, -1):  # falling: least popped first
+            sons[self.parents[v]].append(v)
+        lines, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            lines.append("  " * self._depths[v] + str(self.labels[v]))
+            stack += sons[v]
         return "\n".join(lines)
 
     def __eq__(self, other):

@@ -532,6 +532,23 @@ def test_witness_of_a_log_with_no_steps_says_so(one_bit_file, tmp_path,
     assert err == "error: the log has no steps\n"
 
 
+def test_witness_indents_a_tree_of_any_depth(tmp_path, capsys):
+    # every step resamples the one clause, so the tree of step 1,100 is a
+    # chain 1,100 levels deep: deeper than the recursion limit
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    log_path = tmp_path / "deep.log"
+    log_path.write_text("init 0\n" + "".join(
+        f"step {k} event 0 draws 0:{k}:{int(k == 1100)}\n"
+        for k in range(1, 1101)))
+    code, out, _ = run_cli(capsys, "witness", "--input", str(cnf), "--log",
+                           str(log_path), "--step", "1100", "--indent")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1102
+    assert lines[-1] == " " * 2198 + "0"
+
+
 def test_extract_point_oracle(capsys):
     code, out, _ = run_cli(capsys, "extract", "--oracle", "point:01",
                            "--count", "6")
@@ -757,15 +774,15 @@ PINNED_RUN_DIGESTS = {
     "avoid-exact":
         "a3afbf0daeeb4a93531a8f977b5b0e77c05a827e25ea23a371e8577ad876694d",
     "fireworks-beat-diverge":
-        "4128bf57b6a404874da3a4e60d49a90baa5c4a2f60edb03d68c8d19c352ded1f",
+        "924b8f81daf14f7eb88415f1cdbe9b27828bd2cc2c3915be8616e03617929023",
     "fireworks-beat-identity":
-        "ce232ece536acb6a58a2011f2a09dc6aef694bbeec689071f2441c26df08a803",
+        "e4556b1bf940dd7e764ed267e6db0495b2ec348a833e8490e1800a968ab9f0e4",
     "gw-sample-bad-root":
         "8422307e0794c00168e06be4b0540a6529a29a3be59a4c266b414697edffcc42",
     "gw-sample-root1":
-        "bf0254790e8df3c097c98dfddfe6a885d6e3088adb810a8e63725d2b24a1f950",
+        "a91f62e6b32be3e01b3dead940fea445c7f3077b6edca13d9a2ec6efc52b27a8",
     "gw-sample-root2":
-        "5e6aee5d0819c0dc73d905e2defce9da8cdbb062ffe91a3ed16caada80228166",
+        "60aad49bb6ecb001cd20a91fafd094ed7ab923a162eb5d19ff5d0560624abcd3",
     "selftest":
         "67b2fb76093104256c47fd0428d9566daa25112857a83487f00b952bcc0dd6b2",
 }
@@ -939,3 +956,31 @@ def test_every_subcommand_exits_cleanly_on_mutated_input(case):
             found = re.match(r"error: line (\d+): ", err)
             assert code == 2 and found, (args, text, err)
             assert 1 <= int(found[1]) <= max(1, len(text.splitlines())), err
+
+
+def test_the_fuzz_runs_every_subcommand():
+    # FUZZ_FLAGS has one key for each subcommand of build_parser()
+    assert {run[0] for run in FUZZ_RUNS} == set(FUZZ_FLAGS)
+
+
+@pytest.mark.parametrize("argv", FUZZ_RUNS, ids=[
+    f"{run[0]}-{i}" for i, run in enumerate(FUZZ_RUNS)])
+def test_a_run_reproduces_from_its_manifest_line(tmp_path, capsys, argv):
+    # the manifest names every option that shapes the run: read back as
+    # flags, a `=true` field as a bare flag, it gives the same output
+    files = {"system": FUZZ_SEEDS[read_system][0],
+             "chain": write_system(FUZZ_CHAIN),
+             "log": FUZZ_SEEDS[log_from_text][0],
+             "patterns": FUZZ_SEEDS[read_patterns][0]}
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, text in files.items():
+        Path(paths[name]).write_text(text)
+    first = run_cli(capsys, *(arg.format_map(paths) for arg in argv))
+    head, *items = first[1].splitlines()[0].split(" ")
+    assert head == "manifest"
+    fields = dict(item.split("=", 1) for item in items)
+    again = [fields.pop("subcommand")]
+    del fields["version"]
+    for key, value in fields.items():
+        again += ["--" + key.replace("_", "-")] + [value] * (value != "true")
+    assert run_cli(capsys, *again) == first

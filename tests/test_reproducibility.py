@@ -76,7 +76,7 @@ def test_seeded_runs_match_pinned_hashes(name):
 
 TAPE_HEX = "96:9f3a61c04be2d8775103fa2e"
 EXPECTED_STDOUT = """\
-manifest input={input} max_steps=50 subcommand=solve version={version}
+manifest input={input} max_steps=50 subcommand=solve tape_hex=96:9f3a61c04be2d8775103fa2e version={version}
 assignment=1,3,0,1
 resamples=3 status=satisfied
 """
