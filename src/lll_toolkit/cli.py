@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shlex
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -39,22 +41,33 @@ OK, FAIL, USAGE, REFUSED = 0, 1, 2, 3
 
 
 def q(value: Fraction) -> str:
-    """Exact plus decimal rendering, e.g. `1/8(0.125)`."""
-    return f"{format_rational(value)}({format(float(value), '.6g')})"
+    """Exact plus decimal rendering, e.g. `1/8(0.125)`. The decimal is the
+    float's, to 6 digits; past the float range (about 1.8e308) it is
+    rounded to 6 digits by `decimal`, in the same form."""
+    try:
+        approx = format(float(value), '.6g')
+    except OverflowError:
+        with localcontext(prec=6):
+            rounded = Decimal(value.numerator) / value.denominator
+            approx = format(rounded.normalize(), 'g')
+    return f"{format_rational(value)}({approx})"
 
 
 def _emit_manifest(args) -> None:
     """Print the manifest line, after writing it to `--manifest-out`. It
     names every parsed option but the output files and unset ones, a set
-    flag as `=true`, so re-running it reproduces the run. Each output file
-    is written before the first line is printed, so a path that cannot be
-    written exits 2 with nothing on stdout."""
+    flag as `=true`, so re-running it reproduces the run. Each value is
+    quoted as a shell word (`shlex.quote`), so a path that holds a space
+    reads back with `shlex.split`; a plain value is written as it is. Each
+    output file is written before the first line is printed, so a path
+    that cannot be written exits 2 with nothing on stdout."""
     fields = {"subcommand": args.command, "version": __version__}
     for key, value in vars(args).items():
         if key not in ("func", "command", "manifest_out", "log_out") \
                 and value is not None and value is not False:
             fields[key] = "true" if value is True else value
-    line = "manifest " + " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
+    line = "manifest " + " ".join(f"{k}={shlex.quote(str(v))}"
+                                  for k, v in sorted(fields.items()))
     if args.manifest_out:
         with open(args.manifest_out, "w") as handle:
             handle.write(line + "\n")

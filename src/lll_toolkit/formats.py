@@ -8,10 +8,12 @@ The system format, one directive per line (`#` comments allowed):
     alpha <num/den>
 
 Rationals are written `num/den` or as a bare integer, each with an optional
-sign; decimals, exponents and underscores are rejected.
+sign and any number of digits; decimals, exponents and underscores are
+rejected.
 """
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -36,10 +38,20 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
+    """`num/den`, or the bare integer, with every digit, however many."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """`str(n)` of any length: past the interpreter's int-to-string digit
+    limit, `decimal` writes it, as it has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def read_dimacs(text: str) -> ConstraintSystem:

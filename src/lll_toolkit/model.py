@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -17,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetRefused, ModelError
-from .tape import Sampler, check_law, sampler_for
+from .tape import FAIR_BIT, Sampler, check_law, sampler_for
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,7 +29,8 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings `[+-]digits[/digits]` such as
-    '3/4' or '-2'; reject floats and every other string form."""
+    '3/4' or '-2', of any number of digits; reject floats and every other
+    string form."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -37,26 +39,42 @@ def as_fraction(value) -> Fraction:
         if not _RATIONAL.fullmatch(value):
             raise ModelError(
                 f"bad rational {value!r}: not an integer or num/den")
-        try:  # refuses a zero denominator, and more digits than int() reads
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        num, _, den = value.partition("/")
+        try:  # refuses a zero denominator
+            return Fraction(_int_of(num), _int_of(den or "1"))
+        except ZeroDivisionError as exc:
             raise ModelError(f"bad rational {value!r}: {exc}") from None
     raise ModelError(f"expected an exact rational, got {value!r}")
 
 
+def _int_of(digits: str) -> int:
+    """`int(digits)` of any length: past the interpreter's int-to-string
+    digit limit, `decimal` reads it, as it has no such limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
 @dataclass(frozen=True)
 class VariableSpec:
-    """A finite-range variable with an exact rational distribution."""
+    """A finite-range variable with an exact rational distribution.
+
+    `tape.FAIR_BIT` itself (that object, not an equal law) was checked at
+    import and is kept as it is; any other law is coerced and checked."""
 
     index: int
     distribution: tuple[Fraction, ...]
 
     def __post_init__(self):
-        dist = tuple(as_fraction(p) for p in self.distribution)
-        object.__setattr__(self, "distribution", dist)
+        law = self.distribution
+        if law is not FAIR_BIT:
+            law = tuple(as_fraction(p) for p in law)
+            object.__setattr__(self, "distribution", law)
         if self.index < 0:
             raise ModelError(f"variable index must be >= 0, got {self.index}")
-        check_law(dist, f"variable {self.index}: ")
+        if law is not FAIR_BIT:
+            check_law(law, f"variable {self.index}: ")
 
     @property
     def range_size(self) -> int:
@@ -64,7 +82,7 @@ class VariableSpec:
 
 
 def uniform_bit(index: int) -> VariableSpec:
-    return VariableSpec(index, (Fraction(1, 2), Fraction(1, 2)))
+    return VariableSpec(index, FAIR_BIT)
 
 
 @dataclass(frozen=True)
@@ -151,8 +169,12 @@ class ConstraintSystem:
     @cached_property
     def samplers(self) -> tuple[Sampler, ...]:
         """Each variable's compiled distribution, by index (compiled at
-        first use)."""
-        return tuple(sampler_for(var.distribution) for var in self.variables)
+        first use). Each distinct law object is looked up once, keyed by its
+        id, which stays unique while `variables` holds the law."""
+        laws = {id(var.distribution): var.distribution
+                for var in self.variables}
+        compiled = {key: sampler_for(law) for key, law in laws.items()}
+        return tuple(compiled[id(var.distribution)] for var in self.variables)
 
     @cached_property
     def fair(self) -> bool:

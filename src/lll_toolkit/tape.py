@@ -13,7 +13,10 @@ bounds as integers over the distribution's common denominator, so a draw
 inverts its coins by integer comparisons and touches no `Fraction`. The
 fair bit (1/2, 1/2) takes its one coin as its value. `Tape.draw` compiles a
 plain sequence through a cache; solvers pass the samplers their system
-compiled at first use.
+compiled at first use, once per distinct law object. A law is checked once
+as well: `check_law` runs when a law is compiled and when a variable takes
+it, but the fair bit's law `FAIR_BIT` is checked here at import, and a
+variable that holds that very tuple is not checked again.
 
 Seeded mode derives the bit for (stream, draw, position) from a counter-based
 mix of the seed, so a stream's personal value sequence is independent of the
@@ -78,6 +81,12 @@ def check_law(distribution: Sequence[Fraction], where: str = "") -> None:
     if sum(distribution) != 1:
         raise ModelError(
             f"{where}distribution sums to {sum(distribution)}, not 1")
+
+
+# the fair bit's law, checked here once: `VariableSpec` takes this very tuple
+# without checking it again
+FAIR_BIT = (Fraction(1, 2), Fraction(1, 2))
+check_law(FAIR_BIT)
 
 
 class Sampler:

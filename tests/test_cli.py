@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 
 import lll_toolkit
 from lll_toolkit import exhaustive, galton_watson
-from lll_toolkit.cli import build_parser, dispatch
+from lll_toolkit.cli import build_parser, dispatch, q
 from lll_toolkit.corpus import toy_corpus
-from lll_toolkit.formats import (FormatError, log_from_text, read_dimacs,
-                                 read_patterns, read_system, write_system)
-from test_formats import FUZZ_CHAIN, FUZZ_SEEDS, mutated_inputs
+from lll_toolkit.formats import (FormatError, log_from_text, parse_rational,
+                                 read_dimacs, read_patterns, read_system,
+                                 write_system)
+from test_formats import FUZZ_CHAIN, FUZZ_SEEDS, chain_cnf, mutated_inputs
 from test_layerwise import recorded_censuses
 
 F = Fraction
@@ -963,20 +965,21 @@ def test_the_fuzz_runs_every_subcommand():
     assert {run[0] for run in FUZZ_RUNS} == set(FUZZ_FLAGS)
 
 
-@pytest.mark.parametrize("argv", FUZZ_RUNS, ids=[
-    f"{run[0]}-{i}" for i, run in enumerate(FUZZ_RUNS)])
-def test_a_run_reproduces_from_its_manifest_line(tmp_path, capsys, argv):
-    # the manifest names every option that shapes the run: read back as
-    # flags, a `=true` field as a bare flag, it gives the same output
+def reproduces_from_its_manifest_line(capsys, folder, argv):
+    """Run `argv` on the fuzz's seed files, written in `folder`; read the
+    manifest line back as shell words and flags, a `=true` field as a bare
+    flag, and re-run it: the output is the same. Returns the manifest."""
     files = {"system": FUZZ_SEEDS[read_system][0],
              "chain": write_system(FUZZ_CHAIN),
              "log": FUZZ_SEEDS[log_from_text][0],
              "patterns": FUZZ_SEEDS[read_patterns][0]}
-    paths = {name: str(tmp_path / name) for name in files}
+    folder.mkdir(exist_ok=True)
+    paths = {name: str(folder / name) for name in files}
     for name, text in files.items():
         Path(paths[name]).write_text(text)
     first = run_cli(capsys, *(arg.format_map(paths) for arg in argv))
-    head, *items = first[1].splitlines()[0].split(" ")
+    manifest = first[1].splitlines()[0]
+    head, *items = shlex.split(manifest)
     assert head == "manifest"
     fields = dict(item.split("=", 1) for item in items)
     again = [fields.pop("subcommand")]
@@ -984,3 +987,58 @@ def test_a_run_reproduces_from_its_manifest_line(tmp_path, capsys, argv):
     for key, value in fields.items():
         again += ["--" + key.replace("_", "-")] + [value] * (value != "true")
     assert run_cli(capsys, *again) == first
+    return manifest
+
+
+@pytest.mark.parametrize("argv", FUZZ_RUNS, ids=[
+    f"{run[0]}-{i}" for i, run in enumerate(FUZZ_RUNS)])
+def test_a_run_reproduces_from_its_manifest_line(tmp_path, capsys, argv):
+    # the manifest names every option that shapes the run
+    reproduces_from_its_manifest_line(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv, word", [
+    (FUZZ_RUNS[0], "input='{folder}/system'"),
+    (FUZZ_RUNS[3], "family='substrings:{folder}/patterns:1/2:2'"),
+], ids=["check-input", "stream-family"])
+def test_a_path_holding_a_space_reproduces_from_its_manifest_line(
+        tmp_path, capsys, argv, word):
+    # a path, alone or inside `--family`, is quoted as one shell word
+    folder = tmp_path / "a b"
+    manifest = reproduces_from_its_manifest_line(capsys, folder, argv)
+    assert word.format(folder=folder) in manifest
+
+
+# --- rationals of any size -------------------------------------------------
+
+def test_check_prints_an_avoid_bound_past_the_int_digit_limit(tmp_path,
+                                                              capsys):
+    # (3/4)^7200 has a 4,335-digit denominator, past CPython's default
+    # int-to-string limit of 4,300 digits
+    path = tmp_path / "chain7200.cnf"
+    path.write_text(chain_cnf(7200))
+    code, out, err = run_cli(capsys, "check", "--input", str(path),
+                             "--z-all", "1/4")
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    assert last.endswith("(0) alpha=1(1) holds=true")
+    bound = re.fullmatch(r"avoid_bound=([0-9/]+)\(.*", last)[1]
+    assert parse_rational(bound) == F(3, 4) ** 7200
+    assert len(out.splitlines()) == 7202
+
+
+def test_a_weight_past_the_int_digit_limit_is_read(m3_file, capsys):
+    z = "1/" + "7" * 5000
+    code, out, err = run_cli(capsys, "check", "--input", m3_file,
+                             "--z-all", z)
+    assert (code, err) == (1, "")   # the condition fails: z is tiny
+    assert out.splitlines()[0].endswith(f"z_all={z}")
+
+
+def test_q_writes_a_value_past_the_float_range_in_decimal():
+    assert q(F(1, 8)) == "1/8(0.125)"
+    assert q(F(17 * 10 ** 399)) == f"17{'0' * 399}(1.7e+400)"
+    assert q(F(-(2 ** 2000), 3)) == f"-{2 ** 2000}/3(-3.8271e+601)"
+    assert q(F(123456789 * 10 ** 301)) == f"123456789{'0' * 301}(1.23457e+309)"
+    # the float range's top still prints through the float
+    assert q(F(int(1.7e308))) == f"{int(1.7e308)}(1.7e+308)"

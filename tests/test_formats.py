@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lll_toolkit import model, tape
 from lll_toolkit.corpus import toy_corpus
 from lll_toolkit.errors import ModelError
 from lll_toolkit.families import ChainCnfFamily
@@ -55,10 +56,40 @@ def test_dimacs_errors_carry_line_numbers():
 
 
 def test_rational_round_trip():
-    for value in (F(1, 2), F(-3, 7), F(5), F(0)):
+    # past 4,300 digits, CPython's default int-to-string limit, too
+    for value in (F(1, 2), F(-3, 7), F(5), F(0), F(3, 4) ** 7200,
+                  F(-(10 ** 5000) - 7), F(1, 7 ** 6000)):
         assert parse_rational(format_rational(value)) == value
     with pytest.raises(Exception):
         parse_rational("0.5x")
+
+
+def chain_cnf(clauses: int) -> str:
+    """A chain 3-CNF: clause t holds variables 2t+1, 2t+2 and 2t+3, its
+    signs set by the bits of t."""
+    lines = [f"p cnf {2 * clauses + 1} {clauses}"]
+    for t in range(clauses):
+        lines.append(" ".join(str(v if t >> k & 1 else -v) for k, v in
+                              enumerate((2 * t + 1, 2 * t + 2, 2 * t + 3)))
+                     + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_ten_thousand_clause_chain_checks_its_one_law_once(monkeypatch):
+    checked = []
+    check_law = tape.check_law
+
+    def counting_check_law(distribution, where=""):
+        checked.append(distribution)
+        check_law(distribution, where)
+    monkeypatch.setattr(tape, "check_law", counting_check_law)
+    monkeypatch.setattr(model, "check_law", counting_check_law)
+    tape._compiled.cache_clear()
+    system = read_dimacs(chain_cnf(10_000))
+    assert all(s.fair for s in system.samplers)
+    # one distinct law, the fair bit's, so at most one check (to compile it)
+    assert len(checked) <= 1
+    assert len(system.variables) == 20_001
 
 
 @pytest.mark.parametrize("token, value", [

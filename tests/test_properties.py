@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lll_toolkit.engine import (EXHAUSTED, ResampleLog, Step,
@@ -17,11 +17,13 @@ from lll_toolkit.engine import (EXHAUSTED, ResampleLog, Step,
                                 stable_times)
 from lll_toolkit.errors import ModelError, TapeExhausted
 from lll_toolkit.exhaustive import census_runs
+from lll_toolkit.formats import read_dimacs
 from lll_toolkit.model import (ConditionEntry, ConditionReport,
                                ConstraintSystem, Event, LLLParams,
-                               VariableSpec, avoiding_assignments,
-                               avoiding_probability, check_lll)
-from lll_toolkit.tape import Tape
+                               VariableSpec, as_fraction,
+                               avoiding_assignments, avoiding_probability,
+                               check_lll)
+from lll_toolkit.tape import FAIR_BIT, Sampler, Tape, check_law
 from lll_toolkit.witness import (WitnessTree, reconstruct_tape_positions,
                                  trees_for_run, validate_tree)
 from reference_engine import naive_run, true_events
@@ -264,3 +266,93 @@ def test_stable_times_of_logs_resampling_any_true_event(system, data):
         steps.append(Step(number, event, tuple(draws)))
     log = ResampleLog(initial, tuple(steps))
     assert stable_times(log, system) == naive_stable_times(log, system)
+
+
+# --- each law checked and compiled once -------------------------------------
+
+def law_by_law(index, law):
+    """A variable's law checked on its own, as `VariableSpec` checks every
+    law but `FAIR_BIT`: each mass coerced, then the index, then the law."""
+    law = tuple(as_fraction(p) for p in law)
+    if index < 0:
+        raise ModelError(f"variable index must be >= 0, got {index}")
+    check_law(law, f"variable {index}: ")
+    return law
+
+
+def refusal_or(build):
+    """`build()`, or the text of the `ModelError` it raises."""
+    try:
+        return build()
+    except ModelError as exc:
+        return str(exc)
+
+
+def compiled(samplers):
+    return [(s.bounds, s.total, s.fair, s.depth) for s in samplers]
+
+
+# masses of every kind a law can be refused for: negative ones, floats,
+# strings that are no rational, and laws that do not sum to 1
+MASSES = st.one_of(
+    st.fractions(-1, 2, max_denominator=6), st.integers(-1, 2),
+    st.sampled_from([0.5, 0.25, "1/2", "1/4", "-1/2", "0.5", "x"]))
+LAWS = st.one_of(
+    st.just(FAIR_BIT), st.just(()), st.just((F(1, 2), F(1, 2))),
+    distributions(point_masses=True), st.lists(MASSES, max_size=4).map(tuple))
+
+
+@given(st.integers(-2, 3), LAWS)
+@settings(PROPERTY, max_examples=300)
+@example(0, ())
+@example(3, (F(3, 2), F(-1, 2)))
+@example(1, (0.5, 0.5))
+@example(2, (F(1, 2), "x"))
+@example(2, ("1/2", "1/2"))
+@example(1, (F(1, 2), F(1, 3)))
+@example(-1, FAIR_BIT)
+def test_a_law_is_taken_or_refused_as_the_check_of_it_alone(index, law):
+    # a fresh copy is never `FAIR_BIT`, so it is checked in full
+    alone = refusal_or(lambda: law_by_law(index, tuple(p for p in law)))
+    assert refusal_or(lambda: VariableSpec(index, law).distribution) == alone
+
+
+@given(st.lists(LAWS, min_size=1, max_size=3), st.data())
+@settings(PROPERTY, max_examples=300)
+def test_variables_sharing_laws_build_the_system_of_laws_checked_alone(
+        pool, data):
+    """Variables that share one law object (`FAIR_BIT` among them) build
+    and compile as variables that each hold a copy of their law, checked
+    and compiled alone; a refused law names the same variable."""
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=6))
+
+    def shared():
+        system = ConstraintSystem.build(
+            [VariableSpec(i, pool[k]) for i, k in enumerate(picks)], [])
+        return system, compiled(system.samplers)
+
+    def alone():
+        laws = [law_by_law(i, tuple(p for p in pool[k]))
+                for i, k in enumerate(picks)]
+        system = ConstraintSystem.build(
+            [VariableSpec(i, law) for i, law in enumerate(laws)], [])
+        return system, compiled(Sampler(law) for law in laws)
+
+    assert refusal_or(shared) == refusal_or(alone)
+
+
+@given(st.lists(st.lists(st.integers(-4, 4).filter(bool), min_size=1,
+                         max_size=3), max_size=5))
+@PROPERTY
+def test_a_dimacs_system_is_the_system_of_fair_laws_checked_alone(clauses):
+    text = f"p cnf 4 {len(clauses)}\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    system = read_dimacs(text)
+    alone = ConstraintSystem.build(
+        [VariableSpec(i, law_by_law(i, (F(1, 2), F(1, 2)))) for i in range(4)],
+        system.events)
+    assert system == alone
+    assert all(var.distribution is FAIR_BIT for var in system.variables)
+    assert compiled(system.samplers) == compiled(
+        Sampler(var.distribution) for var in alone.variables)

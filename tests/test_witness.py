@@ -313,7 +313,8 @@ NOT_A_NEIGHBOR = "vertex 1: label 1 is not a neighbor of its father's label 0"
 ], ids=["tape_positions_by_vertex", "reconstruct_tape_positions",
         "gw_tree_probability"])
 def test_a_tree_checked_in_one_system_is_checked_again_in_another(caller):
-    # the check a tree keeps answers only for the system it was made in
+    # a tree keeps no check (the census tally keeps its own), so each caller
+    # checks the tree in the system it is given
     shared, apart = shared_and_apart_systems()
     tree = WitnessTree((0, 1), (-1, 0))
     assert validate_tree(tree, shared).valid
