@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Protocol, Sequence
 
-from .errors import ModelError
+from .errors import BudgetRefused, ModelError
+from .formats import format_rational
 from .model import ONE, ZERO, as_fraction
 from .tape import Tape
 
@@ -45,7 +46,16 @@ class PlayOutcome:
     trace: tuple[str, ...]    # what the seller observes, in order
 
 
+# the most values of a uniform law the game and the protocol draw from: the
+# law is an n-tuple, and its sampler keeps n bounds
+MAX_UNIFORM = 1 << 16
+
+
 def _uniform(n: int) -> tuple[Fraction, ...]:
+    """The uniform law on 0..n-1; `BudgetRefused` past `MAX_UNIFORM`."""
+    if n > MAX_UNIFORM:
+        raise BudgetRefused(f"a uniform law on {format_rational(n)} values "
+                            f"exceeds the guard of {MAX_UNIFORM}")
     return (Fraction(1, n),) * n
 
 
@@ -223,6 +233,8 @@ def epsilon_to_n(epsilon) -> int:
 
 
 def cantor_pair(row: int, column: int) -> int:
+    """The index of (row, column) in the pairing that `BeatManyResult.g`
+    inverts (`cantor_unpair`) to read one table out of the rows."""
     s = row + column
     return s * (s + 1) // 2 + column
 
@@ -268,7 +280,8 @@ def beat_many(oracles: Sequence[FnOracle], epsilon,
 
 def ones_positions(table_values: Sequence[int]) -> list[int]:
     """Positions of the 1s in the bit sequence '1, g(0) zeros, 1, g(1)
-    zeros, ...' derived from a table prefix."""
+    zeros, ...' derived from a table prefix: the encoding of a table g as
+    a bit sequence, whose 1 number u sits at u + g(0) + ... + g(u-1)."""
     positions = []
     cursor = 0
     for g in table_values:

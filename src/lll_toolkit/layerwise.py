@@ -31,6 +31,7 @@ from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
 from .exhaustive import DEFAULT_BRANCH_GUARD, RunCensus, census_runs
 from .families import InfiniteFamily
+from .formats import format_rational
 
 DEFAULT_BIT_GUARD = 40
 # exact prefixes at the command line and exact avoidance refuse past this
@@ -66,14 +67,13 @@ class StabilityCertificate:
 
     def to_line(self) -> str:
         """Text record with the derivation of the binding term."""
-        from .formats import format_rational
         if self.terms:
             worst = max(self.terms, key=lambda t: t.t)
             m, k = worst.m, worst.k
         else:
             m = k = 0
         return (f"cell={self.cell} delta={format_rational(self.delta)} "
-                f"N={self.N} m={m} k={k}")
+                f"N={format_rational(self.N)} m={m} k={k}")
 
     def total_bound(self, params: StreamParams) -> Fraction:
         """Exact sum of both tail terms over all events; must be <= delta."""
@@ -205,11 +205,13 @@ class TableQOracle:
                 raise ModelError(f"atom pattern {pattern!r} is not a "
                                  f"non-empty string of 0s and 1s")
             if mass < ZERO:
-                raise ModelError(f"atom {pattern} has negative mass {mass}")
+                raise ModelError(f"atom {pattern} has negative mass "
+                                 f"{format_rational(mass)}")
             self.atoms[pattern] = self.atoms.get(pattern, ZERO) + mass
         total = sum(self.atoms.values(), ZERO)
         if total > ONE:
-            raise ModelError(f"atom masses sum to {total}, more than 1")
+            raise ModelError(f"atom masses sum to {format_rational(total)}, "
+                             "more than 1")
 
     def arity(self, position: int) -> int:
         return 2
@@ -292,8 +294,9 @@ class SystemQOracle:
                 return lo, hi
             if budget >= self.bit_guard:
                 raise BudgetRefused(
-                    f"cannot reach width {delta} within {self.bit_guard} "
-                    f"coins (unresolved mass {census.unresolved_mass})")
+                    f"cannot reach width {format_rational(delta)} within "
+                    f"{self.bit_guard} coins (unresolved mass "
+                    f"{format_rational(census.unresolved_mass)})")
             budget = min(self.bit_guard, budget * 2)
 
 
@@ -339,20 +342,22 @@ def extract_from_positive_probability(q: QOracle, r,
     r = as_fraction(r)
     if r <= ZERO:
         raise ModelError("threshold r must be positive")
+    text = format_rational(r)
 
     def heavy_child(prefix, n):
         if q.lower_bound(prefix, n) > 2 * r:
             raise ContractViolation(
-                f"q({''.join(map(str, prefix))or 'empty'}) exceeds 2r = {2 * r}")
+                f"q({''.join(map(str, prefix))or 'empty'}) exceeds "
+                f"2r = {format_rational(2 * r)}")
         winners = [(a, bound) for a in range(q.arity(len(prefix)))
                    if (bound := q.lower_bound(prefix + (a,), n)) > r]
         if len(winners) > 1:
             raise ContractViolation(
-                f"two children exceed r = {r} at prefix {prefix}")
+                f"two children exceed r = {text} at prefix {prefix}")
         return winners[0] if winners else None
 
     return (cell for cell, _ in _dovetail(q, tuple(w), heavy_child,
-                                          f"exceeded r = {r}"))
+                                          f"exceeded r = {text}"))
 
 
 def _positive_cells(q: QOracle) -> Iterator[tuple[int, Fraction]]:

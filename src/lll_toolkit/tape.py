@@ -77,10 +77,12 @@ def check_law(distribution: Sequence[Fraction], where: str = "") -> None:
         if not isinstance(p, (Fraction, int)):
             raise ModelError(f"{where}expected an exact rational mass, got {p!r}")
         if p < 0:
-            raise ModelError(f"{where}negative mass {p}")
+            from .formats import format_rational  # formats imports tape
+            raise ModelError(f"{where}negative mass {format_rational(p)}")
     if sum(distribution) != 1:
-        raise ModelError(
-            f"{where}distribution sums to {sum(distribution)}, not 1")
+        from .formats import format_rational
+        raise ModelError(f"{where}distribution sums to "
+                         f"{format_rational(sum(distribution))}, not 1")
 
 
 # the fair bit's law, checked here once: `VariableSpec` takes this very tuple

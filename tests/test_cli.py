@@ -21,9 +21,12 @@ import lll_toolkit
 from lll_toolkit import exhaustive, galton_watson
 from lll_toolkit.cli import build_parser, dispatch, q
 from lll_toolkit.corpus import toy_corpus
+from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.formats import (FormatError, log_from_text, parse_rational,
                                  read_dimacs, read_patterns, read_system,
                                  write_system)
+from lll_toolkit.layerwise import stability_horizon
+from lll_toolkit.model import StreamParams
 from test_formats import FUZZ_CHAIN, FUZZ_SEEDS, chain_cnf, mutated_inputs
 from test_layerwise import recorded_censuses
 
@@ -732,6 +735,27 @@ def test_fireworks_play_and_beat(capsys):
     assert "status=" in out
 
 
+def test_fireworks_refuses_a_uniform_law_past_its_guard(capsys):
+    # 1/epsilon = 10^20 values: refused before the law is built
+    code, out, err = run_cli(capsys, "fireworks", "--beat", "--epsilon",
+                             "1/100000000000000000000", "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: a uniform law on 10" + "0" * 19)
+
+
+def test_a_failing_run_prints_nothing_on_stdout(capsys):
+    # the game fails on its tape after the win probability is computed
+    code, out, err = run_cli(capsys, "fireworks", "--n", "5", "--seller-k",
+                             "2", "--tape-hex", "0:")
+    assert (code, out) == (1, "")
+    assert err == "failed: explicit tape exhausted\n"
+    code, out, err = run_cli(capsys, "extract", "--oracle",
+                             "pair:1:3/5:0:2/5", "--r", "1/10", "--count",
+                             "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("failed: ")
+
+
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
@@ -857,6 +881,9 @@ FUZZ_RUNS = [
 SMALL = ["-2", "-1", "0", "1", "2", "3", "x", "1.5", ""]
 RATIONAL = ["0", "-1/2", "1/4", "1/2", "3/4", "1", "3/2", "1/0", "0.5",
             "1e3", "1_0", "x", ""]
+# and one past CPython's int-to-string limit of 4,300 digits; not for
+# `--gamma`, as `compute_beta_M` raises 2 to a power with that many digits
+ANY_SIZE = RATIONAL + ["1/" + "7" * 4400]
 FLAG_VALUES = {
     "--seed": SMALL, "--max-steps": SMALL, "--k": SMALL,
     "--certify-cell": SMALL, "--step": SMALL, "--bit-budget": SMALL,
@@ -864,8 +891,8 @@ FLAG_VALUES = {
     "--count": SMALL, "--length": SMALL, "--trials": SMALL,
     "--bit-guard": SMALL, "--branch-guard": SMALL, "--n": SMALL,
     "--seller-k": SMALL,
-    "--z-all": RATIONAL, "--alpha": RATIONAL, "--delta": RATIONAL,
-    "--r": RATIONAL, "--epsilon": RATIONAL, "--gamma": RATIONAL,
+    "--z-all": RATIONAL, "--alpha": RATIONAL, "--delta": ANY_SIZE,
+    "--r": ANY_SIZE, "--epsilon": ANY_SIZE, "--gamma": RATIONAL,
     "--tape-hex": ["0:", "1:1", "2:3", "3:f", "x", "4:", "1:"],
     "--w": ["0", "01", "x", ""],
     "--mode": ["exact", "empirical", "x"],
@@ -948,7 +975,8 @@ def test_every_subcommand_exits_cleanly_on_mutated_input(case):
             code = dispatch(args)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), (args, err)
-    if code == 2:
+    if err:
+        # a run that fails prints nothing on stdout
         assert out == "", (args, err)
     if mutated is not None:
         # a file that every reader of its kind refuses is refused naming a
@@ -1033,6 +1061,43 @@ def test_a_weight_past_the_int_digit_limit_is_read(m3_file, capsys):
                              "--z-all", z)
     assert (code, err) == (1, "")   # the condition fails: z is tiny
     assert out.splitlines()[0].endswith(f"z_all={z}")
+
+
+def test_extract_refuses_a_threshold_past_the_int_digit_limit(capsys):
+    # q(empty) = 1 exceeds 2r; the message writes 2r in full
+    r = "1/" + "7" * 5000
+    code, out, err = run_cli(capsys, "extract", "--oracle", "point:01",
+                             "--r", r)
+    assert (code, out) == (1, "")
+    assert err == f"failed: q(empty) exceeds 2r = 2/{'7' * 5000}\n"
+
+
+def test_a_stability_certificate_past_the_int_digit_limit(capsys):
+    delta = "1/" + "7" * 4400
+    code, out, err = run_cli(
+        capsys, "stream", "--family", "chain:m=3", "--k", "4",
+        "--max-steps", "50", "--seed", "1", "--certify-cell", "0",
+        "--z-all", "1/4", "--alpha", "1/2", "--delta", delta)
+    assert (code, err) == (0, "")
+    line = out.splitlines()[1]
+    assert line.startswith(f"cell=0 delta={delta} N=")
+    cert = stability_horizon(ChainCnfFamily(3), StreamParams.constant(
+        F(1, 4), F(1, 2)), 0, parse_rational(delta))
+    assert cert.N > 10 ** 4300
+    assert parse_rational(re.search(r" N=([0-9]+) ", line)[1]) == cert.N
+
+
+def test_prefix_refusal_writes_a_width_past_the_int_digit_limit(tmp_path,
+                                                                capsys):
+    path = tmp_path / "tiny.cnf"
+    path.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    delta = "1/" + "7" * 4400
+    code, out, err = run_cli(capsys, "prefix", "--input", str(path),
+                             "--length", "3", "--bit-guard", "4", "--delta",
+                             delta)
+    assert (code, out) == (3, "")
+    assert err == (f"refused: cannot reach width {delta} within 4 coins "
+                   "(unresolved mass 1/2)\n")
 
 
 def test_q_writes_a_value_past_the_float_range_in_decimal():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lll_toolkit.errors import ModelError
+from lll_toolkit.errors import BudgetRefused, ModelError
 from lll_toolkit.tape import Tape
-from lll_toolkit.fireworks import (MAX_BUDGET, STALLED_TAKE, STALLED_TEST,
-                                   TOOK, BeatResult, ConstantOracle,
+from lll_toolkit.fireworks import (MAX_BUDGET, MAX_UNIFORM, STALLED_TAKE,
+                                   STALLED_TEST, TOOK, BeatResult,
+                                   ConstantOracle,
                                    DivergeAtOracle, GameConfig,
                                    IdentityOracle, beat_function, beat_many,
                                    beat_with_k, cantor_pair, cantor_unpair,
@@ -108,6 +109,20 @@ def test_epsilon_reduction():
     assert epsilon_to_n(F(2, 7)) == 4  # ceil(7/2)
     with pytest.raises(ModelError):
         epsilon_to_n(F(0))
+
+
+def test_a_uniform_law_past_its_guard_is_refused_before_it_is_built():
+    # the guard itself is drawn from; one more value is refused at once
+    assert beat_function(IdentityOracle(), F(1, MAX_UNIFORM),
+                         Tape(seed=1)).status == TOOK
+    for run in (lambda: beat_function(IdentityOracle(),
+                                      F(1, MAX_UNIFORM + 1), Tape(seed=1)),
+                lambda: play_game(GameConfig(MAX_UNIFORM + 1, 3),
+                                  Tape(seed=1)),
+                lambda: beat_many([IdentityOracle()] * 17, F(1),
+                                  Tape(seed=1))):
+        with pytest.raises(BudgetRefused, match=f"guard of {MAX_UNIFORM}$"):
+            run()
 
 
 def test_take_immediately_beats_constant():

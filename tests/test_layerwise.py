@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -262,6 +263,19 @@ def test_table_oracle_rejects_bad_atoms(atoms, message):
 def test_table_oracle_checks_each_pair_and_their_sum(atoms, message):
     with pytest.raises(ModelError, match=f"^{message}"):
         TableQOracle(atoms)
+
+
+def test_table_oracle_writes_a_mass_past_the_int_digit_limit_in_full():
+    # a mass past CPython's int-to-string limit of 4,300 digits is written
+    # in full; `decimal` writes the expected digits
+    den = 7 ** 6000
+    with pytest.raises(ModelError,
+                       match=f"^atom 01 has negative mass -1/{Decimal(den)}$"):
+        TableQOracle({"01": -F(1, den)})
+    with pytest.raises(ModelError, match=(
+            f"^atom masses sum to {Decimal(den + 1)}/{Decimal(den)}, "
+            "more than 1$")):
+        TableQOracle({"0": F(1), "1": F(1, den)})
 
 
 def test_table_oracle_adds_the_masses_of_equal_patterns():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +23,16 @@ def test_variable_distribution_must_sum_to_one():
         VariableSpec(3, (F(3, 2), F(-1, 2)))
     with pytest.raises(ModelError, match="variable 3: empty distribution"):
         VariableSpec(3, ())
+    # a mass past CPython's int-to-string limit of 4,300 digits is written
+    # in full; `decimal` writes the expected digits
+    den = 7 ** 6000
+    with pytest.raises(ModelError,
+                       match=f"^variable 0: negative mass -1/{Decimal(den)}$"):
+        VariableSpec(0, (-F(1, den), 1 + F(1, den)))
+    with pytest.raises(ModelError, match=(
+            f"^variable 0: distribution sums to {Decimal(den + 2)}/"
+            f"{Decimal(2 * den)}, not 1$")):
+        VariableSpec(0, (F(1, den), F(1, 2)))
 
 
 def test_event_requires_sorted_distinct_variables():

@@ -41,6 +41,20 @@ def test_no_float_outside_the_decimal_rendering():
     assert found == []
 
 
+def test_only_dispatch_prints_in_the_cli():
+    # each command returns its report lines and `dispatch` prints them after
+    # the manifest line, so a command that raises has printed nothing
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = []
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "print" and name != "dispatch"]
+    assert found == []
+
+
 def test_no_instance_dict_reads_in_package():
     # reading `__dict__` makes an instance dict for every object it touches;
     # kept values are class-level defaults read as attributes instead
