@@ -26,10 +26,10 @@ each is built once per number of coins left up to its cap.
 `enumerate_runs` lists the leaves one by one instead, re-executing the run
 on each coin prefix.
 
-A run that ends within b coins is the same run at every larger budget, so
-a census keeps its resolved states by their coins read and the runs its
-step guard stopped by theirs, and reads the census at any lower budget off
-those tables (`RunCensus.at_budget`) instead of exploring again.
+A run that ends within b coins is the same run, with the same output, at
+every larger budget, so a census keeps one table, its resolved states by
+their coins read, and reads the resolved mass at any lower budget off it
+(`RunCensus.prefix_mass`) instead of exploring again.
 """
 from __future__ import annotations
 
@@ -182,15 +182,12 @@ class TreeAppearance:
 
 @dataclass
 class RunCensus:
-    """The census of all runs within `bit_budget` coins, from its tables.
+    """The census of all runs within `bit_budget` coins, from its table.
 
     `resolved` maps the packed state of each resolved run, its values and
     the coins it read (`layout` unpacks one), to the number of coin paths
-    that reach it; `step_cut` maps coins read to the number of paths the
-    step guard stopped. From them `at_budget` reads the census at every
-    lower budget. `units` maps each resolved packed assignment to its units
-    of 2^-bit_budget, which `prefix_mass` sums and `output_mass` turns into
-    `Fraction`s when first read.
+    that reach it. `prefix_mass` reads the resolved mass at this or any
+    lower budget off it, and `output_mass` aggregates it when first read.
     """
 
     appearances: dict  # canon -> TreeAppearance
@@ -199,64 +196,54 @@ class RunCensus:
     branch_count: int
     bit_budget: int
     resolved: dict  # packed state -> paths
-    step_cut: dict  # coins read -> paths
     layout: tuple  # (coin shift, ((field mask, offset) per variable))
-    units: dict  # packed assignment -> units
 
     @cached_property
     def output_mass(self) -> dict:
         """Assignment tuple -> Fraction, resolved runs only."""
-        return {tuple([(a & f) >> o for f, o in self.layout[1]]):
-                Fraction(u, 1 << self.bit_budget)
-                for a, u in self.units.items()}
+        shift, unpack = self.layout
+        values_mask = (1 << shift) - 1
+        units: dict = {}  # packed assignment -> units of 2^-bit_budget
+        for s, n in self.resolved.items():
+            a = s & values_mask
+            units[a] = units.get(a, 0) + (n << (self.bit_budget - (s >> shift)))
+        return {tuple([(a & f) >> o for f, o in unpack]):
+                Fraction(u, 1 << self.bit_budget) for a, u in units.items()}
 
-    def at_budget(self, bit_budget: int) -> RunCensus:
-        """The census at `bit_budget` coins, field for field what
-        `census_runs(system, bit_budget, step_guard, want_trees=False)`
-        returns under this census's step guard, for any budget up to this
-        census's own.
+    def prefix_mass(self, prefix: tuple[int, ...],
+                    bit_budget: int | None = None) -> Fraction:
+        """Resolved mass at `bit_budget` coins (by default this census's
+        own) of outputs whose first cells equal `prefix`: the paths of the
+        resolved states within that many coins that match it under one
+        mask, in units of 2^-bit_budget, divided once. At `prefix=()` it is
+        the resolved mass, and 1 minus that the unresolved mass.
 
-        A leaf of the coin-prefix tree at budget b <= B is one of three
-        kinds. A run resolved after c <= b coins: each of its draws ended
-        within those coins, so the census at B follows the same c coin
-        strings to the same state, at the same level. A run the step guard
-        stopped after c <= b coins: the same holds under an explicit guard.
-        The default guard, b + len(variables) + 8 steps, stops a run within
-        b coins only if some resample read no coin. Such a resample redraws
-        point-mass variables alone, leaves the assignment as it was and so
-        repeats forever without a coin; the census at B stops the run in
-        the same state, only at its own guard. (So each resample of a
-        resolved run read a coin, and its at most c <= b steps stay below
-        either default guard.) The coin budget cuts every other path at exactly b
-        coins, one leaf per unit of 2^-b. So the resolved and step-cut
-        entries within b coins are the census at b, and its branch count is
-        their paths plus the units they leave. That count is at most this
-        census's, so no branch guard this census passed can refuse.
+        A run resolved within b coins is the same run, with the same
+        output, at every budget past b: each of its resamples read a coin
+        (one that reads none leaves the assignment as it was and repeats
+        forever), so it takes at most b steps, fewer than the default step
+        guard at either budget, and an explicit guard is the same at both.
+        So the resolved states within b coins are those of the census at b.
         """
-        if bit_budget < 0:
+        if bit_budget is None:
+            bit_budget = self.bit_budget
+        elif bit_budget < 0:
             raise ModelError("bit_budget must be >= 0")
-        if bit_budget > self.bit_budget:
+        elif bit_budget > self.bit_budget:
             raise ModelError(f"cannot read a census at {bit_budget} coins "
                              f"off one at {self.bit_budget}")
-        shift = self.layout[0]
-        return _census_of_tables(
-            {}, bit_budget,
-            {s: n for s, n in self.resolved.items() if s >> shift <= bit_budget},
-            {c: n for c, n in self.step_cut.items() if c <= bit_budget},
-            self.layout)
-
-    def prefix_mass(self, prefix: tuple[int, ...]) -> Fraction:
-        """Resolved mass of outputs whose first cells equal `prefix`: the
-        units of the packed assignments that match it under one mask,
-        divided once."""
-        unpack = self.layout[1][:len(prefix)]
+        shift, unpack = self.layout
+        unpack = unpack[:len(prefix)]
         if len(unpack) < len(prefix) or any(
                 not 0 <= x <= f >> o for x, (f, o) in zip(prefix, unpack)):
             return Fraction(0)  # no output has a value there
         mask = sum(f for f, _ in unpack)
         packed = sum(x << o for x, (_, o) in zip(prefix, unpack))
-        return Fraction(sum(u for a, u in self.units.items()
-                            if a & mask == packed), 1 << self.bit_budget)
+        top = (bit_budget + 1) << shift  # the least state of more coins
+        return Fraction(sum([n << (bit_budget - (s >> shift))
+                             for s, n in self.resolved.items()
+                             if s & mask == packed and s < top]),
+                        1 << bit_budget)
 
     def appearance_list(self) -> list[TreeAppearance]:
         """Appearances by falling p_low, then by canonical line. A line is
@@ -290,28 +277,6 @@ def _component_of(system: ConstraintSystem) -> dict[int, frozenset[int]]:
     return out
 
 
-def _census_of_tables(appearances: dict, bit_budget: int, resolved: dict,
-                      step_cut: dict, layout: tuple) -> RunCensus:
-    """The census at `bit_budget` coins from its tables. Each leaf neither
-    resolved nor step-cut is a path the coin budget cut, of one unit of
-    2^-bit_budget, so the branch count is the tables' paths plus every
-    unit they leave, and the unresolved mass is every unit not resolved."""
-    shift = layout[0]
-    total = 1 << bit_budget
-    values_mask = (1 << shift) - 1
-    units: dict = {}  # packed assignment -> units
-    for s, n in resolved.items():
-        a = s & values_mask
-        units[a] = units.get(a, 0) + (n << (bit_budget - (s >> shift)))
-    resolved_units = sum(units.values())
-    stopped = sum(n << (bit_budget - c) for c, n in step_cut.items())
-    paths = sum(resolved.values()) + sum(step_cut.values())
-    return RunCensus(appearances, Fraction(resolved_units, total),
-                     Fraction(total - resolved_units, total),
-                     paths + total - resolved_units - stopped,
-                     bit_budget, resolved, step_cut, layout, units)
-
-
 def census_runs(system: ConstraintSystem, bit_budget: int,
                 step_guard: int | None = None,
                 branch_guard: int = DEFAULT_BRANCH_GUARD,
@@ -325,9 +290,10 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     that reach it. Masses stay integers in units of 2^-budget until the end.
     The branch count and the guard are those of the prefix tree, whose
     visited nodes number 2 * leaves - 1. The census keeps the path count of
-    each resolved state, its coins included, and of the runs the step guard
-    stopped by their coins; `RunCensus.at_budget` reads every lower budget
-    off these two tables, with no census of its own.
+    each resolved state, its coins included; `RunCensus.prefix_mass` reads
+    the resolved mass at every lower budget off that table, with no census
+    of its own. The runs the step guard stopped are only counted, in paths
+    and in units, to check the leaves against the masses.
 
     A state is one int: variable v's value sits in a field of
     (range_size - 1).bit_length() bits (none for a range-1 variable), and
@@ -375,7 +341,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     adds e's, and through `root in true or root in neighbor_sets[e]`: both
     keys give the same appearances. With want_trees=False only output
     masses are collected (used by the output-distribution oracle); a census
-    with trees keeps the same two tables.
+    with trees keeps the same resolved table.
     """
     step_guard = _step_guard(system, bit_budget, step_guard, branch_guard)
     widths = [(var.range_size - 1).bit_length() for var in system.variables]
@@ -403,7 +369,7 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
     room = (branch_guard + 1) // 2  # the most leaves the guard admits
     leaves = 0
     resolved: dict = {}  # packed state -> paths
-    step_cut: dict = {}  # coins read -> paths
+    stopped_paths = stopped_units = 0  # of the runs the step guard stopped
     reached: dict = {}  # completed history -> units
     cut: dict = {}  # (true events, completed history, in-flight event) -> units
 
@@ -475,11 +441,12 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
                     resolved[s] = resolved.get(s, 0) + n
                 elif level >= step_guard:
                     leaves += n
-                    step_cut[coins] = step_cut.get(coins, 0) + n
+                    units = n << (bit_budget - coins)
+                    stopped_paths += n
+                    stopped_units += units
                     if want_trees:
                         where = true, None
-                        group_cut[where] = (group_cut.get(where, 0)
-                                            + (n << (bit_budget - coins)))
+                        group_cut[where] = group_cut.get(where, 0) + units
                 else:
                     entry = tables[event][coins]
                     if entry is None:
@@ -518,12 +485,21 @@ def census_runs(system: ConstraintSystem, bit_budget: int,
         _refuse(branch_guard)
     appearances = (_tree_tally(system, reached, cut, 1 << bit_budget)
                    if want_trees else {})
-    census = _census_of_tables(appearances, bit_budget, resolved, step_cut,
-                               (coin_shift, tuple(zip(fields, offsets))))
-    if census.branch_count != leaves:  # a coin path lost or counted twice
-        lost = Fraction(census.branch_count - leaves, 1 << bit_budget)
-        raise EngineError(f"census masses sum to {1 - lost}, not 1")
-    return census
+    # each leaf neither resolved nor step-cut is a path the coin budget
+    # cut, of one unit: the resolved and step-cut paths plus the units they
+    # leave must count every leaf once
+    total = 1 << bit_budget
+    resolved_units = sum(n << (bit_budget - (s >> coin_shift))
+                         for s, n in resolved.items())
+    lost = (sum(resolved.values()) + stopped_paths + total
+            - resolved_units - stopped_units - leaves)
+    if lost:  # a coin path lost or counted twice
+        raise EngineError(
+            f"census masses sum to {1 - Fraction(lost, total)}, not 1")
+    return RunCensus(appearances, Fraction(resolved_units, total),
+                     Fraction(total - resolved_units, total), leaves,
+                     bit_budget, resolved,
+                     (coin_shift, tuple(zip(fields, offsets))))
 
 
 def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,

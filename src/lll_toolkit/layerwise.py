@@ -6,7 +6,9 @@ Both extractors run one dovetail: for each cell, precision rounds n = 1, 2,
 ... look for a child whose lower bound passes the extractor's test. A round
 without one after which the oracle's coin guard fixes every bound refuses
 (`BudgetRefused`), and EXTRACTION_ROUNDS futile rounds at one prefix raise
-`ExtractionTimeout`.
+`ExtractionTimeout`. The solver's output measure, `SystemQOracle`, keeps one
+census, its highest, and reads q_n(u) at every lower coin budget off it, so
+q_n(u) depends on u and n alone and rises with n.
 
 The horizon certificate for a cell combines two exactly-checked tail bounds:
 a step count t after which the first k events are all false except with small
@@ -240,8 +242,9 @@ class SystemQOracle:
     q(u) is the probability that the final assignment starts with u;
     q_n(u) is the resolved mass at coin budget `_start_bits(system) + 4n`
     (at most `bit_guard`), which can only grow with the budget. The oracle
-    keeps one census, its highest, and reads every lower budget off it
-    (`RunCensus.at_budget`), for its lower bounds and intervals alike.
+    keeps one census, its highest, and reads the mass at every budget up to
+    it off that census (`RunCensus.prefix_mass`), for its lower bounds and
+    intervals alike, so q_n(u) depends on u and n alone.
     """
 
     def __init__(self, system: ConstraintSystem,
@@ -252,7 +255,6 @@ class SystemQOracle:
         self.bit_guard = bit_guard
         self.branch_guard = branch_guard
         self._top: Optional[RunCensus] = None
-        self._best: dict[tuple[int, ...], Fraction] = {}
 
     def arity(self, position: int) -> int:
         return self.system.variables[position].range_size
@@ -263,22 +265,18 @@ class SystemQOracle:
     def _budget(self, n: int) -> int:
         return min(self.bit_guard, self.base_bits + 4 * n)
 
-    def _census(self, budget: int) -> RunCensus:
-        """The output census at `budget` coins: a new highest census past
-        the one kept, else read off it."""
+    def _mass(self, prefix: tuple[int, ...], budget: int) -> Fraction:
+        """The resolved mass of `prefix` at `budget` coins, off a new
+        highest census if the budget passes the one kept."""
         top = self._top
         if top is None or budget > top.bit_budget:
             self._top = top = census_runs(
                 self.system, budget, branch_guard=self.branch_guard,
                 want_trees=False)
-        return top if budget == top.bit_budget else top.at_budget(budget)
+        return top.prefix_mass(prefix, budget)
 
     def lower_bound(self, prefix: tuple[int, ...], n: int) -> Fraction:
-        prefix = tuple(prefix)
-        lo = self._census(self._budget(n)).prefix_mass(prefix)
-        best = max(self._best.get(prefix, ZERO), lo)
-        self._best[prefix] = best
-        return best
+        return self._mass(prefix, self._budget(n))
 
     def interval(self, prefix: tuple[int, ...],
                  delta: Fraction) -> tuple[Fraction, Fraction]:
@@ -287,16 +285,15 @@ class SystemQOracle:
         the guard."""
         budget = min(self.bit_guard, self.base_bits)
         while True:
-            census = self._census(budget)
-            lo = census.prefix_mass(prefix)
-            hi = lo + census.unresolved_mass
-            if hi - lo <= delta:
-                return lo, hi
+            unresolved = 1 - self._mass((), budget)
+            if unresolved <= delta:
+                lo = self._mass(prefix, budget)
+                return lo, lo + unresolved
             if budget >= self.bit_guard:
                 raise BudgetRefused(
                     f"cannot reach width {format_rational(delta)} within "
                     f"{self.bit_guard} coins (unresolved mass "
-                    f"{format_rational(census.unresolved_mass)})")
+                    f"{format_rational(unresolved)})")
             budget = min(self.bit_guard, budget * 2)
 
 
@@ -344,17 +341,26 @@ def extract_from_positive_probability(q: QOracle, r,
         raise ModelError("threshold r must be positive")
     text = format_rational(r)
 
-    def heavy_child(prefix, n):
-        if q.lower_bound(prefix, n) > 2 * r:
+    def too_heavy(prefix, bound):
+        if bound > 2 * r:
             raise ContractViolation(
                 f"q({''.join(map(str, prefix))or 'empty'}) exceeds "
                 f"2r = {format_rational(2 * r)}")
+
+    def heavy_child(prefix, n):
+        too_heavy(prefix, q.lower_bound(prefix, n))
         winners = [(a, bound) for a in range(q.arity(len(prefix)))
                    if (bound := q.lower_bound(prefix + (a,), n)) > r]
         if len(winners) > 1:
             raise ContractViolation(
                 f"two children exceed r = {text} at prefix {prefix}")
-        return winners[0] if winners else None
+        if not winners:
+            return None
+        # the next cell starts again at round 1: watch the bound that
+        # picked this one, which only an oracle that is not a measure can
+        # raise past its parent's
+        too_heavy(prefix + winners[0][:1], winners[0][1])
+        return winners[0]
 
     return (cell for cell, _ in _dovetail(q, tuple(w), heavy_child,
                                           f"exceeded r = {text}"))

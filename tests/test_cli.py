@@ -9,12 +9,13 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lll_toolkit
@@ -743,6 +744,15 @@ def test_fireworks_refuses_a_uniform_law_past_its_guard(capsys):
     assert err.startswith("refused: a uniform law on 10" + "0" * 19)
 
 
+def test_fireworks_refuses_an_exact_game_past_its_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fireworks", "--n", "2000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("refused: an exact game value over 2000 test counts "
+                   "exceeds the guard of 256\n")
+
+
 def test_a_failing_run_prints_nothing_on_stdout(capsys):
     # the game fails on its tape after the win probability is computed
     code, out, err = run_cli(capsys, "fireworks", "--n", "5", "--seller-k",
@@ -918,6 +928,10 @@ FUZZ_FLAGS = {command: sorted(set(FLAG_VALUES)
               ).choices.items()}
 FILE_READERS = {"system": (read_system, read_dimacs),
                 "log": (log_from_text,), "patterns": (read_patterns,)}
+SEED_FILES = {"system": FUZZ_SEEDS[read_system][0],
+              "chain": write_system(FUZZ_CHAIN),
+              "log": FUZZ_SEEDS[log_from_text][0],
+              "patterns": FUZZ_SEEDS[read_patterns][0]}
 
 
 @st.composite
@@ -927,11 +941,9 @@ def cli_cases(draw):
     run of FUZZ_RUNS that reads it; or the files are seeds and one to
     three flags that its subcommand takes get a value from FLAG_VALUES or
     are dropped."""
-    files = {"system": draw(st.sampled_from(FUZZ_SEEDS[read_system]
-                                            + FUZZ_SEEDS[read_dimacs])),
-             "chain": write_system(FUZZ_CHAIN),
-             "log": FUZZ_SEEDS[log_from_text][0],
-             "patterns": FUZZ_SEEDS[read_patterns][0]}
+    files = {**SEED_FILES,
+             "system": draw(st.sampled_from(FUZZ_SEEDS[read_system]
+                                            + FUZZ_SEEDS[read_dimacs]))}
     if draw(st.booleans()):
         reader, text = draw(mutated_inputs())
         mutated = next(name for name, readers in FILE_READERS.items()
@@ -961,7 +973,18 @@ def _refuses(reader, text) -> bool:
     return False
 
 
+def with_any_size(flag):
+    """The first run of FUZZ_RUNS that sets `flag`, with it set to the
+    rational of ANY_SIZE past the digit limit, as a case of `cli_cases`."""
+    run = next(run for run in FUZZ_RUNS if flag in run)
+    at = run.index(flag) + 1
+    return [*run[:at], ANY_SIZE[-1], *run[at + 1:]], SEED_FILES, None
+
+
 @given(cli_cases())
+@example(with_any_size("--r"))
+@example(with_any_size("--delta"))
+@example(with_any_size("--epsilon"))
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 def test_every_subcommand_exits_cleanly_on_mutated_input(case):
     argv, files, mutated = case
@@ -997,13 +1020,9 @@ def reproduces_from_its_manifest_line(capsys, folder, argv):
     """Run `argv` on the fuzz's seed files, written in `folder`; read the
     manifest line back as shell words and flags, a `=true` field as a bare
     flag, and re-run it: the output is the same. Returns the manifest."""
-    files = {"system": FUZZ_SEEDS[read_system][0],
-             "chain": write_system(FUZZ_CHAIN),
-             "log": FUZZ_SEEDS[log_from_text][0],
-             "patterns": FUZZ_SEEDS[read_patterns][0]}
     folder.mkdir(exist_ok=True)
-    paths = {name: str(folder / name) for name in files}
-    for name, text in files.items():
+    paths = {name: str(folder / name) for name in SEED_FILES}
+    for name, text in SEED_FILES.items():
         Path(paths[name]).write_text(text)
     first = run_cli(capsys, *(arg.format_map(paths) for arg in argv))
     manifest = first[1].splitlines()[0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import reference_census
 from lll_toolkit import exhaustive, witness
 from lll_toolkit.corpus import toy_corpus
-from lll_toolkit.engine import run_finite
+from lll_toolkit.engine import BUDGET_EXCEEDED, run_finite
 from lll_toolkit.errors import BudgetRefused, EngineError, ModelError
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.galton_watson import check_mt_vs_gw
@@ -721,23 +721,23 @@ def test_exact_prefix_is_pinned():
 def assert_reads_every_lower_budget(system, budget, step_guard=None,
                                     branch_guard=exhaustive.DEFAULT_BRANCH_GUARD,
                                     want_trees=False, prefix_cells=None):
-    """Each lower budget read off the census equals a census run at it:
-    field for field, in its output masses, and in the prefix mass of every
-    prefix of an output up to `prefix_cells` cells long (by default every
-    prefix)."""
+    """Each lower budget's masses read off the census equal those of a
+    census run at it: the prefix mass of every prefix of an output up to
+    `prefix_cells` cells long (by default every prefix), of every full
+    output, and at () the resolved and unresolved masses."""
     census = exhaustive.census_runs(system, budget, step_guard, branch_guard,
                                     want_trees)
     cells = len(system.variables) if prefix_cells is None else prefix_cells
     for b in range(budget + 1):
-        read = census.at_budget(b)
         fresh = exhaustive.census_runs(system, b, step_guard, branch_guard,
                                        want_trees=False)
-        assert read == fresh, b
-        assert read.output_mass == fresh.output_mass, b
-        prefixes = {a[:k] for a in fresh.output_mass
-                    for k in range(cells + 1)}
-        assert all(read.prefix_mass(p) == fresh.prefix_mass(p)
+        prefixes = ({a[:k] for a in fresh.output_mass
+                     for k in range(cells + 1)}
+                    | set(fresh.output_mass) | {()})
+        assert all(census.prefix_mass(p, b) == fresh.prefix_mass(p)
                    for p in prefixes), b
+        assert census.prefix_mass((), b) == fresh.resolved_mass, b
+        assert 1 - census.prefix_mass((), b) == fresh.unresolved_mass, b
     return census
 
 
@@ -765,8 +765,16 @@ def test_a_looping_census_reads_every_lower_budget():
     system = ConstraintSystem.build(
         [uniform_bit(0), VariableSpec(1, (Fraction(1), Fraction(0)))],
         [clause_event(0, (0,), (1,)), clause_event(1, (1,), (0,))])
-    census = assert_reads_every_lower_budget(system, 10)
-    assert sorted(census.step_cut) == list(range(1, 11))
+    assert_reads_every_lower_budget(system, 10)
+    # no run resolves: at b coins the one path of b coins that keep x0 = 1
+    # is cut by the budget, and every other leaf is a run the guard stopped
+    for b in range(11):
+        fresh = exhaustive.census_runs(system, b, want_trees=False)
+        assert (fresh.branch_count, fresh.unresolved_mass) == (b + 1, 1), b
+    stopped = [len(branch.bits)
+               for branch in exhaustive.enumerate_runs(system, 10)
+               if branch.status == BUDGET_EXCEEDED]
+    assert sorted(stopped) == list(range(1, 11))
 
 
 @given(wide_systems(), st.integers(0, 12))
@@ -786,17 +794,18 @@ def test_integer_prefix_mass_is_the_direct_sum(system, budget, extra):
     # field's does not fit in it; one cell more than the system has matches
     # nothing
     fresh = exhaustive.census_runs(system, budget, want_trees=False)
-    read = exhaustive.census_runs(system, budget + extra).at_budget(budget)
+    above = exhaustive.census_runs(system, budget + extra)
     sizes = [var.range_size + 1 for var in system.variables]
     prefixes = [p for k in range(len(sizes) + 1)
                 for p in product(*map(range, sizes[:k]))]
     prefixes.append((0,) * (len(sizes) + 1))
-    for census in (fresh, read):
-        for prefix in prefixes:
-            direct = sum((m for a, m in census.output_mass.items()
-                          if a[:len(prefix)] == prefix), Fraction(0))
-            assert census.prefix_mass(prefix) == direct, prefix
-        assert census.prefix_mass(()) == census.resolved_mass
+    for prefix in prefixes:
+        direct = sum((m for a, m in fresh.output_mass.items()
+                      if a[:len(prefix)] == prefix), Fraction(0))
+        assert fresh.prefix_mass(prefix) == direct, prefix
+        assert above.prefix_mass(prefix, budget) == direct, prefix
+    assert fresh.prefix_mass(()) == fresh.resolved_mass
+    assert above.prefix_mass((), budget) == fresh.resolved_mass
 
 
 @pytest.mark.parametrize("want_trees", [False, True])
@@ -822,6 +831,6 @@ def test_a_census_at_its_branch_guard_reads_its_lower_budgets(chain2_system):
 def test_no_census_is_read_past_its_own_budget(chain2_system):
     census = exhaustive.census_runs(chain2_system, 6, want_trees=False)
     with pytest.raises(ModelError, match="at 7 coins off one at 6"):
-        census.at_budget(7)
+        census.prefix_mass((), 7)
     with pytest.raises(ModelError, match="bit_budget must be >= 0"):
-        census.at_budget(-1)
+        census.prefix_mass((), -1)

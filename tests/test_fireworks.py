@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lll_toolkit import fireworks
 from lll_toolkit.errors import BudgetRefused, ModelError
 from lll_toolkit.tape import Tape
-from lll_toolkit.fireworks import (MAX_BUDGET, MAX_UNIFORM, STALLED_TAKE,
+from lll_toolkit.fireworks import (MAX_BUDGET, MAX_EXACT_GAME, MAX_UNIFORM,
+                                   STALLED_TAKE,
                                    STALLED_TEST, TOOK, BeatResult,
                                    ConstantOracle,
                                    DivergeAtOracle, GameConfig,
@@ -71,6 +73,19 @@ def test_win_probability_values():
     assert win_probability_exact(100) == F(99, 100)
     assert win_probability_exact(1) == F(0)
     assert win_probability_exact(2) == F(1, 2)
+
+
+def test_an_exact_game_past_its_guard_is_refused_before_it_is_played(
+        monkeypatch):
+    played = []
+    monkeypatch.setattr(fireworks, "loss_probability",
+                        lambda *args: played.append(args))
+    for n in (MAX_EXACT_GAME + 1, 2000):
+        with pytest.raises(BudgetRefused,
+                           match=f"over {n} test counts exceeds the guard "
+                                 f"of {MAX_EXACT_GAME}$"):
+            win_probability_exact(n)
+    assert played == []
 
 
 def test_single_atom_game():

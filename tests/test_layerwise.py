@@ -2,7 +2,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from random import Random
 
 import pytest
 
@@ -204,6 +205,38 @@ def test_two_winners_violation():
     assert str(caught.value) == "two children exceed r = 1/3 at prefix ()"
 
 
+class HeavyChildOracle:
+    """q_n(()) = 1/5 and q_n((0,)) = 1/2 in every round: the child outweighs
+    its parent, which no measure allows."""
+
+    def arity(self, position):
+        return 2
+
+    def guard(self, n):
+        return None
+
+    def lower_bound(self, prefix, n):
+        return {(): F(1, 5), (0,): F(1, 2)}.get(tuple(prefix), F(0))
+
+
+def test_a_winner_past_2r_is_a_violation():
+    # the parent passes the 2r watch, so only the winner's own bound objects
+    with pytest.raises(ContractViolation) as caught:
+        next(extract_from_positive_probability(HeavyChildOracle(), F(1, 10)))
+    assert str(caught.value) == "q(0) exceeds 2r = 1/5"
+
+
+def test_the_2r_watch_rises_with_the_round(chain2_system):
+    # q_1(0) = 595/1024 and q_2(0) = 2387/4096 straddle 2r = 291/500, and
+    # no child of 0 passes r in round 1
+    oracle = SystemQOracle(chain2_system)
+    assert oracle.lower_bound((0,), 1) <= F(291, 500) < oracle.lower_bound(
+        (0,), 2)
+    with pytest.raises(ContractViolation) as caught:
+        next(extract_from_positive_probability(oracle, F(291, 1000), w=(0,)))
+    assert str(caught.value) == "q(0) exceeds 2r = 291/500"
+
+
 def test_deterministic_machine_extraction():
     q = TableQOracle({"0101": F(1)})
     got = list(islice(extract_from_positive_probability(q, F(3, 5)), 4))
@@ -394,7 +427,6 @@ def test_system_oracle_monotone(one_bit_system):
     assert values[-1] > 0
 
 
-
 def recorded_censuses(monkeypatch, *modules) -> list[int]:
     """The budget of each census that `modules` (by default `layerwise`)
     run from here on, through their module global `census_runs`."""
@@ -444,16 +476,39 @@ def test_system_oracle_keeps_one_census(monkeypatch, chain2_system):
     # the highest budget so far, and the oracle holds that census alone
     seen = recorded_censuses(monkeypatch)
     oracle = SystemQOracle(chain2_system)
-    for n in (2, 1, 3, 1, 2, 3):
-        oracle.lower_bound((0,), n)
+    rounds = (2, 1, 3, 1, 2, 3)
+    bounds = [oracle.lower_bound((0,), n) for n in rounds]
     assert seen == [18, 22]
     kept = [value for value in vars(oracle).values()
             if isinstance(value, RunCensus)
             or isinstance(value, dict) and any(
                 isinstance(v, RunCensus) for v in value.values())]
-    assert kept == [oracle._census(22)]
-    assert oracle._census(14) == census_runs(chain2_system, 14,
-                                             want_trees=False)
+    assert kept == [census_runs(chain2_system, 22, want_trees=False)]
+    assert bounds == [census_runs(chain2_system, 10 + 4 * n,
+                                  want_trees=False).prefix_mass((0,))
+                      for n in rounds]
+
+
+@pytest.mark.parametrize("name", [e.name for e in toy_corpus()]
+                         + ["chain2_system", "chain3_system"])
+def test_system_oracle_is_a_function_of_prefix_and_round(request, name):
+    # q_n(u) of an oracle asked in any order is that of a fresh oracle asked
+    # in rising n, for every prefix of up to 4 cells, and never falls as n
+    # rises
+    system = (request.getfixturevalue(name) if name.startswith("chain")
+              else next(e.system for e in toy_corpus() if e.name == name))
+    sizes = [var.range_size for var in system.variables[:4]]
+    prefixes = [p for k in range(len(sizes) + 1)
+                for p in product(*map(range, sizes[:k]))]
+    fresh = SystemQOracle(system)
+    rising = {(p, n): fresh.lower_bound(p, n)
+              for n in range(1, 6) for p in prefixes}
+    asked = list(rising)
+    Random(name).shuffle(asked)
+    shuffled = SystemQOracle(system)
+    assert {key: shuffled.lower_bound(*key) for key in asked} == rising
+    assert all(rising[p, n] <= rising[p, n + 1]
+               for p in prefixes for n in range(1, 5))
 
 
 @pytest.mark.parametrize("bit_guard,rounds", [(0, 1), (12, 1), (16, 2)])
