@@ -77,17 +77,23 @@ class BetaM:
     previous_fails: bool  # the inequality certifiably fails at M - 1
 
 
+def _tail_interval(gamma: Fraction, beta: Fraction, M: int,
+                   bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of the geometric tail sum_{m>=M} 2^((gamma-beta)m) =
+    2^((gamma-beta)M) / (1 - 2^(gamma-beta)), gamma < beta, from
+    `bits`-bit enclosures of the powers."""
+    r_lo, r_hi = pow2_interval(gamma - beta, bits)
+    t_lo, t_hi = pow2_interval((gamma - beta) * M, bits)
+    if r_hi >= ONE:
+        raise ModelError(f"tail ratio enclosure not below 1 at {bits} bits")
+    return t_lo / (ONE - r_lo), t_hi / (ONE - r_hi)
+
+
 def _master_rhs_interval(gamma: Fraction, alpha: Fraction, beta: Fraction,
                          M: int) -> tuple[Fraction, Fraction]:
     """Enclosure of alpha * 2^-beta * (1 - sum_{m>=M} 2^((gamma-beta)m)),
     from 64-bit enclosures of the powers."""
-    # geometric tail: 2^((gamma-beta)M) / (1 - 2^(gamma-beta)), gamma < beta
-    r_lo, r_hi = pow2_interval(gamma - beta, 64)
-    t_lo, t_hi = pow2_interval((gamma - beta) * M, 64)
-    if r_hi >= ONE:
-        raise ModelError("tail ratio enclosure not below 1 at 64 bits")
-    tail_lo = t_lo / (ONE - r_lo)
-    tail_hi = t_hi / (ONE - r_hi)
+    tail_lo, tail_hi = _tail_interval(gamma, beta, M, 64)
     p_lo, p_hi = pow2_interval(-beta, 64)
     products = [p_lo * (ONE - tail_hi), p_lo * (ONE - tail_lo),
                 p_hi * (ONE - tail_hi), p_hi * (ONE - tail_lo)]
@@ -130,9 +136,11 @@ def compute_beta_M(gamma, alpha) -> BetaM:
 def clause_weight(beta: Fraction, size: int) -> Fraction:
     """Dyadic stand-in 2^-ceil(beta*k) for the irrational 2^(-beta*k).
 
-    Downstream arithmetic needs rational weights; rounding the exponent up
-    only shrinks z, and the master inequality is re-verified with the
-    substituted values by `verify_dyadic_weights`.
+    Downstream arithmetic needs rational weights. Rounding the exponent up
+    only shrinks z, which can break the condition as well as mend it, so
+    the substituted weights are checked again: `build_avoiding_sequence`
+    checks its window's condition exactly with them (`check_lll`), and
+    `verify_dyadic_weights` checks the per-size inequality.
     """
     return Fraction(1, 2 ** ceil(beta * size))
 
@@ -152,11 +160,7 @@ def verify_dyadic_weights(gamma, alpha, beta: Fraction, M: int,
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
-    t_lo, t_hi = pow2_interval((gamma - beta) * M, 48)
-    r_lo, r_hi = pow2_interval(gamma - beta, 48)
-    if r_hi >= ONE:
-        raise ModelError("tail ratio enclosure not below 1 at 48 bits")
-    tail_hi = t_hi / (ONE - r_hi)
+    _, tail_hi = _tail_interval(gamma, beta, M, 48)
     out = {}
     for k in sizes:
         zk = clause_weight(beta, k)

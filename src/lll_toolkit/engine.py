@@ -135,11 +135,16 @@ def _walk(system: ConstraintSystem, log: ResampleLog, validate: bool = True
     in place from step to step.
 
     With validate=True, checks that each step names an event of the system
-    that was true right before its resampling and that tape positions follow
-    the consumption law.
+    that was true right before its resampling, that tape positions follow
+    the consumption law and then that each value is in its variable's range.
     """
     if len(log.initial) != len(system.variables):
         raise EngineError("log initial draws do not match the variable count")
+    sizes = system.range_sizes
+    if validate:
+        for v, value in enumerate(log.initial):
+            if not 0 <= value < sizes[v]:
+                raise _out_of_range("init", v, value, sizes[v])
     assignment = list(log.initial)
     yield None, assignment
     positions = {v: 1 for v in range(len(system.variables))}
@@ -164,7 +169,17 @@ def _walk(system: ConstraintSystem, log: ResampleLog, validate: bool = True
                     f"expected {positions[v]}")
             positions[v] = position + 1
             assignment[v] = value
+        if validate:
+            for v, _, value in step.draws:
+                if not 0 <= value < sizes[v]:
+                    raise _out_of_range(f"step {step.number}", v, value,
+                                        sizes[v])
         yield step, assignment
+
+
+def _out_of_range(where: str, v: int, value: int, size: int) -> EngineError:
+    return EngineError(f"{where}: x{v} value {value} is outside its range "
+                       f"0..{size - 1}")
 
 
 def replay(system: ConstraintSystem, log: ResampleLog,
@@ -172,8 +187,8 @@ def replay(system: ConstraintSystem, log: ResampleLog,
     """Assignments after 0, 1, ..., len(steps) resamples, recomputed from the log.
 
     With validate=True, checks that each step names an event of the system
-    that was true right before its resampling and that tape positions follow
-    the consumption law.
+    that was true right before its resampling, that tape positions follow
+    the consumption law and that every value lies in its variable's range.
     """
     return [tuple(assignment) for _, assignment in _walk(system, log, validate)]
 

@@ -522,19 +522,18 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     (`regrown_tree`), and the memo keeps, per tree id, the id regrown from
     it: a tree is regrown and its canon hashed only the first time. Any
     other history's tree is built straight from the sequence. A canon gets
-    a small int id the first time it is admitted, and the tally keeps by id
-    its masses and the label counts of the tree in hand, built or regrown.
-    Off those, every history's root count is checked (`check_root_grew`,
-    as `admit_tree` does) after the trees of its prefixes. Each distinct
-    tree that the memo does not regrow is checked and positioned once, by
-    `tape_positions_by_vertex`. One it regrows is legal iff the tree below
-    it is, so it is not checked again, and its rows are that tree's plus a
-    root row, each of the root's variables at one more than the number of
-    that tree's vertices touching it. The tree below is priced first, as
-    it has the smaller id: any tree whose root has one son of its own
-    label, built or regrown, is the tree of that son's step under a new
-    root, and that step's history comes first in `reached`. The kept counts
-    price each tree's label product, from one probability per event.
+    a small int id the first time it is admitted, and one record: the tree
+    in hand, built or regrown, its label counts, its rows of cells with the
+    number of its vertices touching each variable, and its units. Off the
+    counts, every history's root count is checked (`check_root_grew`, as
+    `admit_tree` does) after the trees of its prefixes. A tree first met
+    built is checked and positioned once, by `tape_positions_by_vertex`.
+    One first met regrown is legal iff the tree below it is, so it is not
+    checked again, and its rows are those of the record below, in hand
+    when it is admitted, plus a root row, each of the root's variables at
+    one more than the number of that tree's vertices touching it. The
+    records are priced in id order, each tree's label product from one
+    probability per event.
 
     For each unresolved run the tally works out which trees could still
     appear for the first time in an extension: the tree's root must be
@@ -561,9 +560,12 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     per tree, and the sum is divided once.
     """
     comp_of = _component_of(system)
+    event_probs = [event_probability(ev, system) for ev in system.events]
     ids: dict = {}  # canon -> its id, in order of first admission
-    trees: list = []  # id -> the tree of the first history with it
-    label_counts: list = []  # id -> that tree's label counts
+    # id -> [the tree of the first history with it, its label counts, its
+    # rows, (probability, ((variable, position), ...)) per vertex, variable
+    # -> the number of its vertices touching it, its units]
+    records: list = []
     # id -> the id of that tree under a new root of its root's label: the
     # tree of a step that repeats the event of the step before, whose tree
     # is rooted at that event
@@ -572,33 +574,48 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
     # multiplicity in the latest tree rooted there, as in `admit_tree`)
     history_trees: dict = {(): (None, {})}
 
-    def admitted(tree: WitnessTree) -> int:
+    def admitted(tree: WitnessTree, below: int | None = None) -> int:
+        """The id of `tree`'s canon; its record is made the first time,
+        with the rows of the tree `below` it, if regrown, plus a root row."""
         tree_id = ids.setdefault(tree.canon(), len(ids))
-        if tree_id == len(trees):
-            trees.append(tree)
-            label_counts.append(tree.label_counts())
+        if tree_id < len(records):
+            return tree_id
+        if below is None:
+            positions = tape_positions_by_vertex(tree, system)
+            rows = [(event_probs[tree.labels[v]], tuple(row.items()))
+                    for v, row in positions.items()]
+            touched: dict = {}
+            for row in positions.values():
+                touched.update(row)  # deepest first: the last is the count
+        else:
+            _, _, rows, touched, _ = records[below]
+            root = tree.root_label
+            # the tree below is rooted at the same label: it touches each
+            # of the root's variables
+            row = tuple((var, touched[var] + 1)
+                        for var in system.events[root].vbl)
+            rows = rows + [(event_probs[root], row)]
+            touched = {**touched, **dict(row)}
+        records.append([tree, tree.label_counts(), rows, touched, 0])
         return tree_id
 
-    p_low: dict = {}  # id -> units, in order of first admission
     for history, units in reached.items():
         tree_id, root_counts = history_trees[history[:-1]]
         k = len(history)
         if k > 1 and history[-2] == history[-1]:
             below, tree_id = tree_id, regrown.get(tree_id)
             if tree_id is None:
-                tree = regrown_tree(trees[below], k)
-                tree_id = regrown[below] = admitted(tree)
-            else:
-                tree = trees[tree_id]
+                tree = regrown_tree(records[below][0], k)
+                tree_id = regrown[below] = admitted(tree, below)
         else:
-            tree = tree_of_events(history, system)
-            tree_id = admitted(tree)
-        root = tree.root_label
-        n_root = label_counts[tree_id][root]
+            tree_id = admitted(tree_of_events(history, system))
+        record = records[tree_id]
+        root = record[0].root_label
+        n_root = record[1][root]
         check_root_grew(root, n_root, k, root_counts)
         root_counts = {**root_counts, root: n_root}
         history_trees[history] = tree_id, root_counts
-        p_low[tree_id] = p_low.get(tree_id, 0) + units
+        record[4] += units
 
     # root -> the unresolved runs that can reach it, each as
     # (units, base label counts, min_size, consumed_ub)
@@ -641,35 +658,9 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
             by_root.setdefault(root, []).append(
                 (units, base, min_size, consumed_ub))
 
-    event_probs = [event_probability(ev, system) for ev in system.events]
-    canons = list(ids)
-    grown_from = {grown: below for below, grown in regrown.items()}
-    # id -> (its rows, (probability, ((variable, position), ...)) per
-    # vertex; variable -> the number of its vertices touching it)
-    cells: list = []
     appearances: dict = {}
-    for tree_id, low in p_low.items():
-        tree = trees[tree_id]
-        counts, size = label_counts[tree_id], tree.size
-        below = grown_from.get(tree_id)
-        if below is None:
-            positions = tape_positions_by_vertex(tree, system)
-            rows = [(event_probs[tree.labels[v]], tuple(row.items()))
-                    for v, row in positions.items()]
-            touched: dict = {}
-            for row in positions.values():
-                touched.update(row)  # deepest first: the last is the count
-        else:
-            rows, touched = cells[below]
-            root = tree.root_label
-            # the tree below is rooted at the same label: it touches each
-            # of the root's variables
-            row = tuple((var, touched[var] + 1)
-                        for var in system.events[root].vbl)
-            rows = rows + [(event_probs[root], row)]
-            touched = dict(touched)
-            touched.update(row)
-        cells.append((rows, touched))
+    for canon, (tree, counts, rows, _, low) in zip(ids, records):
+        size = tree.size
         # consumption vector -> units of the runs charged with it
         charged: dict = {}
         for units, base, min_size, consumed_ub in by_root.get(
@@ -697,7 +688,7 @@ def _tree_tally(system: ConstraintSystem, reached: dict, cut: dict,
         unit = lcm(*(den for _, _, den in charges))
         pending = Fraction(sum(units * num * (unit // den)
                                for units, num, den in charges), total * unit)
-        appearances[canons[tree_id]] = TreeAppearance(
+        appearances[canon] = TreeAppearance(
             tree, Fraction(low, total), pending,
             label_product(counts, event_probs))
     return appearances

@@ -43,14 +43,8 @@ class InfiniteFamily:
     def degree_bound(self, size: int) -> Fraction:
         """Certified lower bound of the declared per-(variable, size) count
         formula: a count not exceeding this value provably respects the
-        declared bound. Default formula: 2^(gamma*size), enclosed at 64
-        bits."""
-        from .intervals import pow2_interval
-        gamma = getattr(self, "gamma", None)
-        if gamma is None:
-            raise FamilyError("family declares no incidence exponent gamma")
-        lo, _hi = pow2_interval(Fraction(gamma) * size, 64)
-        return lo
+        declared bound. A family that declares a bound overrides this."""
+        raise FamilyError("family declares no incidence exponent gamma")
 
     def event(self, index: int) -> Event:
         if index < 0:

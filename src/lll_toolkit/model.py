@@ -177,6 +177,11 @@ class ConstraintSystem:
         return tuple(compiled[id(var.distribution)] for var in self.variables)
 
     @cached_property
+    def range_sizes(self) -> tuple[int, ...]:
+        """Each variable's number of values, in variable order."""
+        return tuple(var.range_size for var in self.variables)
+
+    @cached_property
     def fair(self) -> bool:
         """Whether every variable is a fair bit (checked at first use)."""
         return all(s.fair for s in self.samplers)

@@ -281,10 +281,10 @@ def validate_tree(tree: WitnessTree, system: ConstraintSystem) -> TreeValidation
     father's label, and more generally no two same-depth vertices may be
     neighbors.
 
-    Each call checks the tree and keeps nothing. A census checks
-    each distinct tree it builds with `tree_of_events` once, in its tally's
-    call of `tape_positions_by_vertex`; a tree it regrows (`regrown_tree`)
-    is legal iff the tree below it is, and is not checked again.
+    Each call checks the tree and keeps nothing. A census checks once,
+    through `tape_positions_by_vertex`, each distinct tree it first meets
+    built (`tree_of_events`); one first met regrown (`regrown_tree`) is
+    legal iff the tree below it is, and is not checked again.
     """
     violations = _violations(tree, system)
     return TreeValidation(not violations, violations)
@@ -357,9 +357,9 @@ def tape_positions_by_vertex(tree: WitnessTree,
     neighbors, which a legal tree keeps at different depths) and deeper
     levels happen earlier, so the vertices touching a variable, deepest
     first, consumed its values x^1, x^2, ... in order. The tree is checked
-    first: the census's tally checks and positions here, once, each
-    distinct tree it builds with `tree_of_events`, and forms a regrown
-    tree's rows itself, the rows of the tree below it plus its root's.
+    first: the census's tally positions here each distinct tree it first
+    meets built, once, and gives one first met regrown the rows of the
+    tree below it plus its root's.
     """
     check = validate_tree(tree, system)
     if not check.valid:

@@ -11,7 +11,8 @@ from lll_toolkit.errors import FamilyError, ModelError
 from lll_toolkit.families import (ChainCnfFamily, FiniteFamily,
                                   ForbiddenSubstringFamily, TrimmedFamily)
 from lll_toolkit.intervals import pow2_interval
-from lll_toolkit.corollaries import (audit_pattern_counts,
+from lll_toolkit.corollaries import (_master_rhs_interval,
+                                     audit_pattern_counts,
                                      build_avoiding_sequence, clause_weight,
                                      compute_beta_M, degree_audit,
                                      fixed_cnf_params,
@@ -141,6 +142,18 @@ def test_beta_M_grid_is_pinned():
         text
 
 
+def test_a_tail_ratio_not_below_one_is_refused_at_each_precision():
+    # beta = gamma makes the tail's ratio 2^0 = 1: no geometric sum
+    for enclose, bits in (
+            (lambda: _master_rhs_interval(F(1, 2), F(99, 100), F(1, 2), 3),
+             64),
+            (lambda: verify_dyadic_weights(F(1, 2), F(99, 100), F(1, 2), 3,
+                                           [4]), 48)):
+        with pytest.raises(ModelError, match=f"^tail ratio enclosure not "
+                                             f"below 1 at {bits} bits$"):
+            enclose()
+
+
 def test_dyadic_weights_verify_at_reference_point():
     bm = compute_beta_M(F(1, 2), F(99, 100))
     sizes = range(bm.M, bm.M + 20)
@@ -268,6 +281,11 @@ def test_degree_audit_rejects_violations():
     family = ForbiddenSubstringFamily(runs_patterns(8), F(1, 100), 4)
     with pytest.raises(ModelError):
         degree_audit(family, var_limit=12, min_size=4)
+
+
+def test_degree_audit_refuses_a_family_declaring_no_bound():
+    with pytest.raises(FamilyError, match="declares no incidence exponent"):
+        degree_audit(ChainCnfFamily(3, 1, 0), var_limit=4)
 
 
 def test_degree_audit_on_trimmed_family():

@@ -90,6 +90,32 @@ def test_replay_rejects_corrupted_log(chain3_system):
                                    (bad,) + result.log.steps[1:])
     with pytest.raises(EngineError):
         replay(chain3_system, bad_log)
+    # the same draws in reverse: each variable keeps its position, so only
+    # the check of vbl's order refuses them
+    swapped = step.__class__(step.number, step.event, step.draws[::-1])
+    swapped_log = result.log.__class__(result.log.initial,
+                                       (swapped,) + result.log.steps[1:])
+    with pytest.raises(EngineError,
+                       match="^step 1: draws do not cover vbl in order$"):
+        replay(chain3_system, swapped_log)
+
+
+@pytest.mark.parametrize("log, message", [
+    (ResampleLog((1,), (Step(1, 0, ((0, 1, 7),)),)),
+     "step 1: x0 value 7 is outside its range 0..1"),
+    (ResampleLog((1,), (Step(1, 0, ((0, 1, -1),)),)),
+     "step 1: x0 value -1 is outside its range 0..1"),
+    (ResampleLog((9,), ()), "init: x0 value 9 is outside its range 0..1"),
+])
+def test_replay_and_stable_times_refuse_a_value_outside_its_range(
+        one_bit_system, log, message):
+    # the checks `read_log` makes of a log's text hold for a log in hand
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        replay(one_bit_system, log)
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        stable_times(log, one_bit_system)
+    assert len(replay(one_bit_system, log, validate=False)) == 1 + len(
+        log.steps)
 
 
 @pytest.mark.parametrize("event", [-1, 3])

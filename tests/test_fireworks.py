@@ -75,6 +75,16 @@ def test_win_probability_values():
     assert win_probability_exact(2) == F(1, 2)
 
 
+def test_the_game_value_traces_no_play(monkeypatch):
+    # the value reads the outcome rule alone; a play's trace grows with k
+    def traced(*args):
+        raise AssertionError("a play was traced")
+
+    monkeypatch.setattr(fireworks, "PlayOutcome", traced)
+    assert win_probability_exact(MAX_EXACT_GAME) == 1 - F(1, MAX_EXACT_GAME)
+    assert loss_probability(4, 2) == F(1, 4)
+
+
 def test_an_exact_game_past_its_guard_is_refused_before_it_is_played(
         monkeypatch):
     played = []

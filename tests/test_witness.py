@@ -15,8 +15,8 @@ from lll_toolkit.galton_watson import gw_tree_probability
 from lll_toolkit.model import (ConstraintSystem, LLLParams, clause_event,
                                uniform_bit)
 from lll_toolkit.tape import Tape
-from lll_toolkit.engine import (SATISFIED, log_from_event_sequence,
-                                run_finite)
+from lll_toolkit.engine import (SATISFIED, ResampleLog, Step,
+                                log_from_event_sequence, run_finite)
 from lll_toolkit.families import ChainCnfFamily
 from lll_toolkit.witness import (WitnessTree, build_witness_tree,
                                  crosscheck_tape_positions,
@@ -437,6 +437,21 @@ def test_worked_example_positions(paper_example_system):
     assert positions[1] == [1, 2, 3]
     assert positions[2] == [1, 2, 3]
     assert crosscheck_tape_positions(tree, log, paper_example_system)
+
+
+def test_crosscheck_refuses_a_log_at_odds_with_its_tree(paper_example_system):
+    # the root's first draw logged one position past the tree's numbering
+    log = log_from_event_sequence(paper_example_system, [2, 1, 3, 4, 2])
+    tree = build_witness_tree(log, 5, paper_example_system)
+    last = log.steps[-1]
+    (var, position, value), *rest = last.draws
+    moved = Step(last.number, last.event, ((var, position + 1, value), *rest))
+    shifted = ResampleLog(log.initial, log.steps[:-1] + (moved,))
+    assert not crosscheck_tape_positions(tree, shifted, paper_example_system)
+    # a tree not built from a log has no steps to look its draws up by
+    with pytest.raises(ModelError, match="^tree does not carry originating"):
+        crosscheck_tape_positions(WitnessTree(tree.labels, tree.parents),
+                                  log, paper_example_system)
 
 
 def test_disjoint_labels_at_one_level(paper_example_system):
