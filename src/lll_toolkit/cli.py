@@ -263,7 +263,7 @@ def _cmd_gw(args):
                     + ("overflow" if tree is None else tree.canonical_line())
                     for i, tree in enumerate(trees)]
     report = check_mt_vs_gw(system, params, args.bit_budget)
-    lines = [f"tree={entry.tree.canonical_line()} p_mt={q(entry.p_mt)} "
+    lines = [f"tree={entry.tree.canonical_line()} p_mt={q(entry.p_low)} "
              f"pending={q(entry.pending)} bound={q(entry.bound)} "
              f"ok={_true(entry.certified)}" for entry in report.entries]
     lines += [f"gw_total root={root} sum={q(total)} ok={_true(total <= 1)}"

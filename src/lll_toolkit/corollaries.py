@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from .model import (ConditionReport, ConstraintSystem, LLLParams, ONE, ZERO,
 from .tape import Tape
 from .engine import SATISFIED, run_finite, suggested_max_steps
 from .families import ForbiddenSubstringFamily, InfiniteFamily, TrimmedFamily
-from .intervals import pow2_interval
+from .intervals import least, pow2_interval
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,26 @@ class BetaM:
     previous_fails: bool  # the inequality certifiably fails at M - 1
 
 
-def _tail_interval(gamma: Fraction, beta: Fraction, M: int,
-                   bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of the geometric tail sum_{m>=M} 2^((gamma-beta)m) =
-    2^((gamma-beta)M) / (1 - 2^(gamma-beta)), gamma < beta, from
-    `bits`-bit enclosures of the powers."""
+def _tail_interval(gamma: Fraction, beta: Fraction, bits: int):
+    """M -> enclosure of the geometric tail sum_{m>=M} 2^((gamma-beta)m) =
+    2^((gamma-beta)M) / (1 - 2^(gamma-beta)), gamma < beta, from `bits`-bit
+    enclosures of the powers; the ratio's is formed and checked once."""
     r_lo, r_hi = pow2_interval(gamma - beta, bits)
-    t_lo, t_hi = pow2_interval((gamma - beta) * M, bits)
     if r_hi >= ONE:
         raise ModelError(f"tail ratio enclosure not below 1 at {bits} bits")
-    return t_lo / (ONE - r_lo), t_hi / (ONE - r_hi)
+
+    def tail(M: int) -> tuple[Fraction, Fraction]:
+        t_lo, t_hi = pow2_interval((gamma - beta) * M, bits)
+        return t_lo / (ONE - r_lo), t_hi / (ONE - r_hi)
+    return tail
 
 
-def _master_rhs_interval(gamma: Fraction, alpha: Fraction, beta: Fraction,
-                         M: int) -> tuple[Fraction, Fraction]:
+def _master_rhs_interval(alpha: Fraction, power: tuple[Fraction, Fraction],
+                         tail, M: int) -> tuple[Fraction, Fraction]:
     """Enclosure of alpha * 2^-beta * (1 - sum_{m>=M} 2^((gamma-beta)m)),
-    from 64-bit enclosures of the powers."""
-    tail_lo, tail_hi = _tail_interval(gamma, beta, M, 64)
-    p_lo, p_hi = pow2_interval(-beta, 64)
+    from the enclosure `power` of 2^-beta and the `tail` enclosures."""
+    tail_lo, tail_hi = tail(M)
+    p_lo, p_hi = power
     products = [p_lo * (ONE - tail_hi), p_lo * (ONE - tail_lo),
                 p_hi * (ONE - tail_hi), p_hi * (ONE - tail_lo)]
     return alpha * min(products), alpha * max(products)
@@ -108,7 +111,7 @@ def compute_beta_M(gamma, alpha) -> BetaM:
     M (at most 100000) is the least at which the inequality certifiably
     holds, by 64-bit interval evaluation; the enclosures at M and M-1 come
     from the search itself, and `previous_fails` says whether the one at M-1
-    certifiably fails (the tail is monotone).
+    certifiably fails (the tail is monotone, so `least` finds M).
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
@@ -119,18 +122,16 @@ def compute_beta_M(gamma, alpha) -> BetaM:
     beta = (ONE + gamma) / 2
     half = Fraction(1, 2)
     # even with zero tail the inequality needs alpha * 2^-beta >= 1/2
-    p_lo, p_hi = pow2_interval(-beta, 64)
-    if alpha * p_hi < half:
+    power = pow2_interval(-beta, 64)
+    if alpha * power[1] < half:
         raise ModelError(
             "alpha/gamma incompatible: alpha * 2^-beta < 1/2 even with no tail")
-    hi_prev = None  # the upper enclosure at M - 1
-    for M in range(1, _MAX_M + 1):
-        lo, hi = _master_rhs_interval(gamma, alpha, beta, M)
-        if lo >= half:
-            return BetaM(beta, M, lo - half,
-                         hi_prev is not None and hi_prev < half)
-        hi_prev = hi
-    raise ModelError(f"no certifiable M found up to {_MAX_M}")
+    tail = _tail_interval(gamma, beta, 64)
+    rhs = cache(lambda M: _master_rhs_interval(alpha, power, tail, M))
+    M = least(lambda M: rhs(M)[0] >= half, 1, _MAX_M)
+    if M is None:
+        raise ModelError(f"no certifiable M found up to {_MAX_M}")
+    return BetaM(beta, M, rhs(M)[0] - half, M > 1 and rhs(M - 1)[1] < half)
 
 
 def clause_weight(beta: Fraction, size: int) -> Fraction:
@@ -160,7 +161,7 @@ def verify_dyadic_weights(gamma, alpha, beta: Fraction, M: int,
     """
     gamma = as_fraction(gamma)
     alpha = as_fraction(alpha)
-    _, tail_hi = _tail_interval(gamma, beta, M, 48)
+    _, tail_hi = _tail_interval(gamma, beta, 48)(M)
     out = {}
     for k in sizes:
         zk = clause_weight(beta, k)

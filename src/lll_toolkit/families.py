@@ -8,12 +8,12 @@ inside a window of L bits are the family's first events.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
 from .errors import FamilyError, ModelError
+from .intervals import least, pow2_interval
 from .model import (ConstraintSystem, Event, VariableSpec, clause_event,
                     uniform_bit)
 from .tape import _word
@@ -183,12 +183,11 @@ class ForbiddenSubstringFamily(InfiniteFamily):
         """(position, pattern) of the event with this enumeration index."""
         if not self.patterns:
             raise FamilyError("family has no patterns of admissible length")
-        start = min(self._by_length)  # smallest possible p + |f|
-        # every diagonal from `start` on holds an event, so the one holding
-        # `index` is the last d <= start + index with at most index before it
-        diagonals = range(start, start + index + 2)
-        d = diagonals[bisect_right(diagonals, index,
-                                   key=self._diagonals_before) - 1]
+        # a diagonal from the shortest length on holds at least one event and
+        # at most one per pattern, so the last d with at most index events
+        # before it, which holds `index`, is index // |patterns| or more on
+        start = min(self._by_length) + index // len(self.patterns)
+        d = least(lambda d: self._diagonals_before(d) > index, start) - 1
         # within diagonal d: order by p ascending, that is by the length
         # l = d - p descending, then pattern lexicographic
         offset = index - self._diagonals_before(d)
@@ -228,7 +227,6 @@ class ForbiddenSubstringFamily(InfiniteFamily):
     def degree_bound(self, size: int) -> Fraction:
         # one occurrence window per offset, times the per-length pattern
         # count bound: size * 2^(gamma*size)
-        from .intervals import pow2_interval
         lo, _hi = pow2_interval(self.gamma * size, 64)
         return size * lo
 
@@ -283,14 +281,7 @@ class TrimmedFamily(InfiniteFamily):
     def degree_bound(self, size: int) -> Fraction:
         # every original size s with s - ceil(rho*s) == size can contribute,
         # each within the base family's own bound; the map is non-decreasing
-        # in s, so stop once it overshoots
-        total = Fraction(0)
-        s = size
-        while s <= 8 * size + 16:
-            m = s - self._trim_count(s)
-            if m > size:
-                break
-            if m == size:
-                total += self.base.degree_bound(s)
-            s += 1
-        return total
+        # in s and below s, so those sizes are one run past `size`
+        first = least(lambda s: s - self._trim_count(s) >= size, size)
+        end = least(lambda s: s - self._trim_count(s) > size, first)
+        return sum(map(self.base.degree_bound, range(first, end)), Fraction(0))

@@ -19,6 +19,7 @@ from typing import Optional, Protocol, Sequence
 
 from .errors import BudgetRefused, ModelError
 from .formats import format_rational
+from .intervals import least
 from .model import ONE, ZERO, as_fraction
 from .tape import Tape
 
@@ -248,9 +249,7 @@ def cantor_pair(row: int, column: int) -> int:
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= z:
-        s += 1
+    s = least(lambda s: (s + 1) * (s + 2) // 2 > z)
     column = z - s * (s + 1) // 2
     return s - column, column
 

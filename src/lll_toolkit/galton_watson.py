@@ -109,6 +109,9 @@ class GWComparisonEntry(TreeAppearance):
 
     @property
     def p_mt(self) -> Fraction:
+        """`p_low` under its old name, kept only because the benchmark's
+        `perfbench/workloads.py` reads it (ROADMAP item 2); the package
+        reads `p_low`."""
         return self.p_low
 
 

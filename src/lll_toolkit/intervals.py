@@ -1,4 +1,4 @@
-"""Exact rational enclosures for powers of two with fractional exponents.
+"""Exact enclosures of fractional powers of two, and the least-integer search.
 
 2^(a/b) is irrational unless b divides a, so inequalities involving such
 powers are decided against certified rational enclosures of controllable
@@ -7,9 +7,30 @@ width rather than floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .errors import ModelError
 from .model import ONE, as_fraction
+
+
+def least(holds: Callable[[int], bool], start: int = 0,
+          limit: Optional[int] = None) -> Optional[int]:
+    """The least n >= start with holds(n), for a test that stays true once
+    it holds, or None if it fails at `limit`: tests start, start + 1,
+    start + 3, start + 7, ... (capped at `limit`), then bisects the gap."""
+    lo, n, step = start, start, 1  # the test fails below lo
+    while not holds(n):
+        if n == limit:
+            return None
+        lo, n, step = n + 1, n + step, 2 * step
+        n = n if limit is None else min(n, limit)
+    while lo < n:
+        mid = (lo + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            lo = mid + 1
+    return n
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -24,10 +45,7 @@ def _nth_root_floor(x: int, n: int) -> int:
         if nr >= r:
             break
         r = nr
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
+    # from above, integer Newton falls to the floor root, never past it
     return r
 
 

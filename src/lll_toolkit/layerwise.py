@@ -34,6 +34,7 @@ from .engine import SATISFIED, run_finite, suggested_max_steps
 from .exhaustive import DEFAULT_BRANCH_GUARD, RunCensus, census_runs
 from .families import InfiniteFamily
 from .formats import format_rational
+from .intervals import least
 
 DEFAULT_BIT_GUARD = 40
 # exact prefixes at the command line and exact avoidance refuse past this
@@ -115,6 +116,7 @@ def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
     The delta budget is split evenly: each event touching the cell gets
     delta/(2*count) for its tree-size term and the same for its Markov term.
     All the defining inequalities are checked in exact rational arithmetic.
+    Tree sizes past the neighbor ball guard are refused (`BudgetRefused`).
     """
     if cell < 0:
         raise ModelError(f"cell must be >= 0, got {cell}")
@@ -134,11 +136,12 @@ def stability_horizon(family: InfiniteFamily, params: StreamParams, cell: int,
     for j in touching:
         zj = as_fraction(params.z_of(j))
         ratio = zj / (ONE - zj)
-        m = 0
-        power = ONE
-        while ratio * power > share:
-            m += 1
-            power *= params.alpha
+        m = least(lambda m: ratio * params.alpha ** m <= share, 0,
+                  _BALL_GUARD)
+        if m is None:
+            raise BudgetRefused(
+                f"event {j}: no tree size m <= {_BALL_GUARD} (the neighbor "
+                "ball guard) meets its share of delta")
         ball = _neighbor_ball(family, j, m)
         k = max(ball) + 1
         bound = expected_steps_bound([params.z_of(i) for i in range(k)])

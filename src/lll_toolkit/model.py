@@ -301,8 +301,21 @@ class ConditionReport:
         return all(e.holds for e in self.entries)
 
 
+# most denominator bits a product of (1 - z) powers may have. At this size
+# forming one takes about 0.01 s, but writing it in decimal, as `lll check`
+# writes avoid_bound, takes about 1 s (2 vCPUs, Python 3.11), and writing
+# grows with the square of its digits. The largest product the demos and
+# tests form (demo 05's avoid_bound) has about 74,000 such bits
+_PRODUCT_GUARD = 1 << 19
+
+
 def _complement_product(counts: Counter) -> Fraction:
-    """prod (1 - z)^count over weights z keyed as (numerator, denominator)."""
+    """prod (1 - z)^count over weights z keyed as (numerator, denominator);
+    refused before it is formed past `_PRODUCT_GUARD` denominator bits."""
+    bits = sum(count * den.bit_length() for (_, den), count in counts.items())
+    if bits > _PRODUCT_GUARD:
+        raise BudgetRefused(f"a product of (1 - z) powers of up to {bits} "
+                            f"denominator bits exceeds guard {_PRODUCT_GUARD}")
     product = ONE
     for (num, den), count in counts.items():
         product *= (ONE - Fraction(num, den)) ** count

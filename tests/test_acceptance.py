@@ -20,8 +20,9 @@ from lll_toolkit.layerwise import (TableQOracle, compute_assignment_prefix,
                                    extract_from_positive_probability,
                                    extract_positive_branch, stability_horizon)
 from lll_toolkit.corollaries import (build_avoiding_sequence, compute_beta_M,
-                                     _master_rhs_interval,
+                                     _master_rhs_interval, _tail_interval,
                                      scan_for_substrings)
+from lll_toolkit.intervals import pow2_interval
 from lll_toolkit.fireworks import (loss_probability,
                                    sequential_take_distribution,
                                    win_probability_exact)
@@ -207,8 +208,10 @@ def test_08_avoiding_sequence_pipeline():
     t0 = time.perf_counter()
     gamma, alpha = F(1, 2), F(99, 100)
     bm = compute_beta_M(gamma, alpha)
-    lo_at_m, _ = _master_rhs_interval(gamma, alpha, bm.beta, bm.M)
-    _, hi_prev = _master_rhs_interval(gamma, alpha, bm.beta, bm.M - 1)
+    power = pow2_interval(-bm.beta, 64)
+    tail = _tail_interval(gamma, bm.beta, 64)
+    lo_at_m, _ = _master_rhs_interval(alpha, power, tail, bm.M)
+    _, hi_prev = _master_rhs_interval(alpha, power, tail, bm.M - 1)
     patterns = [c * m for m in range(2, 13) for c in "01"]
     result = build_avoiding_sequence(patterns, gamma, 10_000,
                                      mode="empirical", alpha=alpha, seed=17)

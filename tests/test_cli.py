@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -204,6 +205,38 @@ def test_stream_requires_max_steps(capsys):
     assert code == 2
     assert out == ""
     assert "--max-steps" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("check", "no z values given (z lines or --z-all)"),
+    ("gw", "gw needs z values (z lines or --z-all)"),
+    ("solve", "give --max-steps or z values for the default")])
+def test_a_command_needing_z_values_refuses_a_system_without_them(
+        tmp_path, capsys, command, message):
+    path = tmp_path / "m3.cnf"
+    path.write_text(DIMACS_M3)
+    assert run_cli(capsys, command, "--input", str(path)) == (
+        2, "", f"error: {message}\n")
+
+
+STREAM_CERTIFY = ["stream", "--family", "chain:m=3", "--k", "5",
+                  "--max-steps", "100", "--certify-cell", "0", "--z-all",
+                  "1/4", "--alpha"]
+
+
+def test_stream_certifies_a_cell_needing_trees_of_thousands_of_vertices(
+        capsys):
+    code, out, err = run_cli(capsys, *STREAM_CERTIFY, "9999/10000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "cell=0 delta=1/16 N=252502 m=23671 k=23672"
+
+
+def test_stream_refuses_a_cell_past_the_neighbor_ball_guard(capsys):
+    t0 = time.perf_counter()
+    assert run_cli(capsys, *STREAM_CERTIFY, "99999999/100000000") == (
+        3, "", "refused: event 0: no tree size m <= 100000 (the neighbor "
+               "ball guard) meets its share of delta\n")
+    assert time.perf_counter() - t0 < 5
 
 
 def test_family_error_is_usage_error(capsys):
@@ -1072,6 +1105,21 @@ def test_check_prints_an_avoid_bound_past_the_int_digit_limit(tmp_path,
     bound = re.fullmatch(r"avoid_bound=([0-9/]+)\(.*", last)[1]
     assert parse_rational(bound) == F(3, 4) ** 7200
     assert len(out.splitlines()) == 7202
+
+
+def test_check_refuses_an_avoid_bound_past_the_product_guard(tmp_path,
+                                                              capsys):
+    # (1 - z)^7200 with a 4,000-digit z would have about 29 million digits
+    path = tmp_path / "chain7200.cnf"
+    path.write_text(chain_cnf(7200))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "--input", str(path),
+                             "--z-all", "1/" + "7" * 4000)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"refused: a product of \(1 - z\) powers of up to "
+                        r"[0-9]+ denominator bits exceeds guard 524288\n",
+                        err)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_a_weight_past_the_int_digit_limit_is_read(m3_file, capsys):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+import time
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lll_toolkit import intervals
 from lll_toolkit.errors import FamilyError, ModelError
 from lll_toolkit.families import (ChainCnfFamily, FiniteFamily,
                                   ForbiddenSubstringFamily, TrimmedFamily)
-from lll_toolkit.intervals import pow2_interval
-from lll_toolkit.corollaries import (_master_rhs_interval,
+from lll_toolkit.intervals import _nth_root_floor, least, pow2_interval
+from lll_toolkit.corollaries import (_master_rhs_interval, _tail_interval,
                                      audit_pattern_counts,
                                      build_avoiding_sequence, clause_weight,
                                      compute_beta_M, degree_audit,
@@ -39,6 +42,51 @@ def test_pow2_interval_encloses_known_values():
     lo, hi = pow2_interval(F(-3, 4), 48)
     # 2^(3/4) in [1.68, 1.69]: the reciprocal must straddle it
     assert (1 / hi) ** 4 <= 8 <= (1 / lo) ** 4
+
+
+# --- the least-integer search --------------------------------------------------
+
+def scan_least(holds, start, limit):
+    """The reference for `least`: test start, start + 1, ... in turn."""
+    n = start
+    while not holds(n):
+        if limit is not None and n >= limit:
+            return None
+        n += 1
+    return n
+
+
+@given(st.integers(-40, 40), st.integers(0, 300),
+       st.none() | st.integers(0, 300))
+@example(start=3, offset=7, limit_offset=7)   # holds first at the limit
+@example(start=3, offset=8, limit_offset=7)   # holds first past it
+@example(start=3, offset=0, limit_offset=0)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_least_equals_a_linear_scan(start, offset, limit_offset):
+    # a test that stays true once it holds is n >= some threshold
+    threshold = start + offset
+    limit = None if limit_offset is None else start + limit_offset
+    tested = []
+
+    def holds(n):
+        tested.append(n)
+        return n >= threshold
+
+    assert least(holds, start, limit) == scan_least(
+        lambda n: n >= threshold, start, limit)
+    assert len(tested) == len(set(tested))
+    assert all(start <= n and (limit is None or n <= limit) for n in tested)
+    assert len(tested) <= 2 * offset.bit_length() + 1
+
+
+@given(st.integers(0, 2 ** 300), st.integers(1, 12))
+@example(x=0, n=3)
+@example(x=1, n=5)
+@example(x=2 ** 240 - 1, n=12)  # one below an exact power
+@example(x=3 ** 60, n=12)       # an exact power
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_nth_root_floor_is_one_below_the_least_root_too_big(x, n):
+    assert _nth_root_floor(x, n) == least(lambda r: r ** n > x) - 1
 
 
 # --- fixed clause size --------------------------------------------------------
@@ -142,11 +190,69 @@ def test_beta_M_grid_is_pinned():
         text
 
 
+def scan_beta_M(gamma, alpha):
+    """compute_beta_M's search as the linear scan over M that it was: the
+    reference for (M, margin_lo, previous_fails)."""
+    beta = (1 + gamma) / 2
+    half = F(1, 2)
+    power = pow2_interval(-beta, 64)
+    tail = _tail_interval(gamma, beta, 64)
+    hi_prev = None  # the upper enclosure at M - 1
+    for M in range(1, 100_001):
+        lo, hi = _master_rhs_interval(alpha, power, tail, M)
+        if lo >= half:
+            return M, lo - half, hi_prev is not None and hi_prev < half
+        hi_prev = hi
+
+
+@given(st.integers(1, 63), st.integers(2, 64), st.integers(1, 40))
+@example(num=1, den=2, bits=0)  # the reference point: alpha = 99/100
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+def test_beta_M_search_equals_the_linear_scan(num, den, bits):
+    # lo(M) >= 1/2 stays true once it holds, so `least` may find M: the
+    # floor-rounded enclosure of 2^((beta-gamma)M) never falls as M grows,
+    # so neither end of the tail's enclosure rises; then each of the four
+    # products p * (1 - tail), p > 0, never falls, nor does their minimum
+    assume(num < den)
+    gamma = F(num, den)
+    # alpha just above the least value compatible with gamma, by 2^-bits,
+    # so M ranges from a few to thousands
+    alpha = (F(99, 100) if bits == 0 else
+             pow2_interval((1 + gamma) / 2 - 1, 64)[1] + F(1, 2 ** bits))
+    assume(alpha < 1)
+    bm = compute_beta_M(gamma, alpha)
+    assume(bm.M <= 3000)
+    assert (bm.M, bm.margin_lo, bm.previous_fails) == scan_beta_M(gamma,
+                                                                  alpha)
+
+
+def test_beta_M_computes_few_integer_roots(monkeypatch):
+    # each M the search tests costs one root, plus one each for 2^-beta
+    # and the tail's ratio; the linear scan took 3 per M up to M = 8
+    roots = []
+    real = intervals._nth_root_floor
+    monkeypatch.setattr(intervals, "_nth_root_floor",
+                        lambda x, n: roots.append(n) or real(x, n))
+    bm = compute_beta_M(F(1, 1000), F(99, 100))
+    assert bm.M == 8
+    assert len(roots) <= 10
+
+
+def test_beta_M_refuses_when_no_M_up_to_the_cap_is_certifiable():
+    # alpha a hair above 2^(beta-1) = 2^(-1/4): compatible with gamma, but
+    # alpha * 2^-beta is not certifiably 1/2 at 64 bits, whatever the tail
+    alpha = pow2_interval(F(-1, 4), 200)[1]
+    t0 = time.perf_counter()
+    with pytest.raises(ModelError, match="^no certifiable M found up to "
+                                         "100000$"):
+        compute_beta_M(F(1, 2), alpha)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_a_tail_ratio_not_below_one_is_refused_at_each_precision():
     # beta = gamma makes the tail's ratio 2^0 = 1: no geometric sum
     for enclose, bits in (
-            (lambda: _master_rhs_interval(F(1, 2), F(99, 100), F(1, 2), 3),
-             64),
+            (lambda: _tail_interval(F(1, 2), F(1, 2), 64), 64),
             (lambda: verify_dyadic_weights(F(1, 2), F(99, 100), F(1, 2), 3,
                                            [4]), 48)):
         with pytest.raises(ModelError, match=f"^tail ratio enclosure not "
@@ -239,6 +345,8 @@ def test_window_is_every_occurrence_inside_it(patterns, min_len, length):
     occurrences = sorted(family.index_of(p, f) for f in family.patterns
                          for p in range(length - len(f) + 1))
     assert list(family.events_in_window(length)) == occurrences
+    for i in occurrences:
+        assert family.index_of(*family._enumeration(i)) == i
 
 
 def test_substring_family_enumeration_repeatable():
@@ -295,6 +403,20 @@ def test_degree_audit_on_trimmed_family():
 
 
 # --- trimming -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho", [F(1, 2), F(2, 3), F(15, 16), F(99, 100)])
+def test_trimmed_degree_bound_sums_every_size_that_trims_to_it(rho):
+    # at rho = 15/16 the sizes 48..63 trim to 3, past any fixed multiple
+    # of 3 that a capped scan would stop at
+    base = forbidden_substrings_to_family(["00", "11"], F(1, 2), 2)
+    trimmed = TrimmedFamily(base, rho)
+    for size in range(1, 6):
+        sizes = [s for s in range(1, 1000) if s - ceil(rho * s) == size]
+        assert trimmed.degree_bound(size) == sum(map(base.degree_bound,
+                                                      sizes))
+    if rho == F(15, 16):
+        assert trimmed.degree_bound(3) == sum(map(base.degree_bound,
+                                                  range(48, 64)))
 
 def test_trim_drops_lowest_indices():
     family = forbidden_substrings_to_family(["0011"], F(1, 2), 4)

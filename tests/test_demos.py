@@ -19,10 +19,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # The sha256 of each demo's standard output. Every one is deterministic, so
 # a change to the program that moves a printed byte shows here.
-# 05_avoiding_sequences.py is left out: it takes about 4.5 s on 2 vCPUs. Of
-# that, about 2 s is the exact condition check over its 6,750 clauses (half
-# of it counting each clause's ~900 neighbours), 1.5 s building their
-# neighbour sets and 0.5 s building the clauses
+# 05_avoiding_sequences.py is left out: it takes 3.1-3.9 s on 2 vCPUs
+# (Python 3.11). Of that, about 1.3 s is the exact condition check over its
+# 6,750 clauses, 1.2-1.5 s building the system with their neighbour sets
+# and 0.3 s making the clauses
 PINNED_STDOUT = {
     "01_conditions_and_solving.py":
         "aed1d86652a50e98d2d6d852703221822a1ef1451cc488566ccbbc4a2b2cc44f",

@@ -167,6 +167,11 @@ def test_replay_determinism(chain3_system):
     assert a == b
 
 
+def test_run_finite_refuses_a_negative_step_cap(one_bit_system):
+    with pytest.raises(ModelError, match="^max_steps must be >= 0$"):
+        run_finite(one_bit_system, Tape(seed=0), -1)
+
+
 def test_suggested_max_steps():
     params = LLLParams((F(1, 2), F(1, 3)))
     # 10 * (1 + 1/2) = 15

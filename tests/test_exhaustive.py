@@ -107,6 +107,17 @@ def test_branch_guard_refuses_past_the_visited_prefix_tree(
         assert census.branch_count == leaves
 
 
+def test_enumerate_runs_refuses_past_its_branch_guard(chain2_system):
+    # a full binary prefix tree with n leaves has 2n - 1 nodes
+    leaves = len(list(exhaustive.enumerate_runs(chain2_system, 10)))
+    with pytest.raises(BudgetRefused, match=f"^branch guard {2 * leaves - 2} "
+                                            "exceeded during enumeration$"):
+        list(exhaustive.enumerate_runs(chain2_system, 10,
+                                       branch_guard=2 * leaves - 2))
+    assert len(list(exhaustive.enumerate_runs(
+        chain2_system, 10, branch_guard=2 * leaves - 1))) == leaves
+
+
 @pytest.mark.parametrize("want_trees", [False, True])
 def test_negative_budget_or_step_guard_is_a_model_error(chain2_system,
                                                         want_trees):

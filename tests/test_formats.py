@@ -252,6 +252,8 @@ def test_a_directive_short_of_a_field_names_what_is_missing(text, message):
     ("step 1 event 0 draws\n", "line 2: step 1 is missing its draws"),
     ("step 1 event 0 draws 0:1\n",
      "line 2: step 1 draw 0:1 is missing its value"),
+    ("step 1 event 0 draws 0:1:0:0\n",
+     "line 2: step 1 draw 0:1:0:0 has more than variable:position:value"),
     # a step's number restates its position in the log
     ("step 5 event 0 draws 0:1:0\n", "line 2: step 5 is the log's step 1"),
     ("step 1 event 0 draws 0:1:0\nstep 1 event 0 draws 0:2:0\n",

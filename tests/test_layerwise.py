@@ -6,6 +6,8 @@ from itertools import islice, product
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lll_toolkit.errors import (BudgetRefused, ContractViolation,
                                 ExtractionTimeout, ModelError)
@@ -68,6 +70,36 @@ def test_horizon_requires_alpha_below_one():
     with pytest.raises(ModelError):
         stability_horizon(family, StreamParams.constant(F(1, 4), F(1)), 0,
                           F(1, 4))
+
+
+def loop_tree_size(ratio, alpha, share):
+    """stability_horizon's tree size as the loop that multiplied in one
+    power of alpha at a time: the reference."""
+    m = 0
+    power = F(1)
+    while ratio * power > share:
+        m += 1
+        power *= alpha
+    return m
+
+
+SEARCHED_CHAIN = ChainCnfFamily(3, overlap=1, polarity_seed=5)
+
+
+@given(st.integers(2, 64), st.integers(2, 300), st.integers(1, 999),
+       st.integers(0, 6))
+@example(z_den=2, alpha_den=300, delta_den=999, cell=2)  # m = 2,484
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_horizon_tree_size_equals_the_loop(z_den, alpha_den, delta_den,
+                                           cell):
+    # z = 1/z_den, alpha = 1 - 1/alpha_den, delta = 1/delta_den: m <= 5000
+    z, alpha = F(1, z_den), 1 - F(1, alpha_den)
+    cert = stability_horizon(SEARCHED_CHAIN, StreamParams.constant(z, alpha),
+                             cell, F(1, delta_den))
+    for term in cert.terms:
+        m = loop_tree_size(z / (1 - z), alpha, cert.budget_share)
+        assert m <= 5000
+        assert term.m == m
 
 
 def test_horizon_certificate_arithmetic():

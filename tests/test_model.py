@@ -6,9 +6,10 @@ from itertools import product
 
 import pytest
 
-from lll_toolkit.errors import ModelError
+from lll_toolkit.errors import BudgetRefused, ModelError
 from lll_toolkit.model import (ConstraintSystem, Event, LLLParams,
-                               VariableSpec, avoiding_probability, check_lll,
+                               VariableSpec, avoiding_assignments,
+                               avoiding_probability, check_lll,
                                clause_event, event_probability, neighbors,
                                uniform_bit)
 from lll_toolkit.tape import _word
@@ -242,6 +243,18 @@ def test_avoiding_mass_meets_bound_chain(chain3_system):
     mass = avoiding_probability(chain3_system)
     assert mass >= report.avoid_bound
     assert mass > 0  # some assignment avoids every event
+
+
+@pytest.mark.parametrize("scan", [avoiding_assignments, avoiding_probability])
+def test_brute_force_refuses_an_assignment_space_past_its_guard(monkeypatch,
+                                                                scan):
+    system = ConstraintSystem.build([uniform_bit(v) for v in range(23)], [])
+    # the refusal comes before any assignment is listed: listing none here
+    # makes a missing guard show at once, not after 2^23 assignments
+    monkeypatch.setattr(ConstraintSystem, "assignments", lambda self: iter(()))
+    with pytest.raises(BudgetRefused, match="^assignment space of size "
+                                            "8388608 exceeds guard 4194304$"):
+        scan(system)
 
 
 def test_avoiding_mass_exact_value(chain3_system):

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lll_toolkit
@@ -65,3 +68,20 @@ def test_no_instance_dict_reads_in_package():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "__dict__"]
     assert found == []
+
+
+def test_reproducibility_holds_under_python_O_and_another_hash_seed():
+    # `python -O` strips asserts, and the hash seed reorders sets and dicts
+    # of strings; neither may move a seeded output
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED="987654",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(SRC.parent),
+                                 os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_reproducibility.py")],
+        capture_output=True, text=True, env=env, cwd=tests.parent,
+        timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and "failed" not in proc.stdout
